@@ -48,7 +48,6 @@ from .loworder import (
     verify_membership,
 )
 from .operator_log import (
-    LaplaceQuadrature,
     LogQuotientReport,
     SourceCondition,
     default_p_schedule,

@@ -57,6 +57,49 @@ def series_power(coeffs: np.ndarray, p: float) -> np.ndarray:
     return a[0] ** p * b
 
 
+def series_log(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of log(sum_m a_m z^m) mod z^n, a_0 > 0.
+
+    From the logarithmic derivative a L' = a':
+    m L_m = m a_m - sum_{k=1..m-1} k L_k a_{m-k}, run on a / a_0.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    if a[0] <= 0:
+        raise DomainError("series logarithm needs a positive leading coefficient")
+    n = a.size
+    ah = a / a[0]
+    out = np.zeros(n)
+    ks = np.arange(n, dtype=float)
+    for m in range(1, n):
+        out[m] = ah[m] - np.dot(ks[1:m] * out[1:m], ah[m - 1 : 0 : -1]) / m
+    out[0] = math.log(a[0])
+    return out
+
+
+def series_exp(g: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(sum_m g_m z^m) mod z^n.
+
+    From b' = g' b: m b_m = sum_{k=1..m} k g_k b_{m-k}, run on g / 2^s with
+    sum |g_m| / 2^s <= 1 and squared s times (scaling and squaring; Higham,
+    Functions of Matrices, ch. 10).  The scaling bounds every term of the
+    recurrence by e, so its cancellation error stays near rounding whatever
+    the size of g.
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    size = float(np.abs(g).sum())
+    s = math.ceil(math.log2(size)) if size > 1.0 else 0
+    gs = g / 2.0**s
+    b = np.zeros(n)
+    b[0] = math.exp(gs[0])
+    ks = np.arange(n, dtype=float)
+    for m in range(1, n):
+        b[m] = np.dot(ks[1 : m + 1] * gs[1 : m + 1], b[m - 1 :: -1][:m]) / m
+    for _ in range(s):
+        b = np.convolve(b, b)[:n]
+    return b
+
+
 def _binomial_lags(h_pow: float, q: float, n: int) -> np.ndarray:
     """Coefficients of h_pow^q * (1 - z)^{-q} mod z^n (integration-kind powers)."""
     w = np.empty(n)

@@ -23,7 +23,7 @@ Config schema (schema_version 1)::
                       | {"kind": "function", "name": "ones" | "ramp" |
                          "parabola" | "sinpi"}},
       "scheme":   {"name": "lavrentiev", "m": 2}
-                  | {"name": "cauchy", "substeps_per_unit_time": 64},
+                  | {"name": "cauchy"},
       "rule":     {"name": "apriori", "c0": 1.0}
                   | {"name": "discrepancy", "b0": 6.0, "b1": 8.0,
                      "c0": optional sharp companion bound},
@@ -249,10 +249,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
     if scheme_spec["name"] == "lavrentiev":
         scheme = RegularizerConfig(scheme="lavrentiev", m=int(scheme_spec.get("m", 1)))
     else:
-        scheme = RegularizerConfig(
-            scheme="cauchy",
-            substeps_per_unit_time=int(scheme_spec.get("substeps_per_unit_time", 64)),
-        )
+        scheme = RegularizerConfig(scheme="cauchy")
     w = build_source_element(op, src["w"])
     sc = SourceCondition(
         p=float(src["p"]),

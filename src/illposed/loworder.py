@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .grid import GridFunction
@@ -153,6 +152,9 @@ def log_kernel_derivative(
 
 
 def _w_adaptive(params: LogExampleParams, x: float, rel_tol: float) -> float:
+    # imported here: scipy.integrate adds about 0.3 s to every CLI start
+    from scipy.integrate import quad
+
     c, kap = params.c, params.kappa
     # xi in (0, x/2]: substitute ell = log(1/(c xi)), removing the 1/xi factor
     ell0 = math.log(2.0 / (c * x))
@@ -192,18 +194,33 @@ def _gl_panels(edges: np.ndarray, npts: int = 10):
 
 def _w_graded(params: LogExampleParams, x: float, rel_tol: float) -> float:
     """Independent evaluation: geometric panels in ell on the left, grading
-    exponent 2 toward the log singularity on the right, analytic first cell."""
+    exponent 2 toward the log singularity on the right, analytic first cell.
+
+    The rule is rerun at half resolution; a gap above rel_tol * |w| raises.
+    """
+    total = _w_graded_rule(params, x, left_edges=160, right_panels=80)
+    coarse = _w_graded_rule(params, x, left_edges=80, right_panels=40)
+    if abs(total - coarse) > rel_tol * abs(total):
+        raise QuadratureError(
+            f"w({x}) graded rule changes by {abs(total - coarse):.2e} at half "
+            f"resolution, above {rel_tol:.2e} * |{total:.6e}|"
+        )
+    return total
+
+
+def _w_graded_rule(
+    params: LogExampleParams, x: float, left_edges: int, right_panels: int
+) -> float:
     c, kap = params.c, params.kappa
     ell0 = math.log(2.0 / (c * x))
     # left part in ell: tail beyond ell_max contributes ~ |log x| * ell_max^{-kap}
     ell_max = max((abs(math.log(x)) + 10.0) / 1e-10, 1e4) ** (1.0 / kap)
     ell_max = max(ell_max, 4.0 * ell0)
-    edges = np.geomspace(ell0, ell_max, 160)
+    edges = np.geomspace(ell0, ell_max, left_edges)
     pts, wts = _gl_panels(edges)
     left = float(np.sum(wts * np.log(x - np.exp(-pts) / c) * kap * pts ** (-kap - 1.0)))
     # right part in t = x - xi on [0, x/2], graded toward t = 0
-    m = 80
-    grid = (np.arange(m + 1) / m) ** 2 * (x / 2.0)
+    grid = (np.arange(right_panels + 1) / right_panels) ** 2 * (x / 2.0)
     t1 = grid[1]
     # analytic first cell: u'(x - t) ~ linear, log t integrated exactly
     g0 = float(u_log_derivative(params, np.array([x]))[0])

@@ -5,16 +5,12 @@
 quotients form a Cauchy sequence is grid-level *evidence* of membership in
 the domain of log(A), reported as a flag and never as proof.
 
-``shifted_log_resolvent_power`` realizes (lambda I - log A)^{-nu} w through
-its Laplace representation
-
-    (1/(nu-1)!) * int_0^infty q^{nu-1} e^{-lambda q} A^q w dq,
-
-valid for every shift lambda above omega = log ||A||.  On the diagonal kind
-the scalar closed form (lambda - log sigma_k)^{-nu} is used instead, because
-fixed-width quadrature panels cannot resolve modes whose decay rate
-lambda - log sigma_k is much larger than lambda - omega; the quadrature
-route stays available for the Volterra kinds and as a cross-check.
+``shifted_log_resolvent_power`` realizes (lambda I - log A)^{-nu} w, for
+every shift lambda above omega = log ||A||, as a function of the symbol:
+the scalar form (lambda - log sigma_k)^{-nu} on the diagonal kind, and the
+power series (lambda - log a(z))^{-nu} of the lag symbol a(z) on the
+Volterra kinds.  The tests check both against the Laplace representation
+(1/(nu-1)!) * int_0^infty q^{nu-1} e^{-lambda q} A^q w dq.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractional import fractional_power_exact
+from .fractional import _convolve_lags, fractional_power_exact, series_log, series_power
 from .grid import GridFunction
 from .operators import DiscreteOperator
 
@@ -75,38 +71,6 @@ def log_apply(
     return extrap, LogQuotientReport(p_schedule=ps, distances=dists, cauchy=cauchy)
 
 
-@dataclass(frozen=True)
-class LaplaceQuadrature:
-    """Composite Gauss-Legendre rule on [0, q_max] for the Laplace representation."""
-
-    q_max: float
-    nodes: int = 400
-    points_per_panel: int = 10
-
-    def __post_init__(self):
-        if self.q_max <= 0 or self.nodes < 200:
-            raise DomainError("need q_max > 0 and at least 200 nodes")
-
-    @classmethod
-    def default(cls, lam: float, omega: float) -> "LaplaceQuadrature":
-        # panels of width 1/(lam - omega) up to 40/(lam - omega): the
-        # neglected tail of the scalar model is below e^{-40} ~ 4e-18
-        gap = lam - omega
-        if gap <= 0:
-            raise DomainError("shift below spectral bound")
-        return cls(q_max=40.0 / gap, nodes=400, points_per_panel=10)
-
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        panels = max(1, self.nodes // self.points_per_panel)
-        xi, wi = np.polynomial.legendre.leggauss(self.points_per_panel)
-        edges = np.linspace(0.0, self.q_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        qs = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-        ws = (half[:, None] * wi[None, :]).ravel()
-        return qs, ws
-
-
 def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:
     """log sigma_k for the diagonal kind (the spectral closed form)."""
     if op.kind != "diagonal":
@@ -115,35 +79,23 @@ def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:
 
 
 def shifted_log_resolvent_power(
-    op: DiscreteOperator,
-    lam: float,
-    nu: int,
-    w: GridFunction,
-    quad: LaplaceQuadrature | None = None,
-    force_quadrature: bool = False,
+    op: DiscreteOperator, lam: float, nu: int, w: GridFunction
 ) -> GridFunction:
     """(lambda I - log A)^{-nu} w.
 
-    Diagonal kind: exact scalar form unless ``force_quadrature`` is set.
-    Volterra kinds: Laplace quadrature, each node one exact power A^q w.
+    Diagonal kind: the scalar form (lambda - log sigma_k)^{-nu}.  Volterra
+    kinds: the power series (lambda - log a(z))^{-nu} of the lag symbol
+    a(z); node 0, where A vanishes, maps to 0.
     """
     if nu < 1 or int(nu) != nu:
         raise DomainError("nu must be a positive integer")
     if lam <= op.omega:
         raise DomainError("shift below spectral bound")
-    if op.kind == "diagonal" and not force_quadrature:
+    if op.kind == "diagonal":
         return w.with_values(w.values / (lam - np.log(op.weights)) ** nu)
-    if quad is None:
-        quad = LaplaceQuadrature.default(lam, op.omega)
-    if quad.q_max < 10.0 / (lam - op.omega):
-        raise DomainError("q_max too small for the shift gap")
-    qs, ws = quad.points()
-    fac = math.factorial(nu - 1)
-    acc = np.zeros(w.dim)
-    for q, wt in zip(qs, ws):
-        aq = fractional_power_exact(op, float(q), w)
-        acc += wt * q ** (nu - 1) * math.exp(-lam * q) / fac * aq.values
-    return w.with_values(acc)
+    shifted = -series_log(op.weights)
+    shifted[0] += lam
+    return _convolve_lags(series_power(shifted, -float(nu)), w)
 
 
 @dataclass(frozen=True)
@@ -172,10 +124,8 @@ class SourceCondition:
             raise DomainError("source element w does not match the operator")
 
 
-def make_mixed_smooth_element(
-    op: DiscreteOperator, sc: SourceCondition, quad: LaplaceQuadrature | None = None
-) -> GridFunction:
+def make_mixed_smooth_element(op: DiscreteOperator, sc: SourceCondition) -> GridFunction:
     """u = A^p (lambda I - log A)^{-nu} w, the ground-truth generator for rate runs."""
     sc.validate_against(op)
-    v = shifted_log_resolvent_power(op, sc.lam, sc.nu, sc.w, quad=quad)
+    v = shifted_log_resolvent_power(op, sc.lam, sc.nu, sc.w)
     return fractional_power_exact(op, sc.p, v)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from illposed import (
     BalakrishnanQuadrature,
@@ -16,7 +17,15 @@ from illposed import (
     fractional_power_product_integration,
     integration_operator,
 )
+from illposed.fractional import series_exp, series_log, series_power
 from illposed.operators import abel_operator
+
+# positive, nonincreasing lag vectors: a_0 times a running product of ratios
+lag_vectors = st.builds(
+    lambda a0, ratios: a0 * np.cumprod([1.0] + ratios),
+    st.floats(1e-3, 10.0),
+    st.lists(st.floats(0.05, 1.0), max_size=40),
+)
 
 
 def test_power_zero_is_identity():
@@ -192,3 +201,25 @@ def test_interpolation_inequality_rejects_bad_orders():
         check_interpolation_inequality(op, 1.0, 0.5, op.ones())
     with pytest.raises(DomainError):
         check_interpolation_inequality(op, 0.0, 1.0, op.ones())
+
+
+@given(lag_vectors)
+def test_series_exp_inverts_series_log(a):
+    np.testing.assert_allclose(series_exp(series_log(a)), a, rtol=0, atol=1e-12 * a[0])
+
+
+@given(lag_vectors, st.floats(0.0, 50.0), st.floats(0.0, 50.0))
+def test_series_exp_semigroup(a, s, t):
+    # e^{-sA} e^{-tA} = e^{-(s+t)A} in the Toeplitz algebra
+    lhs = np.convolve(series_exp(-s * a), series_exp(-t * a))[: a.size]
+    rhs = series_exp(-(s + t) * a)
+    assert np.all(np.isfinite(rhs))
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * max(1.0, np.abs(rhs).max()))
+
+
+@given(lag_vectors, st.floats(-2.0, 2.0))
+def test_series_power_is_exp_of_scaled_log(a, p):
+    expected = series_exp(p * series_log(a))
+    np.testing.assert_allclose(
+        series_power(a, p), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+    )

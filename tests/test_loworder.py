@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import illposed
 from illposed import (
     DomainError,
+    QuadratureError,
     GridFunction,
     LogExampleParams,
     log_kernel_apply,
@@ -127,6 +133,23 @@ def test_w_dual_quadrature_agreement():
     adaptive = log_kernel_derivative(PARAMS, xs)
     graded = log_kernel_derivative(PARAMS, xs, method="graded")
     assert np.max(np.abs(adaptive - graded)) <= 1e-5 * np.max(np.abs(adaptive))
+
+
+def test_w_graded_enforces_rel_tol():
+    # the graded rule agrees with its half-resolution rerun to ~1e-8, not 1e-14
+    with pytest.raises(QuadratureError):
+        log_kernel_derivative(PARAMS, [2.0**-10], rel_tol=1e-14, method="graded")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the adaptive w quadrature needs scipy.integrate; it costs ~0.3 s per start
+    src = str(Path(illposed.__file__).resolve().parents[1])
+    code = "import sys, illposed.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_w_domain_checks():

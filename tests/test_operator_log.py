@@ -5,8 +5,8 @@ import pytest
 
 from illposed import (
     DomainError,
-    LaplaceQuadrature,
     SourceCondition,
+    abel_operator,
     apply,
     diagonal_operator,
     exp_decay_diagonal,
@@ -18,6 +18,8 @@ from illposed import (
 )
 from illposed.loworder import LogExampleParams
 from illposed.operator_log import diagonal_log_values
+
+from oracles import LaplaceQuadrature, laplace_log_resolvent_power
 
 
 def test_log_apply_scalar():
@@ -55,7 +57,7 @@ def test_resolvent_power_scalar_closed_form():
     lam = op.omega + 1.0
     v = shifted_log_resolvent_power(op, lam, 1, op.ones())
     np.testing.assert_allclose(v.values, 1.0 / (lam - math.log(s)), rtol=1e-14)
-    vq = shifted_log_resolvent_power(op, lam, 1, op.ones(), force_quadrature=True)
+    vq = laplace_log_resolvent_power(op, lam, 1, op.ones())
     np.testing.assert_allclose(vq.values, v.values, rtol=1e-10)
 
 
@@ -63,11 +65,10 @@ def test_resolvent_power_nu2_composition_scalar():
     s = 0.3
     op = diagonal_operator([s, s], "sup")
     lam = op.omega + 1.0
-    twice = shifted_log_resolvent_power(
-        op, lam, 1, shifted_log_resolvent_power(op, lam, 1, op.ones(), force_quadrature=True),
-        force_quadrature=True,
+    twice = laplace_log_resolvent_power(
+        op, lam, 1, laplace_log_resolvent_power(op, lam, 1, op.ones())
     )
-    direct = shifted_log_resolvent_power(op, lam, 2, op.ones(), force_quadrature=True)
+    direct = laplace_log_resolvent_power(op, lam, 2, op.ones())
     assert (twice - direct).norm() <= 1e-8 * direct.norm()
     np.testing.assert_allclose(direct.values, 1.0 / (lam - math.log(s)) ** 2, rtol=1e-9)
 
@@ -81,6 +82,20 @@ def test_resolvent_power_integration_composition():
     assert (twice - direct).norm() <= 1e-6 * direct.norm()
 
 
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
+@pytest.mark.parametrize("kind", ["integration", "abel"])
+def test_resolvent_power_series_matches_laplace_oracle(kind, norm, nu):
+    n = 128
+    op = integration_operator(n, norm) if kind == "integration" else abel_operator(0.5, n, norm)
+    lam = op.omega + 1.0
+    w = op.grid_function(np.sin(np.pi * np.linspace(0.0, 1.0, op.dim)))
+    got = shifted_log_resolvent_power(op, lam, nu, w)
+    expected = laplace_log_resolvent_power(op, lam, nu, w)
+    assert got.values[0] == 0.0
+    assert (got - expected).norm() <= 1e-12 * expected.norm()
+
+
 def test_resolvent_power_rejects_shift_below_spectral_bound():
     op = integration_operator(64)
     with pytest.raises(DomainError, match="spectral bound"):
@@ -92,10 +107,6 @@ def test_laplace_quadrature_validation():
         LaplaceQuadrature(q_max=0.0)
     with pytest.raises(DomainError):
         LaplaceQuadrature(q_max=10.0, nodes=50)
-    op = integration_operator(64)
-    small = LaplaceQuadrature(q_max=1.0, nodes=200)  # below 10/(lam - omega)
-    with pytest.raises(DomainError):
-        shifted_log_resolvent_power(op, op.omega + 1.0, 1, op.ones(), quad=small)
 
 
 def test_make_mixed_zero_w():

@@ -6,6 +6,7 @@ import pytest
 from illposed import (
     DomainError,
     RegularizerConfig,
+    abel_operator,
     apply,
     cauchy_method,
     companion_apply,
@@ -19,6 +20,8 @@ from illposed import (
     regularizer_apply,
     shifted_solve,
 )
+
+from oracles import expm_evolve
 
 LAV1 = RegularizerConfig("lavrentiev", m=1)
 LAV2 = RegularizerConfig("lavrentiev", m=2)
@@ -72,15 +75,16 @@ def test_lavrentiev_rejects_nonpositive_alpha():
 
 
 def test_cauchy_scalar_closed_form_integrator():
-    op = scalar_op(1.0)
-    u = cauchy_method(op, 1.0, op.ones(), op.zeros(), CAUCHY, force_integrator=True)
-    assert abs(u.values[0] - (1.0 - math.exp(-1.0))) <= 1e-6
+    op = integration_operator(32)
+    u = cauchy_method(op, 1.0, op.ones(), op.zeros())
+    expected = expm_evolve(op, 1.0, op.ones(), op.zeros())
+    assert (u - expected).norm() <= 1e-12 * expected.norm()
 
 
 def test_cauchy_exact_diagonal_path():
     s = 0.7
     op = scalar_op(s)
-    u = cauchy_method(op, 0.5, op.ones(), op.zeros(), CAUCHY)
+    u = cauchy_method(op, 0.5, op.ones(), op.zeros())
     np.testing.assert_allclose(u.values, (1.0 - math.exp(-2.0 * s)) / s, rtol=1e-13)
 
 
@@ -88,7 +92,7 @@ def test_cauchy_initial_condition():
     op = integration_operator(64)
     ubar = op.grid_function(np.linspace(0.5, 1.0, op.dim))
     f = op.ones()
-    u = cauchy_method(op, 1e6, f, ubar, CAUCHY)
+    u = cauchy_method(op, 1e6, f, ubar)
     tol = 1e-5 * (f.norm() + apply(op, ubar).norm())
     assert (u - ubar).norm() <= tol
 
@@ -98,7 +102,7 @@ def test_cauchy_stationary_solution():
     ubar = op.grid_function(np.linspace(1.0, 0.1, op.dim))
     f = apply(op, ubar)
     for alpha in (1e-3, 1.0):
-        u = cauchy_method(op, alpha, f, ubar, CAUCHY)
+        u = cauchy_method(op, alpha, f, ubar)
         assert (u - ubar).norm() <= 1e-11 * ubar.norm()
 
 
@@ -116,8 +120,32 @@ def test_companion_cauchy_scalar_exponential():
     op = scalar_op(s)
     v = companion_apply(op, CAUCHY, 1.0, op.ones())
     np.testing.assert_allclose(v.values, math.exp(-s), rtol=1e-13)
-    vi = cauchy_method(op, 1.0, op.zeros(), op.ones(), CAUCHY, force_integrator=True)
-    assert abs(vi.values[0] - math.exp(-s)) <= 1e-6
+    op = integration_operator(32)
+    vi = companion_apply(op, CAUCHY, 1.0, op.ones())
+    expected = expm_evolve(op, 1.0, op.zeros(), op.ones())
+    assert (vi - expected).norm() <= 1e-12 * expected.norm()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
+@pytest.mark.parametrize("kind", ["integration", "abel"])
+def test_cauchy_matches_expm_oracle(kind, norm, n):
+    # e^{-tA} is bounded and underflows at large t, so the companion error is
+    # measured against the larger of the result and the input
+    op = integration_operator(n, norm) if kind == "integration" else abel_operator(0.5, n, norm)
+    x = np.linspace(0.0, 1.0, op.dim)
+    u = op.grid_function(np.sin(np.pi * x) + x)
+    f = op.grid_function(np.cos(3.0 * x))
+    for ratio in (1e6, 1.0, 1e-2, 1e-4, 1e-8):
+        alpha = ratio * op.op_norm
+        s = companion_apply(op, CAUCHY, alpha, u)
+        s_ref = expm_evolve(op, 1.0 / alpha, op.zeros(), u)
+        assert np.all(np.isfinite(s.values))
+        assert (s - s_ref).norm() <= 1e-12 * max(s_ref.norm(), u.norm())
+        v = cauchy_method(op, alpha, f, op.zeros())
+        v_ref = expm_evolve(op, 1.0 / alpha, f, op.zeros())
+        assert np.all(np.isfinite(v.values))
+        assert (v - v_ref).norm() <= 1e-12 * v_ref.norm()
 
 
 def test_companion_large_alpha_approaches_identity():
