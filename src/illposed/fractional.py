@@ -30,6 +30,7 @@ from .errors import DomainError, QuadratureBoundsWarning
 from .grid import GridFunction
 from .operators import (
     DiscreteOperator,
+    _convolve_lags,
     apply,
     product_integration_weights,
     shifted_solve,
@@ -115,12 +116,6 @@ def matrix_power_lags(op: DiscreteOperator, p: float) -> np.ndarray:
     if op.kind == "integration":
         return _binomial_lags(1.0 / n, p, n)
     return series_power(op.weights, p)
-
-
-def _convolve_lags(lags: np.ndarray, u: GridFunction) -> GridFunction:
-    out = np.zeros(u.dim)
-    out[1:] = np.convolve(lags, u.values[1:])[: lags.size]
-    return u.with_values(out)
 
 
 def fractional_power_exact(op: DiscreteOperator, p: float, u: GridFunction) -> GridFunction:

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import GridFunction
+from .grid import GridFunction, NORM_KINDS
 from .operator_log import SourceCondition, make_mixed_smooth_element
 from .operators import (
     DiscreteOperator,
@@ -76,6 +76,12 @@ def _require(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}.{key}: missing required field")
     return d[key]
+
+
+def _require_int(d: dict, key: str, path: str, lo: int) -> None:
+    value = _require(d, key, path)
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise ConfigError(f"{path}.{key}: must be an integer >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,11 +113,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind not in ("diagonal", "integration", "abel"):
         raise ConfigError(f"config.operator.kind: unknown kind {kind!r}")
     if kind == "abel":
-        _require(op, "order", "config.operator")
+        order = _require(op, "order", "config.operator")
+        if isinstance(order, bool) or not isinstance(order, (int, float)) or not 0.0 < order <= 1.0:
+            raise ConfigError(f"config.operator.order: must be a number in (0, 1], got {order!r}")
     if kind in ("integration", "abel"):
-        _require(op, "n", "config.operator")
-    if kind == "diagonal" and "sigma" not in op and "modes" not in op:
-        raise ConfigError("config.operator: diagonal kind needs 'sigma' or 'modes'")
+        _require_int(op, "n", "config.operator", 2)
+    if kind == "diagonal" and "sigma" not in op:
+        if "modes" not in op:
+            raise ConfigError("config.operator: diagonal kind needs 'sigma' or 'modes'")
+        _require_int(op, "modes", "config.operator", 1)
+    if "norm" in op and op["norm"] not in NORM_KINDS:
+        raise ConfigError(f"config.operator.norm: must be one of {NORM_KINDS}, got {op['norm']!r}")
     src = _require(doc, "source", "config")
     for k in ("p", "nu", "lambda_offset", "w"):
         _require(src, k, "config.source")

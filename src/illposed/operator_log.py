@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractional import _convolve_lags, fractional_power_exact, series_log, series_power
+from .fractional import fractional_power_exact, series_log, series_power
 from .grid import GridFunction
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, _convolve_lags
 
 
 def default_p_schedule() -> np.ndarray:

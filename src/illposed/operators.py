@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import DimensionMismatchError, DomainError
 from .grid import GridFunction, NORM_KINDS
@@ -48,63 +47,55 @@ def product_integration_weights(order: float, n: int) -> np.ndarray:
     return h**order / math.gamma(order + 1.0) * ((m + 1.0) ** order - m**order)
 
 
-def _lower_toeplitz(lags: np.ndarray) -> np.ndarray:
-    return np.tril(toeplitz(lags, np.zeros_like(lags)))
+def series_reciprocal(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of 1 / (sum_m a_m z^m) mod z^n, a_0 != 0.
+
+    Newton doubling b <- b (2 - a b) on the truncation length (Brent & Kung,
+    J. ACM 25, 1978): each step doubles the number of correct coefficients,
+    so the log2(n) steps of np.convolve cost O(n^2) in all.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    b = np.array([1.0 / a[0]])
+    while b.size < a.size:
+        k = min(2 * b.size, a.size)
+        c = -np.convolve(a[:k], b)[:k]
+        c[0] += 2.0
+        b = np.convolve(b, c)[:k]
+    return b
 
 
-def _volterra_matrix(lags: np.ndarray) -> np.ndarray:
-    """Full (n+1) x (n+1) matrix: node 0 maps to 0 and contributes nothing."""
+def _convolve_lags(lags: np.ndarray, u: GridFunction, node0: float = 0.0) -> GridFunction:
+    """The lower-triangular Toeplitz matrix of ``lags`` applied to nodes 1..n of u.
+
+    Node 0, where the Volterra operators vanish, is set to ``node0``.
+    """
+    out = np.zeros(u.dim)
+    out[0] = node0
+    out[1:] = np.convolve(lags, u.values[1:])[: lags.size]
+    return u.with_values(out)
+
+
+def _power_iteration_norm(lags: np.ndarray, tol: float = 1e-8, maxit: int = 2000) -> float:
+    """Largest singular value of the Volterra matrix by power iteration on T^T T.
+
+    A Toeplitz matrix is persymmetric, T^T = J T J with J the reversal, so
+    both products are convolutions with the lags.  The start is the unit
+    vector of ones on all n+1 nodes; node 0 meets a zero column, so it only
+    enters the first normalization.  Raises DomainError after ``maxit``
+    iterations without convergence.
+    """
     n = lags.size
-    m = np.zeros((n + 1, n + 1))
-    m[1:, 1:] = _lower_toeplitz(lags)
-    return m
-
-
-def _power_iteration_norm(mat: np.ndarray, tol: float = 1e-8, maxit: int = 2000) -> float:
-    """Largest singular value by power iteration on M^T M (deterministic start)."""
-    x = np.ones(mat.shape[1])
-    x /= np.linalg.norm(x)
+    x = np.full(n, 1.0 / math.sqrt(n + 1))
     est = 0.0
     for _ in range(maxit):
-        y = mat @ x
-        z = mat.T @ y
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        new = np.linalg.norm(y)  # ||Mx|| with ||x|| = 1
-        x = z / nz
+        y = np.convolve(lags, x)[:n]
+        z = np.convolve(lags, y[::-1])[:n][::-1]
+        new = float(np.linalg.norm(y))  # ||T x|| with ||x|| = 1
+        x = z / np.linalg.norm(z)
         if abs(new - est) <= tol * max(new, 1e-300):
             return new
         est = new
-    return est
-
-
-def _inverse_power_norm(
-    lower: np.ndarray,
-    tol: float = 1e-8,
-    maxit: int = 2000,
-    x0: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Largest singular value of inv(L) for lower-triangular L, by power iteration.
-
-    Returns (estimate, final vector); passing the vector back in as ``x0``
-    warm-starts the next call, which makes sweeps over nearby shifts cheap.
-    """
-    x = np.ones(lower.shape[0]) if x0 is None else x0.copy()
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(maxit):
-        y = solve_triangular(lower, x, lower=True)
-        z = solve_triangular(lower, y, lower=True, trans="T")
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0, x
-        new = np.linalg.norm(y)
-        x = z / nz
-        if abs(new - est) <= tol * max(new, 1e-300):
-            return new, x
-        est = new
-    return est, x
+    raise DomainError(f"power iteration for ||A|| did not converge in {maxit} iterations")
 
 
 @dataclass(frozen=True)
@@ -112,18 +103,16 @@ class DiscreteOperator:
     """Immutable realization of a positive-type operator.
 
     Fields mirror the construction: ``weights`` holds the Toeplitz lag
-    weights (Volterra kinds) or the singular values (diagonal kind);
-    ``matrix`` is the dense lower-triangular realization for Volterra kinds
-    and ``None`` for diagonal ones.  ``kappa_star`` is the empirical
-    positive-type constant, estimated once at construction; ``omega`` is
-    log ||A||.
+    weights (Volterra kinds) or the singular values (diagonal kind); every
+    Volterra operation is a convolution with a series built from the lags,
+    so no matrix is stored and memory is O(n).  ``kappa_star`` is the positive-type constant,
+    computed once at construction; ``omega`` is log ||A||.
     """
 
     kind: str
     norm_kind: str
     order: float
     weights: np.ndarray
-    matrix: np.ndarray | None
     op_norm: float
     omega: float
     kappa_star: float
@@ -132,10 +121,6 @@ class DiscreteOperator:
         w = np.asarray(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
 
     @property
     def is_volterra(self) -> bool:
@@ -178,7 +163,6 @@ class DiscreteOperator:
         return replace(
             self,
             weights=self.weights * a,
-            matrix=None if self.matrix is None else self.matrix * a,
             op_norm=self.op_norm * a,
             omega=self.omega + math.log(a),
         )
@@ -199,66 +183,66 @@ def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
     """Forward application A u."""
     _check_dims(op, u)
     if op.is_volterra:
-        return u.with_values(op.matrix @ u.values)
+        return _convolve_lags(op.weights, u)
     return u.with_values(op.weights * u.values)
 
 
 def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
     """Solve (A + alpha I) v = f.
 
-    Forward substitution for the Volterra kinds, componentwise division for
-    the diagonal kind.
+    Volterra kinds: convolution with the reciprocal series of the shifted
+    lags (the inverse of a lower-triangular Toeplitz matrix is again lower
+    Toeplitz); node 0 gets f_0 / alpha.  Diagonal kind: componentwise
+    division.
     """
     if alpha <= 0:
         raise DomainError("shift alpha must be positive")
     _check_dims(op, f)
     if op.is_volterra:
-        mat = op.matrix + alpha * np.eye(op.dim)
-        return f.with_values(solve_triangular(mat, f.values, lower=True))
+        shifted = op.weights.copy()
+        shifted[0] += alpha
+        return _convolve_lags(series_reciprocal(shifted), f, f.values[0] / alpha)
     return f.with_values(f.values / (op.weights + alpha))
 
 
-def _postype_ratio_block(
-    op: DiscreteOperator,
-    alpha: float,
-    block: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None]:
+def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:
+    """alpha * ||(A + alpha I)^{-1}|| for each alpha, in the operator's norm.
+
+    Sup norm: the inverse is lower Toeplitz, so its largest absolute row sum
+    is the l1 norm of its first column, and node 0 contributes exactly
+    alpha * (1/alpha) = 1.  One forward substitution runs for the whole grid
+    at once.  Scaled l2 norm: positive, nonincreasing, convex lags make
+    T + T^T positive semidefinite (Fejer; Zygmund, Trigonometric Series I,
+    ch. V), so A is accretive and the ratio is at most 1, with equality at
+    node 0.  Both bundled lag families, the constant h and
+    (m+1)^a - m^a for 0 < a <= 1, satisfy this.
+    """
     if op.kind == "diagonal":
-        return alpha / (float(np.min(op.weights)) + alpha), None
-    if block is None:
-        block = _lower_toeplitz(op.weights)
-    diag = np.arange(op.n)
-    saved = block[diag, diag].copy()
-    block[diag, diag] = saved + alpha
-    try:
-        if op.norm_kind == "sup":
-            # the inverse of a lower-triangular Toeplitz matrix is again lower
-            # Toeplitz, so its largest absolute row sum is the l1 norm of its
-            # first column; node 0 contributes exactly alpha * (1/alpha) = 1
-            e0 = np.zeros(op.n)
-            e0[0] = 1.0
-            col = solve_triangular(block, e0, lower=True)
-            return max(1.0, alpha * float(np.abs(col).sum())), None
-        sigma, x = _inverse_power_norm(block, x0=x0)
-        return max(1.0, alpha * sigma), x
-    finally:
-        block[diag, diag] = saved
+        return alphas / (float(np.min(op.weights)) + alphas)
+    if op.norm_kind == "l2_scaled":
+        return np.ones_like(alphas)
+    lags = op.weights
+    diag = lags[0] + alphas
+    cols = np.empty((lags.size, alphas.size))
+    cols[0] = 1.0 / diag
+    for m in range(1, lags.size):
+        cols[m] = -(lags[m:0:-1] @ cols[:m]) / diag
+    return np.maximum(1.0, alphas * np.abs(cols).sum(axis=0))
 
 
 def postype_ratio(op: DiscreteOperator, alpha: float) -> float:
     """alpha * ||(A + alpha I)^{-1}|| in the operator's induced norm.
 
-    Exact max-row-sum for the sup norm (via the Toeplitz structure of the
-    inverse), power iteration (tolerance 1e-8) for the scaled l2 norm.
+    Exact max-row-sum for the sup norm, the Fejer certificate 1 for the
+    scaled l2 norm on the Volterra kinds, exact on the diagonal kind.
     """
     if alpha <= 0:
         raise DomainError("shift alpha must be positive")
-    return _postype_ratio_block(op, alpha)[0]
+    return float(_postype_ratios(op, np.array([float(alpha)]))[0])
 
 
 def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
-    """Empirical positive-type constant over an alpha grid.
+    """Positive-type constant over an alpha grid.
 
     Returns the maximum of alpha * ||(A + alpha I)^{-1}|| over the grid,
     together with the alpha -> infinity limit of that quantity, which equals
@@ -270,13 +254,7 @@ def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
         raise DomainError("alpha grid must be nonempty")
     if np.any(grid <= 0):
         raise DomainError("alpha grid entries must be positive")
-    block = None if op.kind == "diagonal" else _lower_toeplitz(op.weights)
-    best = 1.0
-    x0 = None
-    for a in grid:
-        val, x0 = _postype_ratio_block(op, float(a), block, x0=x0)
-        best = max(best, val)
-    return best
+    return max(1.0, float(np.max(_postype_ratios(op, grid))))
 
 
 def default_kappa_grid(op_norm: float, points: int = DEFAULT_KAPPA_GRID_POINTS) -> np.ndarray:
@@ -284,19 +262,18 @@ def default_kappa_grid(op_norm: float, points: int = DEFAULT_KAPPA_GRID_POINTS) 
     return np.logspace(np.log10(lo * op_norm), np.log10(hi * op_norm), points)
 
 
-def _finish(kind, norm_kind, order, weights, matrix) -> DiscreteOperator:
+def _finish(kind, norm_kind, order, weights) -> DiscreteOperator:
     if kind == "diagonal":
         op_norm = float(np.max(weights))
     elif norm_kind == "sup":
-        op_norm = float(np.max(np.abs(matrix).sum(axis=1)))
+        op_norm = float(np.sum(weights))  # the last row carries every (positive) lag
     else:
-        op_norm = _power_iteration_norm(matrix)
+        op_norm = _power_iteration_norm(weights)
     op = DiscreteOperator(
         kind=kind,
         norm_kind=norm_kind,
         order=order,
         weights=weights,
-        matrix=matrix,
         op_norm=op_norm,
         omega=math.log(op_norm),
         kappa_star=math.nan,
@@ -312,7 +289,7 @@ def integration_operator(n: int, norm_kind: str = "sup") -> DiscreteOperator:
     if norm_kind not in NORM_KINDS:
         raise DomainError(f"unknown norm kind {norm_kind!r}")
     w = product_integration_weights(1.0, n)
-    return _finish("integration", norm_kind, 1.0, w, _volterra_matrix(w))
+    return _finish("integration", norm_kind, 1.0, w)
 
 
 def abel_operator(order: float, n: int, norm_kind: str = "sup") -> DiscreteOperator:
@@ -324,7 +301,7 @@ def abel_operator(order: float, n: int, norm_kind: str = "sup") -> DiscreteOpera
     if norm_kind not in NORM_KINDS:
         raise DomainError(f"unknown norm kind {norm_kind!r}")
     w = product_integration_weights(order, n)
-    return _finish("abel", norm_kind, order, w, _volterra_matrix(w))
+    return _finish("abel", norm_kind, order, w)
 
 
 def diagonal_operator(sigma, norm_kind: str = "l2_scaled") -> DiscreteOperator:
@@ -338,7 +315,7 @@ def diagonal_operator(sigma, norm_kind: str = "l2_scaled") -> DiscreteOperator:
         raise DomainError("singular values must be nonincreasing")
     if norm_kind not in NORM_KINDS:
         raise DomainError(f"unknown norm kind {norm_kind!r}")
-    return _finish("diagonal", norm_kind, math.nan, s, None)
+    return _finish("diagonal", norm_kind, math.nan, s)
 
 
 def exp_decay_diagonal(modes: int, norm_kind: str = "l2_scaled") -> DiscreteOperator:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractional import _convolve_lags, fractional_power_exact, series_exp, series_power
+from .fractional import fractional_power_exact, series_exp
 from .grid import GridFunction
-from .operators import DiscreteOperator, apply, shifted_solve
+from .operators import DiscreteOperator, _convolve_lags, apply, series_reciprocal, shifted_solve
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def _evolve(op: DiscreteOperator, t: float, f: GridFunction, u0: GridFunction) -
     decay = series_exp(-t * lags)
     gap = -decay
     gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
-    reach = np.convolve(gap, series_power(lags, -1.0))[: lags.size]
+    reach = np.convolve(gap, series_reciprocal(lags))[: lags.size]
     out = _convolve_lags(decay, u0).values + _convolve_lags(reach, f).values
     out[0] = u0.values[0] + t * f.values[0]
     return u0.with_values(out)

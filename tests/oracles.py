@@ -1,9 +1,11 @@
 """Independent reference implementations for the symbol calculus.
 
-The library computes e^{-tA} and (lambda I - log A)^{-nu} exactly, as
-functions of the operator's symbol.  The routes here share none of that
-code path: a dense matrix exponential, and the Laplace representation of
-the shifted log resolvent integrated node by node with exact powers A^q.
+The library computes A u, (A + alpha I)^{-1} f, e^{-tA} and
+(lambda I - log A)^{-nu} exactly, as functions of the operator's symbol,
+without forming a matrix.  The routes here share none of that code path:
+the dense matrix itself, a dense matrix exponential, and the Laplace
+representation of the shifted log resolvent integrated node by node with
+exact powers A^q.
 """
 
 from __future__ import annotations
@@ -12,10 +14,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, toeplitz
 
 from illposed import DomainError, GridFunction, fractional_power_exact
 from illposed.operators import DiscreteOperator
+
+
+def dense_matrix(op: DiscreteOperator) -> np.ndarray:
+    """The dense (n+1) x (n+1) matrix of a Volterra operator, the diagonal matrix otherwise.
+
+    Node 0 maps to 0 and contributes nothing: row 0 and column 0 vanish.
+    """
+    if not op.is_volterra:
+        return np.diag(op.weights)
+    mat = np.zeros((op.dim, op.dim))
+    mat[1:, 1:] = toeplitz(op.weights, np.zeros(op.n))
+    return mat
 
 
 def expm_evolve(
@@ -28,7 +42,7 @@ def expm_evolve(
     block trick).  With t on the f column instead, that column grows like
     t and sets the scale of expm's rounding: 1e-8 relative at t = 1e8.
     """
-    mat = op.matrix if op.is_volterra else np.diag(op.weights)
+    mat = dense_matrix(op)
     dim = op.dim
     block = np.zeros((dim + 1, dim + 1))
     block[:dim, :dim] = -t * mat

@@ -57,6 +57,20 @@ def test_config_errors_carry_field_paths():
         parse_config(doc)
     with pytest.raises(ConfigError, match="schema_version"):
         parse_config(make_doc(schema_version=99))
+    # operator fields fail here, not deep in the build
+    for operator, field in (
+        ({"kind": "integration", "n": "x"}, "n"),
+        ({"kind": "integration", "n": 2.7}, "n"),
+        ({"kind": "integration", "n": 1}, "n"),
+        ({"kind": "abel", "order": 0.5, "n": True}, "n"),
+        ({"kind": "abel", "order": 1.5, "n": 64}, "order"),
+        ({"kind": "abel", "order": "0.5", "n": 64}, "order"),
+        ({"kind": "diagonal", "modes": 0}, "modes"),
+        ({"kind": "diagonal", "modes": 40, "norm": "l1"}, "norm"),
+        ({"kind": "integration", "n": 64, "norm": "l1"}, "norm"),
+    ):
+        with pytest.raises(ConfigError, match=rf"config\.operator\.{field}:"):
+            parse_config(make_doc(operator=operator))
 
 
 def test_operator_config_record_round_trip():

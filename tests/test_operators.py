@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,13 @@ from illposed import (
     product_integration_weights,
     shifted_solve,
 )
-from illposed.operators import abel_operator, default_kappa_grid
+from illposed.operators import _power_iteration_norm, abel_operator, default_kappa_grid
+from oracles import dense_matrix
+
+VOLTERRA_KINDS = {
+    "integration": lambda n, norm: integration_operator(n, norm),
+    "abel": lambda n, norm: abel_operator(0.5, n, norm),
+}
 
 
 def test_apply_integration_exact_on_constants():
@@ -73,12 +80,16 @@ def test_shifted_solve_large_alpha_neumann(make):
 
 
 def test_shifted_solve_matches_dense_lu():
-    n = 128
-    op = integration_operator(n)
-    f = op.grid_function(np.linspace(0.0, 1.0, n + 1))
-    v = shifted_solve(op, 0.1, f)
-    dense = np.linalg.solve(op.matrix + 0.1 * np.eye(n + 1), f.values)
-    assert np.max(np.abs(v.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # the reciprocal-series solve against LU on the dense matrix, over twelve
+    # decades of the shift
+    for kind, norm, n in itertools.product(VOLTERRA_KINDS, ("sup", "l2_scaled"), (64, 256)):
+        op = VOLTERRA_KINDS[kind](n, norm)
+        f = op.grid_function(np.linspace(0.0, 1.0, n + 1) + 0.25)
+        for ratio in (1e4, 1.0, 1e-4, 1e-8):
+            alpha = ratio * op.op_norm
+            v = shifted_solve(op, alpha, f)
+            dense = np.linalg.solve(dense_matrix(op) + alpha * np.eye(n + 1), f.values)
+            assert np.max(np.abs(v.values - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_shifted_solve_rejects_nonpositive_alpha():
@@ -117,6 +128,50 @@ def test_postype_vector_bound_on_grid():
         for alpha in default_kappa_grid(op.op_norm, 20):
             v = shifted_solve(op, float(alpha), f)
             assert float(alpha) * v.norm() <= op.kappa_star * f.norm() * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(VOLTERRA_KINDS))
+def test_sup_postype_ratio_matches_dense_inverse(kind):
+    # the batched forward substitution against the max row sum of the dense
+    # inverse, node 0 included, on the grid that defines kappa*
+    op = VOLTERRA_KINDS[kind](128, "sup")
+    grid = default_kappa_grid(op.op_norm)
+    dense = []
+    for alpha in grid:
+        inv = np.linalg.inv(dense_matrix(op) + alpha * np.eye(op.dim))
+        dense.append(alpha * np.abs(inv).sum(axis=1).max())
+        assert math.isclose(postype_ratio(op, float(alpha)), dense[-1], rel_tol=1e-12)
+    assert math.isclose(op.kappa_star, max(dense), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0.1, 0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [64, 128])
+def test_l2_postype_certificate_holds_on_dense(order, n):
+    # Fejer: positive, nonincreasing, convex lags make T + T^T positive
+    # semidefinite, so alpha ||(T + alpha I)^{-1}||_2 <= 1; order 1 is the
+    # integration operator
+    op = integration_operator(n, "l2_scaled") if order == 1.0 else abel_operator(order, n, "l2_scaled")
+    block = dense_matrix(op)[1:, 1:]
+    assert np.linalg.eigvalsh(block + block.T).min() >= 0.0
+    for alpha in default_kappa_grid(op.op_norm):
+        inv = np.linalg.inv(block + alpha * np.eye(n))
+        assert alpha * np.linalg.norm(inv, 2) <= 1.0 + 1e-12
+        assert postype_ratio(op, float(alpha)) == 1.0
+    assert op.kappa_star == 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(VOLTERRA_KINDS))
+@pytest.mark.parametrize("n", [64, 256])
+def test_l2_op_norm_matches_dense(kind, n):
+    op = VOLTERRA_KINDS[kind](n, "l2_scaled")
+    assert math.isclose(op.op_norm, np.linalg.norm(dense_matrix(op), 2), rel_tol=1e-7)
+
+
+def test_power_iteration_raises_at_maxit():
+    op = integration_operator(64, "l2_scaled")
+    assert math.isclose(_power_iteration_norm(op.weights), op.op_norm, rel_tol=1e-15)
+    with pytest.raises(DomainError, match="did not converge"):
+        _power_iteration_norm(op.weights, maxit=1)
 
 
 def test_postype_estimator_rejects_bad_grids():
@@ -164,7 +219,7 @@ def test_abel_row_sums_exact_on_constants():
     n, order = 200, 0.4
     op = abel_operator(order, n)
     x = np.linspace(0.0, 1.0, n + 1)
-    rows = op.matrix.sum(axis=1)
+    rows = dense_matrix(op).sum(axis=1)
     np.testing.assert_allclose(rows, x**order / math.gamma(order + 1.0), rtol=1e-12, atol=1e-15)
 
 
