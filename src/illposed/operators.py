@@ -21,6 +21,7 @@ below the grid spacing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,22 +188,38 @@ def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
     return u.with_values(op.weights * u.values)
 
 
-def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
-    """Solve (A + alpha I) v = f.
+def shifted_solver(op: DiscreteOperator, alpha: float) -> Callable[[GridFunction], GridFunction]:
+    """f -> (A + alpha I)^{-1} f, with the shifted symbol inverted once.
 
     Volterra kinds: convolution with the reciprocal series of the shifted
     lags (the inverse of a lower-triangular Toeplitz matrix is again lower
     Toeplitz); node 0 gets f_0 / alpha.  Diagonal kind: componentwise
-    division.
+    division.  Schemes that solve m times with one alpha build this once.
     """
     if alpha <= 0:
         raise DomainError("shift alpha must be positive")
-    _check_dims(op, f)
     if op.is_volterra:
         shifted = op.weights.copy()
         shifted[0] += alpha
-        return _convolve_lags(series_reciprocal(shifted), f, f.values[0] / alpha)
-    return f.with_values(f.values / (op.weights + alpha))
+        recip = series_reciprocal(shifted)
+
+        def solve(f: GridFunction) -> GridFunction:
+            _check_dims(op, f)
+            return _convolve_lags(recip, f, f.values[0] / alpha)
+
+    else:
+        denom = op.weights + alpha
+
+        def solve(f: GridFunction) -> GridFunction:
+            _check_dims(op, f)
+            return f.with_values(f.values / denom)
+
+    return solve
+
+
+def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
+    """Solve (A + alpha I) v = f; see ``shifted_solver``."""
+    return shifted_solver(op, alpha)(f)
 
 
 def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:

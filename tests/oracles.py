@@ -5,7 +5,8 @@ The library computes A u, (A + alpha I)^{-1} f, e^{-tA} and
 without forming a matrix.  The routes here share none of that code path:
 the dense matrix itself, a dense matrix exponential, and the Laplace
 representation of the shifted log resolvent integrated node by node with
-exact powers A^q.
+exact powers A^q.  QUADPACK (Piessens et al., 1983) checks the
+double-exponential rule for the low-order candidate's w.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import expm, toeplitz
 
 from illposed import DomainError, GridFunction, fractional_power_exact
+from illposed.loworder import LogExampleParams, u_log_derivative
 from illposed.operators import DiscreteOperator
 
 
@@ -107,3 +110,32 @@ def laplace_log_resolvent_power(
         aq = fractional_power_exact(op, float(q), w)
         acc += wt * q ** (nu - 1) * math.exp(-lam * q) / fac * aq.values
     return w.with_values(acc)
+
+
+def quadpack_w(params: LogExampleParams, x: float) -> float:
+    """w(x) = int_0^x log(x - xi) u'(xi) dxi by QUADPACK at epsrel = 1e-10.
+
+    Left half in ell = log(1/(c xi)) on [ell0, inf), right half in
+    t = x - xi with the log t factor taken by the algebraic-logarithmic
+    weight (QAWS).
+    """
+    c, kap = params.c, params.kappa
+    # xi in (0, x/2]: substitute ell = log(1/(c xi)), removing the 1/xi factor
+    ell0 = math.log(2.0 / (c * x))
+
+    def left_integrand(ell):
+        return math.log(x - math.exp(-ell) / c) * kap * ell ** (-kap - 1.0)
+
+    i1, e1 = quad(left_integrand, ell0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+    # xi in [x/2, x]: t = x - xi, log factor handled by the weighted rule
+    i2, e2 = quad(
+        lambda t: float(u_log_derivative(params, np.array([x - t]))[0]),
+        0.0,
+        x / 2.0,
+        weight="alg-loga",
+        wvar=(0.0, 0.0),
+        epsabs=0.0,
+        epsrel=1e-10,
+        limit=200,
+    )
+    return i1 + i2

@@ -8,6 +8,7 @@ from illposed import (
     BalakrishnanQuadrature,
     DomainError,
     QuadratureBoundsWarning,
+    RegularizerConfig,
     apply,
     check_interpolation_inequality,
     diagonal_operator,
@@ -16,6 +17,8 @@ from illposed import (
     fractional_power_exact,
     fractional_power_product_integration,
     integration_operator,
+    regularizer_apply,
+    shifted_solve,
 )
 from illposed.fractional import series_exp, series_log, series_power
 from illposed.operators import abel_operator
@@ -26,6 +29,29 @@ lag_vectors = st.builds(
     st.floats(1e-3, 10.0),
     st.lists(st.floats(0.05, 1.0), max_size=40),
 )
+
+
+def _operator(kind, norm, n, order):
+    if kind == "diagonal":
+        return exp_decay_diagonal(n, norm)
+    if kind == "integration":
+        return integration_operator(n, norm)
+    return abel_operator(order, n, norm)
+
+
+# every kind in both norms: diagonal with sigma_k = e^{-k}, integration, and
+# abel of any order in (0, 1], on up to 48 cells or modes
+operators = st.builds(
+    _operator,
+    st.sampled_from(["diagonal", "integration", "abel"]),
+    st.sampled_from(["sup", "l2_scaled"]),
+    st.integers(2, 48),
+    st.floats(0.1, 1.0),
+)
+
+
+def _random_element(op, key):
+    return op.grid_function(np.random.Generator(np.random.Philox(key=key)).standard_normal(op.dim))
 
 
 def test_power_zero_is_identity():
@@ -223,3 +249,38 @@ def test_series_power_is_exp_of_scaled_log(a, p):
     np.testing.assert_allclose(
         series_power(a, p), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
     )
+
+
+@given(operators, st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_shifted_solve_inverts_shift(op, key, log_rel_alpha):
+    # (A + alpha I)^{-1} (A + alpha I) u = u, up to the condition number
+    u = _random_element(op, key)
+    alpha = 10.0**log_rel_alpha * op.op_norm
+    v = shifted_solve(op, alpha, apply(op, u) + alpha * u)
+    assert (v - u).norm() <= 1e-12 * (1.0 + op.op_norm / alpha) * u.norm()
+
+
+@given(
+    operators,
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 3.0),
+    st.sampled_from(
+        [RegularizerConfig("lavrentiev", m) for m in (1, 2, 3)] + [RegularizerConfig("cauchy")]
+    ),
+)
+def test_regularizer_commutes_with_operator(op, key, log_rel_alpha, cfg):
+    # R_alpha A u = A R_alpha u, measured against ||A|| ||u|| / alpha
+    u = _random_element(op, key)
+    alpha = 10.0**log_rel_alpha * op.op_norm
+    lhs = regularizer_apply(op, cfg, alpha, apply(op, u))
+    rhs = apply(op, regularizer_apply(op, cfg, alpha, u))
+    assert (lhs - rhs).norm() <= 1e-12 * op.op_norm * u.norm() / alpha
+
+
+@given(operators, st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_fractional_powers_add(op, key, p, q):
+    # A^p A^q u = A^{p+q} u, measured against ||A||^{p+q} ||u||
+    u = _random_element(op, key)
+    lhs = fractional_power_exact(op, p, fractional_power_exact(op, q, u))
+    rhs = fractional_power_exact(op, p + q, u)
+    assert (lhs - rhs).norm() <= 1e-12 * op.op_norm ** (p + q) * u.norm()

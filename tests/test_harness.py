@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from illposed import (
     run_rate_experiment,
 )
 from illposed.cli import main as cli_main
-from illposed.harness import RateRow, plot_csv, report_csv
+from illposed.harness import RateRow, load_config, plot_csv, report_csv
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 BASE_DOC = {
     "schema_version": 1,
@@ -245,6 +250,23 @@ def test_csv_determinism(tmp_path):
     run_rate_experiment(cfg, out_dir=out2)
     for name in ("report.csv", "plot.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _csv_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_bundled_config_golden_values(name, tmp_path):
+    # each bundled config at its own seed against its stored report.csv
+    run_rate_experiment(load_config(CONFIG_DIR / f"{name}.json"), out_dir=tmp_path)
+    header, got = _csv_table(tmp_path / "report.csv")
+    golden_header, golden = _csv_table(GOLDEN_DIR / f"{name}.csv")
+    assert header == golden_header
+    assert got.shape == golden.shape
+    np.testing.assert_allclose(got, golden, rtol=1e-12, atol=0.0)
 
 
 def test_csv_schema():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from illposed import (
     verify_membership,
 )
 from illposed.loworder import EULER_GAMMA, abel_order_derivative_identity_gap
+from oracles import quadpack_w
 
 PARAMS = LogExampleParams(c=0.5, kappa=2.0)
 
@@ -141,9 +143,61 @@ def test_w_graded_enforces_rel_tol():
         log_kernel_derivative(PARAMS, [2.0**-10], rel_tol=1e-14, method="graded")
 
 
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9, 0.99])
+def test_w_adaptive_matches_quadpack(c, kappa):
+    # within the epsrel = 1e-10 that QUADPACK itself is asked for
+    params = LogExampleParams(c=c, kappa=kappa)
+    xs = [1.0, 2.0**-1, 2.0**-10, 2.0**-20, 2.0**-143, 2.0**-400]
+    got = log_kernel_derivative(params, xs, method="adaptive")
+    ref = np.array([quadpack_w(params, x) for x in xs])
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+
+def test_w_adaptive_enforces_rel_tol():
+    # at x = 1 the last halving moves the sum by 5.9e-14, 1.7e-14 of |w| = 3.4
+    with pytest.raises(QuadratureError):
+        log_kernel_derivative(PARAMS, [1.0], rel_tol=1e-15, method="adaptive")
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # the runtime is numpy alone: with every scipy import refused, the
+    # low-order verifier and a bundled rate run still exit 0
+    src = str(Path(illposed.__file__).resolve().parents[1])
+    config = Path(__file__).resolve().parents[1] / "configs" / "integration_apriori.json"
+    code = textwrap.dedent(
+        f"""
+        import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"{{name}} is blocked")
+                return None
+
+        sys.meta_path.insert(0, BlockScipy())
+        try:
+            import scipy
+        except ImportError:
+            pass
+        else:
+            raise SystemExit("the scipy block did not take")
+        from illposed.cli import main
+
+        low = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--out", {str(tmp_path / "low.json")!r}]
+        run = ["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "run")!r}]
+        raise SystemExit(main(low) or main(run))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "low.json").exists()
+    assert (tmp_path / "run" / "report.csv").exists()
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the adaptive w quadrature needs scipy.integrate, imported where it
-    # is used; every other route is numpy alone, so no scipy module loads
+    # every route is numpy alone, so no scipy module loads
     src = str(Path(illposed.__file__).resolve().parents[1])
     code = "import sys, illposed.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": src}

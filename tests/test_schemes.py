@@ -68,6 +68,24 @@ def test_lavrentiev_matches_explicit_resolvent_sum():
     assert (got - expected).norm() <= 1e-10 * max(expected.norm(), 1.0)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: integration_operator(64), lambda: exp_decay_diagonal(20)]
+)
+def test_iterated_steps_equal_repeated_shifted_solves(make):
+    # one inverted shift serves all m steps, bit for bit what m solves give
+    op, m, alpha = make(), 3, 0.05
+    rng = np.random.Generator(np.random.Philox(key=19))
+    f = op.grid_function(rng.standard_normal(op.dim))
+    ubar = op.grid_function(rng.standard_normal(op.dim))
+    v, s = ubar, f
+    for _ in range(m):
+        v = shifted_solve(op, alpha, f + alpha * v)
+        s = alpha * shifted_solve(op, alpha, s)
+    assert np.array_equal(lavrentiev_iterated(op, m, alpha, f, ubar).values, v.values)
+    cfg = RegularizerConfig("lavrentiev", m=m)
+    assert np.array_equal(companion_apply(op, cfg, alpha, f).values, s.values)
+
+
 def test_lavrentiev_rejects_nonpositive_alpha():
     op = scalar_op(1.0)
     with pytest.raises(DomainError):
