@@ -78,12 +78,15 @@ from .parameter_choice import (
 )
 from .schemes import (
     QualificationReport,
+    Regularizer,
     RegularizerConfig,
     cauchy_method,
     companion_apply,
     lavrentiev_iterated,
     qualification_check,
+    qualification_checks,
     regularize,
+    regularizer,
     regularizer_apply,
 )
 

@@ -9,7 +9,9 @@ Subcommands:
 * ``check-axioms --config <path>`` -- run the scheme-axiom suites and emit
   the results as JSON.
 
-``--seed`` and ``--grid-n`` override the corresponding config fields.
+``--seed`` and ``--grid-n`` override the corresponding config fields.  A
+package error (bad config field, domain or quadrature failure) prints one
+line ``illposed: <message>`` on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import IllposedError
 from .harness import check_axioms, load_config, parse_config, run_rate_experiment
 from .loworder import LogExampleParams, verify_membership
 
@@ -67,7 +70,14 @@ def main(argv=None) -> int:
     ax_p.add_argument("--grid-n", type=int, default=None)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except IllposedError as exc:
+        print(f"illposed: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "run":
         cfg = _load_with_overrides(args.config, args.seed, args.grid_n)
         report = run_rate_experiment(cfg, out_dir=args.out)
@@ -85,18 +95,15 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return 0
 
-    if args.command == "check-axioms":
-        cfg = _load_with_overrides(args.config, args.seed, args.grid_n)
-        result = check_axioms(cfg)
-        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # check-axioms
+    cfg = _load_with_overrides(args.config, args.seed, args.grid_n)
+    result = check_axioms(cfg)
+    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .grid import GridFunction
 from .operators import (
     DiscreteOperator,
     _convolve_lags,
+    _convolve_rows,
     apply,
     product_integration_weights,
     shifted_solve,
@@ -118,15 +119,22 @@ def matrix_power_lags(op: DiscreteOperator, p: float) -> np.ndarray:
     return series_power(op.weights, p)
 
 
-def fractional_power_exact(op: DiscreteOperator, p: float, u: GridFunction) -> GridFunction:
-    """A^p u by the exact power of the discrete operator (semigroup in p)."""
+def fractional_power_rows(op: DiscreteOperator, p: float, block: np.ndarray) -> np.ndarray:
+    """A^p applied to each row of a (k, dim) value block, the power built once."""
     if p < 0:
         raise DomainError("fractional power requires p >= 0")
     if p == 0:
-        return u
+        return block
     if op.kind == "diagonal":
-        return u.with_values(op.weights**p * u.values)
-    return _convolve_lags(matrix_power_lags(op, p), u)
+        return op.weights**p * block
+    return _convolve_rows(matrix_power_lags(op, p), block)
+
+
+def fractional_power_exact(op: DiscreteOperator, p: float, u: GridFunction) -> GridFunction:
+    """A^p u by the exact power of the discrete operator (semigroup in p)."""
+    if p == 0:
+        return u
+    return u.with_values(fractional_power_rows(op, p, u.values[None])[0])
 
 
 def fractional_power_product_integration(

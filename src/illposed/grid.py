@@ -23,6 +23,18 @@ def grid_norm(values: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def grid_norms(block: np.ndarray, kind: str) -> np.ndarray:
+    """``grid_norm`` of each row of a (k, dim) value block."""
+    return np.array([grid_norm(row, kind) for row in block])
+
+
+def check_finite(values: np.ndarray) -> np.ndarray:
+    """Return ``values`` unchanged, or raise ValueError if a sample is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid function samples must all be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real samples on the uniform nodes x_j = j/n of [0, 1].
@@ -39,8 +51,7 @@ class GridFunction:
         v = np.array(self.values, dtype=float, copy=True)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("a grid function needs at least two samples")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function samples must all be finite")
+        check_finite(v)
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         v.setflags(write=False)

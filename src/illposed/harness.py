@@ -47,28 +47,31 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import GridFunction, NORM_KINDS
+from .grid import GridFunction, NORM_KINDS, grid_norms
 from .operator_log import SourceCondition, make_mixed_smooth_element
 from .operators import (
     DiscreteOperator,
+    _postype_ratios,
     abel_operator,
     apply,
+    apply_rows,
     diagonal_operator,
     exp_decay_diagonal,
     integration_operator,
-    postype_ratio,
     default_kappa_grid,
 )
 from .parameter_choice import DiscrepancyConfig, apriori_alpha, discrepancy_alpha
 from .schemes import (
     RegularizerConfig,
     companion_apply,
-    qualification_check,
+    qualification_checks,
     regularize,
-    regularizer_apply,
+    regularizer,
 )
 
 SCHEMA_VERSION = 1
+#: exp(-745) is the last sigma_k = exp(-k) that does not underflow to 0
+MAX_EXP_DECAY_MODES = 746
 GENERATOR_NAME = "philox4x64"  # numpy Philox, 64-bit counter-based
 
 
@@ -78,10 +81,11 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _require_int(d: dict, key: str, path: str, lo: int) -> None:
+def _require_int(d: dict, key: str, path: str, lo: int, hi: float = math.inf) -> None:
     value = _require(d, key, path)
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-        raise ConfigError(f"{path}.{key}: must be an integer >= {lo}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        span = f">= {lo}" if math.isinf(hi) else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{path}.{key}: must be an integer {span}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind == "diagonal" and "sigma" not in op:
         if "modes" not in op:
             raise ConfigError("config.operator: diagonal kind needs 'sigma' or 'modes'")
-        _require_int(op, "modes", "config.operator", 1)
+        _require_int(op, "modes", "config.operator", 2, MAX_EXP_DECAY_MODES)
     if "norm" in op and op["norm"] not in NORM_KINDS:
         raise ConfigError(f"config.operator.norm: must be one of {NORM_KINDS}, got {op['norm']!r}")
     src = _require(doc, "source", "config")
@@ -314,6 +318,16 @@ def error_bound(delta: float, p: float, nu: int, d_w: float) -> float:
     return d_w * delta ** (p / (p + 1.0)) * ell ** (-nu / (p + 1.0))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median's value, (a + b) / 2 at even length.
+
+    np.median's NaN check imports numpy.ma, which the CLI otherwise never loads.
+    """
+    s = np.sort(values)
+    k = s.size // 2
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2.0)
+
+
 def fit_rate(rows: list[RateRow], p: float, nu: int, spread_tolerance: float = 3.0) -> dict:
     """Ratio statistics plus the apparent exponent after removing the log factor.
 
@@ -328,7 +342,7 @@ def fit_rate(rows: list[RateRow], p: float, nu: int, spread_tolerance: float = 3
     if np.any(ratios <= 0):
         raise DomainError("ratios must be positive")
     max_ratio = float(np.max(ratios))
-    median_ratio = float(np.median(ratios))
+    median_ratio = _median(ratios)
     spread = max_ratio / median_ratio
     rng = max_ratio / float(np.min(ratios))
     deltas = np.array([r.delta for r in rows])
@@ -473,33 +487,33 @@ def check_axioms(config: ExperimentConfig) -> dict:
     op, scheme = problem.op, problem.scheme
     alphas = default_kappa_grid(op.op_norm, 20)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    probes = [op.grid_function(rng.standard_normal(op.dim)) for _ in range(3)]
+    probes = rng.standard_normal((3, op.dim))
 
-    postype = max(postype_ratio(op, float(a)) for a in alphas)
+    postype = float(np.max(_postype_ratios(op, alphas)))
+    nrm = grid_norms(probes, op.norm_kind)
+    au = apply_rows(op, probes)
+    au_nrm = np.maximum(grid_norms(au, op.norm_kind), 1e-300)
     growth_sup = 0.0
     commutation = 0.0
-    for u in probes:
-        nrm = u.norm()
-        for a in alphas:
-            ra = regularizer_apply(op, scheme, float(a), u)
-            growth_sup = max(growth_sup, float(a) * ra.norm() / nrm)
-            au = apply(op, u)
-            gap = (regularizer_apply(op, scheme, float(a), au) - apply(op, ra)).norm()
-            commutation = max(commutation, gap / max(au.norm(), 1e-300))
+    for a in alphas:
+        reg = regularizer(op, scheme, float(a))
+        ra = reg.apply(probes)
+        growth_sup = max(growth_sup, float(np.max(float(a) * grid_norms(ra, op.norm_kind) / nrm)))
+        gap = grid_norms(reg.apply(au) - apply_rows(op, ra), op.norm_kind)
+        commutation = max(commutation, float(np.max(gap / au_nrm)))
     ps = [0.0, 1.0] if scheme.scheme == "cauchy" else [float(j) for j in range(scheme.m + 1)]
-    quals = []
-    for p in ps:
-        rep = qualification_check(op, scheme, p, np.logspace(-6, 0, 13) * op.op_norm)
-        quals.append(
-            {
-                "p": rep.p,
-                "sup_ratio": rep.sup_ratio,
-                "certified_bound": rep.certified_bound,
-                "passed": rep.passed,
-            }
-        )
+    reports = qualification_checks(op, scheme, ps, np.logspace(-6, 0, 13) * op.op_norm)
+    quals = [
+        {
+            "p": rep.p,
+            "sup_ratio": rep.sup_ratio,
+            "certified_bound": rep.certified_bound,
+            "passed": rep.passed,
+        }
+        for rep in reports
+    ]
     a0 = 0.1 * op.op_norm
-    u = probes[0]
+    u = op.grid_function(probes[0])
     s0 = companion_apply(op, scheme, a0, u)
     s1 = companion_apply(op, scheme, a0 * (1.0 + 1e-6), u)
     continuity = (s1 - s0).norm() / max(s0.norm(), 1e-300)

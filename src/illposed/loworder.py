@@ -296,7 +296,8 @@ def abel_order_derivative_identity_gap(u: GridFunction, x_points, eps: float = 1
     deriv[1:] = np.convolve(lag, u.values[1:])[:n]
     ju = np.zeros(n + 1)
     ju[1:] = h * np.cumsum(u.values[1:])
-    idx = np.unique(np.clip(np.round(np.asarray(x_points) * n).astype(int), 1, n))
+    # sorted distinct nodes; np.unique would import numpy.ma
+    idx = np.array(sorted(set(np.clip(np.round(np.asarray(x_points) * n).astype(int), 1, n))))
     target = np.array([log_kernel_apply_at(u, j * h) for j in idx])
     target += EULER_GAMMA * ju[idx]
     gaps = np.abs(deriv[idx] - target)

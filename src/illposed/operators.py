@@ -65,15 +65,24 @@ def series_reciprocal(coeffs: np.ndarray) -> np.ndarray:
     return b
 
 
-def _convolve_lags(lags: np.ndarray, u: GridFunction, node0: float = 0.0) -> GridFunction:
-    """The lower-triangular Toeplitz matrix of ``lags`` applied to nodes 1..n of u.
+def _convolve_rows(lags: np.ndarray, block: np.ndarray, node0=0.0) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix of ``lags`` applied to nodes 1..n of each row.
 
-    Node 0, where the Volterra operators vanish, is set to ``node0``.
+    ``block`` has shape (k, n+1), one value vector per row.  Node 0, where the
+    Volterra operators vanish, is set to ``node0`` (a scalar or one value per
+    row).  Each row is its own ``np.convolve``, so a row's bits do not depend
+    on the other rows.
     """
-    out = np.zeros(u.dim)
-    out[0] = node0
-    out[1:] = np.convolve(lags, u.values[1:])[: lags.size]
-    return u.with_values(out)
+    out = np.empty(block.shape)
+    out[:, 0] = node0
+    for row, values in zip(out, block):
+        row[1:] = np.convolve(lags, values[1:])[: lags.size]
+    return out
+
+
+def _convolve_lags(lags: np.ndarray, u: GridFunction, node0: float = 0.0) -> GridFunction:
+    """``_convolve_rows`` on the single element u."""
+    return u.with_values(_convolve_rows(lags, u.values[None], node0)[0])
 
 
 def _power_iteration_norm(lags: np.ndarray, tol: float = 1e-8, maxit: int = 2000) -> float:
@@ -180,16 +189,21 @@ def _check_dims(op: DiscreteOperator, u: GridFunction) -> None:
         )
 
 
+def apply_rows(op: DiscreteOperator, block: np.ndarray) -> np.ndarray:
+    """A applied to each row of a (k, dim) value block."""
+    if op.is_volterra:
+        return _convolve_rows(op.weights, block)
+    return op.weights * block
+
+
 def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
     """Forward application A u."""
     _check_dims(op, u)
-    if op.is_volterra:
-        return _convolve_lags(op.weights, u)
-    return u.with_values(op.weights * u.values)
+    return u.with_values(apply_rows(op, u.values[None])[0])
 
 
-def shifted_solver(op: DiscreteOperator, alpha: float) -> Callable[[GridFunction], GridFunction]:
-    """f -> (A + alpha I)^{-1} f, with the shifted symbol inverted once.
+def shifted_solver(op: DiscreteOperator, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """block -> (A + alpha I)^{-1} applied to each row, the shifted symbol inverted once.
 
     Volterra kinds: convolution with the reciprocal series of the shifted
     lags (the inverse of a lower-triangular Toeplitz matrix is again lower
@@ -202,24 +216,15 @@ def shifted_solver(op: DiscreteOperator, alpha: float) -> Callable[[GridFunction
         shifted = op.weights.copy()
         shifted[0] += alpha
         recip = series_reciprocal(shifted)
-
-        def solve(f: GridFunction) -> GridFunction:
-            _check_dims(op, f)
-            return _convolve_lags(recip, f, f.values[0] / alpha)
-
-    else:
-        denom = op.weights + alpha
-
-        def solve(f: GridFunction) -> GridFunction:
-            _check_dims(op, f)
-            return f.with_values(f.values / denom)
-
-    return solve
+        return lambda block: _convolve_rows(recip, block, block[:, 0] / alpha)
+    denom = op.weights + alpha
+    return lambda block: block / denom
 
 
 def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
     """Solve (A + alpha I) v = f; see ``shifted_solver``."""
-    return shifted_solver(op, alpha)(f)
+    _check_dims(op, f)
+    return f.with_values(shifted_solver(op, alpha)(f.values[None])[0])
 
 
 def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:

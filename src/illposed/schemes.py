@@ -10,6 +10,11 @@ Two schemes are provided:
   symbol on the Volterra kinds), with companion S_alpha = e^{-tA} and
   unlimited saturation.
 
+``regularizer(op, cfg, alpha)`` builds a scheme's filter once for one alpha
+and applies R_alpha, S_alpha and the regularized element to blocks of
+elements, one per row; the one-element functions (``regularize``,
+``regularizer_apply``, ``companion_apply``, ...) are one-row calls of it.
+
 The evolution method is exposed for every kind, but is only certified for
 operators with a strong sectorial resolvent condition; fractional
 integration of order < 1 qualifies, the plain integration operator does
@@ -19,19 +24,24 @@ not, and reports carry a flag for that.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .fractional import fractional_power_exact, series_exp
-from .grid import GridFunction
+from .fractional import (
+    fractional_power_exact,  # bench/tracing.py counts calls through schemes.<name>
+    fractional_power_rows,
+    series_exp,
+)
+from .grid import GridFunction, check_finite, grid_norms
 from .operators import (
     DiscreteOperator,
-    _convolve_lags,
-    apply,
+    _check_dims,
+    _convolve_rows,
     series_reciprocal,
-    shifted_solve,  # bench/tracing.py counts calls through schemes.shifted_solve
+    shifted_solve,  # bench/tracing.py counts calls through schemes.<name>
     shifted_solver,
 )
 
@@ -82,68 +92,131 @@ class RegularizerConfig:
         return op.kind in ("diagonal", "abel")
 
 
-def lavrentiev_iterated(
-    op: DiscreteOperator, m: int, alpha: float, f: GridFunction, ubar: GridFunction
-) -> GridFunction:
-    """m-step iterated Lavrentiev approximation with initial guess ubar."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if m < 1:
-        raise DomainError("need m >= 1")
+@dataclass(frozen=True)
+class Regularizer:
+    """The maps of one scheme at one alpha, with the filter built once.
+
+    Each map takes value blocks of shape (k, dim), one element per row, and
+    returns a new block whose row i depends on row i alone:
+    ``element(f, ubar)`` is the regularized element ubar - R_alpha (A ubar - f),
+    ``apply(g)`` is R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u.
+    A block with a sample that is not finite raises ValueError.
+    """
+
+    _element: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    _apply: Callable[[np.ndarray], np.ndarray]
+    _companion: Callable[[np.ndarray], np.ndarray]
+
+    def element(self, f: np.ndarray, ubar: np.ndarray) -> np.ndarray:
+        return check_finite(self._element(f, ubar))
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        return check_finite(self._apply(g))
+
+    def companion(self, u: np.ndarray) -> np.ndarray:
+        return check_finite(self._companion(u))
+
+
+def _lavrentiev(op: DiscreteOperator, m: int, alpha: float) -> Regularizer:
+    """m steps v <- (A + alpha I)^{-1} (f + alpha v) from v = ubar.
+
+    R_alpha g is the element with ubar = 0; S_alpha = (alpha (A + alpha I)^{-1})^m.
+    """
     solve = shifted_solver(op, alpha)
-    v = ubar
-    for _ in range(m):
-        v = solve(f + alpha * v)
-    return v
+
+    def element(f, ubar):
+        v = ubar
+        for _ in range(m):
+            v = solve(f + alpha * v)
+        return v
+
+    def companion(u):
+        v = u
+        for _ in range(m):
+            v = alpha * solve(v)
+        return v
+
+    return Regularizer(element, lambda g: element(g, np.zeros_like(g)), companion)
 
 
-def _evolve(op: DiscreteOperator, t: float, f: GridFunction, u0: GridFunction) -> GridFunction:
+def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
     """u(t) = e^{-tA} u0 + phi_t(A) f for u' + A u = f, u(0) = u0.
 
-    phi_t(z) = (1 - e^{-tz})/z.  Diagonal kind: both functions entrywise on
-    the singular values.  Volterra kinds: both as truncated power series of
-    the lag symbol, phi_t as (1 - e^{-tA}) A^{-1}; node 0 (where A
-    vanishes) gets u0 + t f.
+    phi_t(z) = (1 - e^{-tz})/z, so R_alpha = phi_t(A) and S_alpha = e^{-tA}.
+    Diagonal kind: both functions entrywise on the singular values.
+    Volterra kinds: both as truncated power series of the lag symbol, phi_t
+    as (1 - e^{-tA}) A^{-1}; node 0 (where A vanishes) gets u0 + t f.
     """
-    if t == 0.0:
-        return u0
     if op.kind == "diagonal":
         s = op.weights
         decay = np.exp(-s * t)
         reach = -np.expm1(-s * t) / s  # (1 - e^{-st})/s, stable for small st
-        return u0.with_values(decay * u0.values + reach * f.values)
-    lags = op.weights
-    decay = series_exp(-t * lags)
-    gap = -decay
-    gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
-    reach = np.convolve(gap, series_reciprocal(lags))[: lags.size]
-    out = _convolve_lags(decay, u0).values + _convolve_lags(reach, f).values
-    out[0] = u0.values[0] + t * f.values[0]
-    return u0.with_values(out)
+
+        def companion(u):
+            return decay * u
+
+        def apply_(g):
+            return reach * g
+
+    else:
+        lags = op.weights
+        decay = series_exp(-t * lags)
+        gap = -decay
+        gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
+        reach = np.convolve(gap, series_reciprocal(lags))[: lags.size]
+
+        def companion(u):
+            return _convolve_rows(decay, u, u[:, 0])
+
+        def apply_(g):
+            return _convolve_rows(reach, g, t * g[:, 0])
+
+    def element(f, ubar):
+        return companion(ubar) + apply_(f)
+
+    return Regularizer(element, apply_, companion)
+
+
+def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> Regularizer:
+    """R_alpha and S_alpha of the configured scheme, built once for this alpha.
+
+    Iterated Lavrentiev inverts the shifted symbol once and applies it m
+    times; the evolution method builds e^{-tA} and phi_t(A) at t = 1/alpha.
+    """
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    if cfg.scheme == "lavrentiev":
+        return _lavrentiev(op, cfg.m, alpha)
+    return _evolution(op, 1.0 / alpha)
+
+
+def _one_row(op: DiscreteOperator, block_map, *elements: GridFunction) -> GridFunction:
+    """A block map applied to single elements as one-row blocks."""
+    for u in elements:
+        _check_dims(op, u)
+    return elements[0].with_values(block_map(*(u.values[None] for u in elements))[0])
+
+
+def lavrentiev_iterated(
+    op: DiscreteOperator, m: int, alpha: float, f: GridFunction, ubar: GridFunction
+) -> GridFunction:
+    """m-step iterated Lavrentiev approximation with initial guess ubar."""
+    cfg = RegularizerConfig("lavrentiev", m=m)
+    return _one_row(op, regularizer(op, cfg, alpha).element, f, ubar)
 
 
 def cauchy_method(
     op: DiscreteOperator, alpha: float, f: GridFunction, ubar: GridFunction
 ) -> GridFunction:
     """Evolution-equation regularization: u(1/alpha) for u' + A u = f, u(0) = ubar."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return _evolve(op, 1.0 / alpha, f, ubar)
+    return _one_row(op, regularizer(op, RegularizerConfig("cauchy"), alpha).element, f, ubar)
 
 
 def companion_apply(
     op: DiscreteOperator, cfg: RegularizerConfig, alpha: float, u: GridFunction
 ) -> GridFunction:
     """S_alpha u = u - R_alpha A u for the configured scheme."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if cfg.scheme == "lavrentiev":
-        solve = shifted_solver(op, alpha)
-        v = u
-        for _ in range(cfg.m):
-            v = alpha * solve(v)
-        return v
-    return _evolve(op, 1.0 / alpha, u.with_values(np.zeros(u.dim)), u)
+    return _one_row(op, regularizer(op, cfg, alpha).companion, u)
 
 
 def regularize(
@@ -154,16 +227,14 @@ def regularize(
     ubar: GridFunction,
 ) -> GridFunction:
     """The regularized element ubar - R_alpha (A ubar - f_delta)."""
-    if cfg.scheme == "lavrentiev":
-        return lavrentiev_iterated(op, cfg.m, alpha, f_delta, ubar)
-    return cauchy_method(op, alpha, f_delta, ubar)
+    return _one_row(op, regularizer(op, cfg, alpha).element, f_delta, ubar)
 
 
 def regularizer_apply(
     op: DiscreteOperator, cfg: RegularizerConfig, alpha: float, g: GridFunction
 ) -> GridFunction:
-    """R_alpha g, realized as the regularized element with zero initial guess."""
-    return regularize(op, cfg, alpha, g, g.with_values(np.zeros(g.dim)))
+    """R_alpha g, the regularized element with zero initial guess."""
+    return _one_row(op, regularizer(op, cfg, alpha).apply, g)
 
 
 @dataclass(frozen=True)
@@ -177,18 +248,63 @@ class QualificationReport:
     sectorial_certified: bool
 
 
-def _default_probes(op: DiscreteOperator) -> list[GridFunction]:
+def _default_probes(op: DiscreteOperator) -> np.ndarray:
     if op.kind == "diagonal":
-        probes = [op.unit(k) for k in range(op.dim)]
-        probes.append(op.ones())
-        return probes
+        return np.vstack([np.eye(op.dim), np.ones(op.dim)])
     x = np.linspace(0.0, 1.0, op.dim)
-    return [
-        op.grid_function(np.ones_like(x)),
-        op.grid_function(x),
-        op.grid_function(x * (1.0 - x)),
-        op.grid_function(np.sin(np.pi * x)),
-    ]
+    return np.stack([np.ones_like(x), x, x * (1.0 - x), np.sin(np.pi * x)])
+
+
+def qualification_checks(
+    op: DiscreteOperator,
+    cfg: RegularizerConfig,
+    ps,
+    alpha_grid,
+    probes: list[GridFunction] | None = None,
+) -> list[QualificationReport]:
+    """``qualification_check`` at each order in ``ps``.
+
+    S_alpha is built once per alpha and serves every order; A^p of the probe
+    block is built once per order.
+    """
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if p < 0:
+            raise DomainError("p must be nonnegative")
+        if p > cfg.p0:
+            raise DomainError("beyond saturation")
+        if cfg.scheme == "cauchy" and math.isinf(p):
+            raise DomainError("finite p required")
+    grid = np.asarray(list(alpha_grid), dtype=float)
+    if grid.size == 0 or np.any(grid <= 0):
+        raise DomainError("alpha grid must be nonempty and positive")
+    if probes is None:
+        block = _default_probes(op)
+    else:
+        block = np.reshape([u.values for u in probes], (-1, op.dim))
+    norms = grid_norms(block, op.norm_kind)
+    block, norms = block[norms != 0.0], norms[norms != 0.0]
+    powered = [fractional_power_rows(op, p, block) for p in ps]
+    sups = [0.0] * len(ps)
+    for a in grid:
+        s_alpha = regularizer(op, cfg, float(a))
+        for j, p in enumerate(ps):
+            decayed = grid_norms(s_alpha.companion(powered[j]), op.norm_kind)
+            ratios = decayed / (float(a) ** p * norms)
+            sups[j] = max(sups[j], float(np.max(ratios, initial=0.0)))
+    reports = []
+    for p, sup in zip(ps, sups):
+        bound = cfg.qualification_constant(p, op.kappa_star)
+        reports.append(
+            QualificationReport(
+                p=p,
+                sup_ratio=sup,
+                certified_bound=bound,
+                passed=None if bound is None else bool(sup <= bound * (1.0 + 1e-9)),
+                sectorial_certified=cfg.sectorial_certified(op),
+            )
+        )
+    return reports
 
 
 def qualification_check(
@@ -203,32 +319,4 @@ def qualification_check(
     Raises beyond the saturation of the scheme; ``passed`` is a verdict only
     where a certified constant exists, otherwise the ratio is reported bare.
     """
-    if p < 0:
-        raise DomainError("p must be nonnegative")
-    if p > cfg.p0:
-        raise DomainError("beyond saturation")
-    if cfg.scheme == "cauchy" and math.isinf(p):
-        raise DomainError("finite p required")
-    grid = np.asarray(list(alpha_grid), dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise DomainError("alpha grid must be nonempty and positive")
-    if probes is None:
-        probes = _default_probes(op)
-    sup = 0.0
-    for u in probes:
-        nu = u.norm()
-        if nu == 0.0:
-            continue
-        g = fractional_power_exact(op, p, u)
-        for a in grid:
-            val = companion_apply(op, cfg, float(a), g).norm() / (float(a) ** p * nu)
-            sup = max(sup, val)
-    bound = cfg.qualification_constant(p, op.kappa_star)
-    passed = None if bound is None else bool(sup <= bound * (1.0 + 1e-9))
-    return QualificationReport(
-        p=p,
-        sup_ratio=sup,
-        certified_bound=bound,
-        passed=passed,
-        sectorial_certified=cfg.sectorial_certified(op),
-    )
+    return qualification_checks(op, cfg, [p], alpha_grid, probes)[0]

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +74,77 @@ def test_config_errors_carry_field_paths():
         ({"kind": "abel", "order": 1.5, "n": 64}, "order"),
         ({"kind": "abel", "order": "0.5", "n": 64}, "order"),
         ({"kind": "diagonal", "modes": 0}, "modes"),
+        ({"kind": "diagonal", "modes": 1}, "modes"),
+        ({"kind": "diagonal", "modes": 747}, "modes"),
         ({"kind": "diagonal", "modes": 40, "norm": "l1"}, "norm"),
         ({"kind": "integration", "n": 64, "norm": "l1"}, "norm"),
     ):
         with pytest.raises(ConfigError, match=rf"config\.operator\.{field}:"):
             parse_config(make_doc(operator=operator))
+
+
+@pytest.mark.parametrize("modes", [2, 746])
+def test_diagonal_modes_edges_run(modes):
+    # 746 modes reach sigma = exp(-745), the last power of e above 0 in doubles
+    report = run_rate_experiment(
+        parse_config(make_doc(operator={"kind": "diagonal", "modes": modes, "norm": "l2_scaled"}))
+    )
+    assert all(math.isfinite(r.error) for r in report.rows)
+
+
+def test_grid_n_past_modes_edges_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_doc()), encoding="utf-8")
+    for grid_n in ("1", "747"):
+        argv = ["check-axioms", "--config", str(cfg_path), "--grid-n", grid_n]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("illposed: config.operator.modes:")
+
+
+def test_cli_package_error_is_one_line(tmp_path):
+    # no traceback: one line on stderr, exit status 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(make_doc(operator={"kind": "diagonal", "modes": 1, "norm": "l2_scaled"})),
+        encoding="utf-8",
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        "illposed: config.operator.modes: must be an integer in [2, 746], got 1\n"
+    )
+
+
+def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.median and np.unique import numpy.ma; the CLI uses neither
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [
+        ["run", "--config", str(path), "--out", str(tmp_path / path.stem)]
+        for path in sorted(CONFIG_DIR.glob("*.json"))
+    ]
+    low = [
+        ["loworder-verify", "--c", "0.5", "--kappa", k, "--out", str(tmp_path / f"low{k}.json")]
+        for k in ("2", "0.5")
+    ]
+    code = (
+        "import io, sys, contextlib\n"
+        "from illposed.cli import main\n"
+        f"for argv in {runs + low!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_operator_config_record_round_trip():
@@ -267,6 +336,29 @@ def test_bundled_config_golden_values(name, tmp_path):
     assert header == golden_header
     assert got.shape == golden.shape
     np.testing.assert_allclose(got, golden, rtol=1e-12, atol=0.0)
+
+
+def _assert_axioms_match(got, want, path="axioms"):
+    # numbers at rtol 1e-12, verdicts and every other field exactly
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_axioms_match(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_axioms_match(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_bundled_check_axioms_golden(name):
+    got = json.loads(json.dumps(check_axioms(load_config(CONFIG_DIR / f"{name}.json"))))
+    want = json.loads((GOLDEN_DIR / f"axioms_{name}.json").read_text(encoding="utf-8"))
+    _assert_axioms_match(got, want)
 
 
 def test_csv_schema():

@@ -17,6 +17,7 @@ from illposed import (
     lavrentiev_iterated,
     qualification_check,
     regularize,
+    regularizer,
     regularizer_apply,
     shifted_solve,
 )
@@ -84,6 +85,42 @@ def test_iterated_steps_equal_repeated_shifted_solves(make):
     assert np.array_equal(lavrentiev_iterated(op, m, alpha, f, ubar).values, v.values)
     cfg = RegularizerConfig("lavrentiev", m=m)
     assert np.array_equal(companion_apply(op, cfg, alpha, f).values, s.values)
+
+
+@pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
+@pytest.mark.parametrize("kind", ["diagonal", "integration", "abel"])
+def test_regularizer_block_rows_equal_single_calls(kind, norm):
+    # a filter built once per alpha and applied to a block gives, row for
+    # row, the bits of the one-element calls
+    if kind == "diagonal":
+        op = exp_decay_diagonal(24, norm)
+    elif kind == "integration":
+        op = integration_operator(48, norm)
+    else:
+        op = abel_operator(0.5, 48, norm)
+    rng = np.random.Generator(np.random.Philox(key=37))
+    f, ubar = rng.standard_normal((2, 4, op.dim))
+    cfgs = [RegularizerConfig("lavrentiev", m=m) for m in (1, 2, 3)] + [CAUCHY]
+    for cfg in cfgs:
+        for ratio in (1e-6, 1e-2, 1.0):
+            alpha = ratio * op.op_norm
+            reg = regularizer(op, cfg, alpha)
+            element, r_f, s_u = reg.element(f, ubar), reg.apply(f), reg.companion(ubar)
+            for i in range(f.shape[0]):
+                fi, ui = op.grid_function(f[i]), op.grid_function(ubar[i])
+                assert np.array_equal(element[i], regularize(op, cfg, alpha, fi, ui).values)
+                assert np.array_equal(r_f[i], regularizer_apply(op, cfg, alpha, fi).values)
+                assert np.array_equal(s_u[i], companion_apply(op, cfg, alpha, ui).values)
+
+
+def test_regularizer_rejects_nonfinite_blocks():
+    op = integration_operator(16)
+    block = np.ones((2, op.dim))
+    block[1, 3] = np.inf
+    reg = regularizer(op, LAV2, 0.1)
+    for result in (lambda: reg.apply(block), lambda: reg.companion(block)):
+        with pytest.raises(ValueError, match="finite"):
+            result()
 
 
 def test_lavrentiev_rejects_nonpositive_alpha():
