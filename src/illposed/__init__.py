@@ -8,14 +8,11 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     IllposedError,
-    QuadratureBoundsWarning,
     QuadratureError,
 )
 from .fractional import (
-    BalakrishnanQuadrature,
     InterpolationReport,
     check_interpolation_inequality,
-    fractional_power_balakrishnan,
     fractional_power_exact,
     fractional_power_product_integration,
 )
@@ -26,7 +23,6 @@ from .harness import (
     Problem,
     RateRow,
     add_noise,
-    alpha_sweep_oracle,
     build_operator,
     build_problem,
     check_axioms,
@@ -41,7 +37,6 @@ from .loworder import (
     EULER_GAMMA,
     LogExampleParams,
     MembershipReport,
-    log_kernel_apply,
     log_kernel_apply_at,
     log_kernel_derivative,
     sample_u_log,

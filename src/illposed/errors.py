@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class IllposedError(Exception):
@@ -19,7 +19,3 @@ class ConfigError(IllposedError, ValueError):
 
 class QuadratureError(IllposedError, RuntimeError):
     """A quadrature failed to reach its requested tolerance."""
-
-
-class QuadratureBoundsWarning(UserWarning):
-    """Quadrature bounds do not bracket the recommended spectral window."""

@@ -1,41 +1,35 @@
 """Fractional powers A^p of the discrete operators.
 
-Three mutually cross-checking routes are implemented:
+Two library routes are implemented, each a ``SymbolMap`` builder with a
+one-element call:
 
-* ``fractional_power_exact`` -- the exact matrix power of the discrete
-  operator.  For the Volterra kinds this is computed in the algebra of
-  lower-triangular Toeplitz matrices (power series in the shift), so the
-  family is an exact semigroup in p and coincides with the limit of the
-  resolvent integral below.  For the diagonal kind it is sigma_k^p.
-* ``fractional_power_product_integration`` -- the product-integration
-  discretization of the continuum fractional integral of order
-  p * base_order.  Exact on constants; this is the continuum-consistent
-  reference family used in grid-refinement checks.  It agrees with the
-  matrix power only up to discretization error.
-* ``fractional_power_balakrishnan`` -- the resolvent integral
-  (sin(pi q)/pi) * int_0^infty s^{q-1} (A + sI)^{-1} A u ds, evaluated with
-  the substitution s = e^tau and a composite trapezoid rule.  Generic and
-  kind-agnostic; used as an independent cross-check of the exact route.
+* ``power_map`` / ``fractional_power_exact`` -- the exact matrix power of
+  the discrete operator.  For the Volterra kinds this is computed in the
+  algebra of lower-triangular Toeplitz matrices (power series in the shift),
+  so the family is an exact semigroup in p and coincides with the limit of
+  the Balakrishnan resolvent integral.  For the diagonal kind it is
+  sigma_k^p.
+* ``product_integration_map`` / ``fractional_power_product_integration`` --
+  the product-integration discretization of the continuum fractional
+  integral of order p * base_order.  Exact on constants; this is the
+  continuum-consistent reference family used in grid-refinement checks.  It
+  agrees with the matrix power only up to discretization error.
+
+The tests cross-check the exact route against a third, the resolvent
+integral (sin(pi q)/pi) * int_0^infty s^{q-1} (A + sI)^{-1} A u ds by a
+trapezoid rule in tau = log s, kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureBoundsWarning
+from .errors import DomainError
 from .grid import GridFunction
-from .operators import (
-    DiscreteOperator,
-    _convolve_lags,
-    _convolve_rows,
-    apply,
-    product_integration_weights,
-    shifted_solve,
-)
+from .operators import DiscreteOperator, SymbolMap, product_integration_weights
 
 
 def series_power(coeffs: np.ndarray, p: float) -> np.ndarray:
@@ -111,124 +105,43 @@ def _binomial_lags(h_pow: float, q: float, n: int) -> np.ndarray:
     return w
 
 
-def matrix_power_lags(op: DiscreteOperator, p: float) -> np.ndarray:
-    """Toeplitz lag weights of A^p for a Volterra kind."""
-    n = op.n
-    if op.kind == "integration":
-        return _binomial_lags(1.0 / n, p, n)
-    return series_power(op.weights, p)
+def power_map(op: DiscreteOperator, p: float) -> SymbolMap:
+    """A^p, the exact power of the discrete operator (a semigroup in p).
 
-
-def fractional_power_rows(op: DiscreteOperator, p: float, block: np.ndarray) -> np.ndarray:
-    """A^p applied to each row of a (k, dim) value block, the power built once."""
+    A^0 = I acts entrywise on every kind.
+    """
     if p < 0:
         raise DomainError("fractional power requires p >= 0")
     if p == 0:
-        return block
+        return SymbolMap(np.ones(op.dim), volterra=False)
     if op.kind == "diagonal":
-        return op.weights**p * block
-    return _convolve_rows(matrix_power_lags(op, p), block)
+        return SymbolMap(op.weights**p, volterra=False)
+    if op.kind == "integration":
+        return SymbolMap(_binomial_lags(1.0 / op.n, p, op.n), volterra=True)
+    return SymbolMap(series_power(op.weights, p), volterra=True)
 
 
 def fractional_power_exact(op: DiscreteOperator, p: float, u: GridFunction) -> GridFunction:
     """A^p u by the exact power of the discrete operator (semigroup in p)."""
-    if p == 0:
-        return u
-    return u.with_values(fractional_power_rows(op, p, u.values[None])[0])
+    return u if p == 0 else power_map(op, p).on(u)
+
+
+def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
+    """The product-integration rule of the order p * base_order integral.
+
+    Exact on constants; the continuum-consistent reference family.  For the
+    diagonal kind this coincides with the exact power.
+    """
+    if not op.is_volterra or p <= 0:
+        return power_map(op, p)
+    return SymbolMap(product_integration_weights(op.order * p, op.n), volterra=True)
 
 
 def fractional_power_product_integration(
     op: DiscreteOperator, p: float, u: GridFunction
 ) -> GridFunction:
-    """Product-integration discretization of the order p * base_order integral.
-
-    Exact on constants; the continuum-consistent reference family.  For the
-    diagonal kind this coincides with the exact power.
-    """
-    if p < 0:
-        raise DomainError("fractional power requires p >= 0")
-    if p == 0:
-        return u
-    if op.kind == "diagonal":
-        return u.with_values(op.weights**p * u.values)
-    return _convolve_lags(product_integration_weights(op.order * p, op.n), u)
-
-
-@dataclass(frozen=True)
-class BalakrishnanQuadrature:
-    """Composite trapezoid rule in tau for the substitution s = e^tau.
-
-    The integrand decays like e^{q tau} on the left and e^{(q-1) tau} on the
-    right, so the truncation error is governed by the bounds alone; the
-    trapezoid rule itself is spectrally accurate here.  The default window
-    [1e-16 ||A||, 1e16 ||A||] keeps both tails below 1e-4 relative for
-    q in [0.25, 0.75].
-    """
-
-    tau_min: float
-    tau_max: float
-    nodes: int = 2000
-
-    def __post_init__(self):
-        if not self.tau_min < self.tau_max:
-            raise DomainError("need tau_min < tau_max")
-        if self.nodes < 16:
-            raise DomainError("need at least 16 quadrature nodes")
-
-    @classmethod
-    def default(
-        cls,
-        op: DiscreteOperator,
-        nodes: int = 2000,
-        s_min_factor: float = 1e-16,
-        s_max_factor: float = 1e16,
-    ) -> "BalakrishnanQuadrature":
-        return cls(
-            tau_min=math.log(s_min_factor * op.op_norm),
-            tau_max=math.log(s_max_factor * op.op_norm),
-            nodes=nodes,
-        )
-
-
-def fractional_power_balakrishnan(
-    op: DiscreteOperator,
-    p: float,
-    u: GridFunction,
-    quad: BalakrishnanQuadrature | None = None,
-) -> GridFunction:
-    """A^p u by the resolvent integral, composed with whole powers of A.
-
-    Each node costs one shifted solve; A u is formed once outside the loop.
-    Summation order is fixed, so results are deterministic for a given node
-    count.
-    """
-    if p <= 0:
-        raise DomainError("the resolvent integral requires p > 0")
-    if quad is None:
-        quad = BalakrishnanQuadrature.default(op)
-    if quad.tau_min > math.log(1e-6 * op.op_norm) or quad.tau_max < math.log(1e2 * op.op_norm):
-        warnings.warn(
-            "quadrature bounds do not bracket [1e-6 ||A||, 1e2 ||A||]",
-            QuadratureBoundsWarning,
-            stacklevel=2,
-        )
-    whole = int(math.floor(p))
-    q = p - whole
-    result = u
-    if q > 0.0:
-        taus = np.linspace(quad.tau_min, quad.tau_max, quad.nodes)
-        dtau = taus[1] - taus[0]
-        au = apply(op, u)
-        acc = np.zeros(u.dim)
-        for i, tau in enumerate(taus):
-            s = math.exp(tau)
-            v = shifted_solve(op, s, au)
-            wt = dtau if 0 < i < quad.nodes - 1 else 0.5 * dtau
-            acc += wt * math.exp(q * tau) * v.values
-        result = u.with_values(math.sin(math.pi * q) / math.pi * acc)
-    for _ in range(whole):
-        result = apply(op, result)
-    return result
+    """Product-integration discretization of the order p * base_order integral."""
+    return u if p == 0 else product_integration_map(op, p).on(u)
 
 
 @dataclass(frozen=True)

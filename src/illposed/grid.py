@@ -94,7 +94,3 @@ class GridFunction:
 
     def __neg__(self) -> "GridFunction":
         return self.with_values(-self.values)
-
-
-def zeros_like(u: GridFunction) -> GridFunction:
-    return u.with_values(np.zeros(u.dim))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,11 +55,11 @@ from .operators import (
     _postype_ratios,
     abel_operator,
     apply,
-    apply_rows,
     diagonal_operator,
     exp_decay_diagonal,
     integration_operator,
     default_kappa_grid,
+    operator_map,
 )
 from .parameter_choice import DiscrepancyConfig, apriori_alpha, discrepancy_alpha
 from .schemes import (
@@ -79,6 +80,10 @@ def _require(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}.{key}: missing required field")
     return d[key]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _require_int(d: dict, key: str, path: str, lo: int, hi: float = math.inf) -> None:
@@ -118,11 +123,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config.operator.kind: unknown kind {kind!r}")
     if kind == "abel":
         order = _require(op, "order", "config.operator")
-        if isinstance(order, bool) or not isinstance(order, (int, float)) or not 0.0 < order <= 1.0:
+        if not _is_number(order) or not 0.0 < order <= 1.0:
             raise ConfigError(f"config.operator.order: must be a number in (0, 1], got {order!r}")
     if kind in ("integration", "abel"):
         _require_int(op, "n", "config.operator", 2)
-    if kind == "diagonal" and "sigma" not in op:
+    if kind == "diagonal" and "sigma" in op:
+        s = op["sigma"]
+        ok = isinstance(s, list) and len(s) >= 2
+        ok = ok and all(_is_number(v) and 0 < v <= sys.float_info.max for v in s)
+        if not ok or any(b > a for a, b in zip(s, s[1:])):
+            raise ConfigError(
+                "config.operator.sigma: must be a list of at least 2 finite, positive, "
+                "nonincreasing numbers"
+            )
+    elif kind == "diagonal":
         if "modes" not in op:
             raise ConfigError("config.operator: diagonal kind needs 'sigma' or 'modes'")
         _require_int(op, "modes", "config.operator", 2, MAX_EXP_DECAY_MODES)
@@ -464,19 +478,6 @@ def write_report(report: ExperimentReport, out_dir) -> None:
     )
 
 
-def alpha_sweep_oracle(
-    problem: Problem, f_delta: GridFunction, alphas
-) -> tuple[float, float]:
-    """Brute-force oracle: (best alpha, smallest true error) over a dense grid."""
-    best_a, best_e = math.nan, math.inf
-    for a in alphas:
-        u = regularize(problem.op, problem.scheme, float(a), f_delta, problem.ubar)
-        e = (u - problem.u_star).norm()
-        if e < best_e:
-            best_a, best_e = float(a), e
-    return best_a, best_e
-
-
 def check_axioms(config: ExperimentConfig) -> dict:
     """Run the scheme-axiom suites for the configured operator and scheme.
 
@@ -491,7 +492,8 @@ def check_axioms(config: ExperimentConfig) -> dict:
 
     postype = float(np.max(_postype_ratios(op, alphas)))
     nrm = grid_norms(probes, op.norm_kind)
-    au = apply_rows(op, probes)
+    forward = operator_map(op)
+    au = forward(probes)
     au_nrm = np.maximum(grid_norms(au, op.norm_kind), 1e-300)
     growth_sup = 0.0
     commutation = 0.0
@@ -499,7 +501,7 @@ def check_axioms(config: ExperimentConfig) -> dict:
         reg = regularizer(op, scheme, float(a))
         ra = reg.apply(probes)
         growth_sup = max(growth_sup, float(np.max(float(a) * grid_norms(ra, op.norm_kind) / nrm)))
-        gap = grid_norms(reg.apply(au) - apply_rows(op, ra), op.norm_kind)
+        gap = grid_norms(reg.apply(au) - forward(ra), op.norm_kind)
         commutation = max(commutation, float(np.max(gap / au_nrm)))
     ps = [0.0, 1.0] if scheme.scheme == "cauchy" else [float(j) for j in range(scheme.m + 1)]
     reports = qualification_checks(op, scheme, ps, np.logspace(-6, 0, 13) * op.op_norm)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .grid import GridFunction
 from .operator_log import log_apply
-from .operators import integration_operator
+from .operators import SymbolMap, integration_operator
 
 EULER_GAMMA = 0.5772156649015329  # gamma = -Gamma'(1), 16 digits
 
@@ -113,17 +113,6 @@ def log_kernel_apply_at(u: GridFunction, x: float) -> float:
         m0p, m1p = _log_moments(np.array(0.0), np.array(t2p))
         total += float((vals[j_full] + s * t2p) * m0p - s * m1p)
     return total
-
-
-def log_kernel_apply(u: GridFunction) -> GridFunction:
-    """(S u)(x_j) at every node; (S u)(0) = 0 and u(0) = 0 is required."""
-    if abs(u.values[0]) > 1e-12:
-        raise DomainError("the log-kernel transform expects u(0) = 0")
-    n = u.n
-    out = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        out[j] = log_kernel_apply_at(u, j / n)
-    return u.with_values(out)
 
 
 def log_kernel_derivative(
@@ -292,8 +281,7 @@ def abel_order_derivative_identity_gap(u: GridFunction, x_points, eps: float = 1
     n = u.n
     h = 1.0 / n
     lag = (_binomial_lags(h, 1.0 + eps, n) - _binomial_lags(h, 1.0 - eps, n)) / (2.0 * eps)
-    deriv = np.zeros(n + 1)
-    deriv[1:] = np.convolve(lag, u.values[1:])[:n]
+    deriv = SymbolMap(lag, volterra=True).on(u).values
     ju = np.zeros(n + 1)
     ju[1:] = h * np.cumsum(u.values[1:])
     # sorted distinct nodes; np.unique would import numpy.ma

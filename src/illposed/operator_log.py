@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .fractional import fractional_power_exact, series_log, series_power
 from .grid import GridFunction
-from .operators import DiscreteOperator, _convolve_lags
+from .operators import DiscreteOperator, SymbolMap
 
 
 def default_p_schedule() -> np.ndarray:
@@ -71,31 +71,29 @@ def log_apply(
     return extrap, LogQuotientReport(p_schedule=ps, distances=dists, cauchy=cauchy)
 
 
-def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:
-    """log sigma_k for the diagonal kind (the spectral closed form)."""
-    if op.kind != "diagonal":
-        raise DomainError("closed-form logarithm exists only for the diagonal kind")
-    return np.log(op.weights)
+def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> SymbolMap:
+    """(lambda I - log A)^{-nu}.
 
-
-def shifted_log_resolvent_power(
-    op: DiscreteOperator, lam: float, nu: int, w: GridFunction
-) -> GridFunction:
-    """(lambda I - log A)^{-nu} w.
-
-    Diagonal kind: the scalar form (lambda - log sigma_k)^{-nu}.  Volterra
-    kinds: the power series (lambda - log a(z))^{-nu} of the lag symbol
-    a(z); node 0, where A vanishes, maps to 0.
+    Diagonal kind: division by (lambda - log sigma_k)^nu.  Volterra kinds:
+    the power series (lambda - log a(z))^{-nu} of the lag symbol a(z); node
+    0, where A vanishes, maps to 0.
     """
     if nu < 1 or int(nu) != nu:
         raise DomainError("nu must be a positive integer")
     if lam <= op.omega:
         raise DomainError("shift below spectral bound")
     if op.kind == "diagonal":
-        return w.with_values(w.values / (lam - np.log(op.weights)) ** nu)
+        return SymbolMap((lam - np.log(op.weights)) ** nu, volterra=False, quotient=True)
     shifted = -series_log(op.weights)
     shifted[0] += lam
-    return _convolve_lags(series_power(shifted, -float(nu)), w)
+    return SymbolMap(series_power(shifted, -float(nu)), volterra=True)
+
+
+def shifted_log_resolvent_power(
+    op: DiscreteOperator, lam: float, nu: int, w: GridFunction
+) -> GridFunction:
+    """(lambda I - log A)^{-nu} w; see ``log_resolvent_power_map``."""
+    return log_resolvent_power_map(op, lam, nu).on(w)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ below the grid spacing.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,24 +64,39 @@ def series_reciprocal(coeffs: np.ndarray) -> np.ndarray:
     return b
 
 
-def _convolve_rows(lags: np.ndarray, block: np.ndarray, node0=0.0) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix of ``lags`` applied to nodes 1..n of each row.
+@dataclass(frozen=True)
+class SymbolMap:
+    """A function f(A) of one operator, built once and applied to value blocks.
 
-    ``block`` has shape (k, n+1), one value vector per row.  Node 0, where the
-    Volterra operators vanish, is set to ``node0`` (a scalar or one value per
-    row).  Each row is its own ``np.convolve``, so a row's bits do not depend
-    on the other rows.
+    ``symbol`` holds the values f(sigma_k), applied entrywise (diagonal kind),
+    or the lag series of f(a(z)) for the lag symbol a(z), applied as the
+    lower-triangular Toeplitz matrix on nodes 1..n (Volterra kinds,
+    ``volterra`` true).  Node 0, where the Volterra operators vanish, is
+    scaled by ``node0`` = f(0).  With ``quotient`` the entrywise values and
+    ``node0`` hold 1/f and divide, so a shifted solve rounds as a division;
+    the lag series is always f's own.
+
+    Calling the map maps each row of a (k, dim) block; each Volterra row is
+    its own ``np.convolve``, so a row's bits do not depend on the other rows.
+    ``on(u)`` maps one grid function.
     """
-    out = np.empty(block.shape)
-    out[:, 0] = node0
-    for row, values in zip(out, block):
-        row[1:] = np.convolve(lags, values[1:])[: lags.size]
-    return out
 
+    symbol: np.ndarray
+    volterra: bool
+    node0: float = 0.0
+    quotient: bool = False
 
-def _convolve_lags(lags: np.ndarray, u: GridFunction, node0: float = 0.0) -> GridFunction:
-    """``_convolve_rows`` on the single element u."""
-    return u.with_values(_convolve_rows(lags, u.values[None], node0)[0])
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        if not self.volterra:
+            return block / self.symbol if self.quotient else self.symbol * block
+        out = np.empty(block.shape)
+        out[:, 0] = block[:, 0] / self.node0 if self.quotient else self.node0 * block[:, 0]
+        for row, values in zip(out, block):
+            row[1:] = np.convolve(self.symbol, values[1:])[: self.symbol.size]
+        return out
+
+    def on(self, u: GridFunction) -> GridFunction:
+        return u.with_values(self(u.values[None])[0])
 
 
 def _power_iteration_norm(lags: np.ndarray, tol: float = 1e-8, maxit: int = 2000) -> float:
@@ -189,42 +203,38 @@ def _check_dims(op: DiscreteOperator, u: GridFunction) -> None:
         )
 
 
-def apply_rows(op: DiscreteOperator, block: np.ndarray) -> np.ndarray:
-    """A applied to each row of a (k, dim) value block."""
-    if op.is_volterra:
-        return _convolve_rows(op.weights, block)
-    return op.weights * block
+def operator_map(op: DiscreteOperator) -> SymbolMap:
+    """A itself: the lags, or the singular values entrywise."""
+    return SymbolMap(op.weights, volterra=op.is_volterra)
 
 
 def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
     """Forward application A u."""
     _check_dims(op, u)
-    return u.with_values(apply_rows(op, u.values[None])[0])
+    return operator_map(op).on(u)
 
 
-def shifted_solver(op: DiscreteOperator, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """block -> (A + alpha I)^{-1} applied to each row, the shifted symbol inverted once.
+def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
+    """(A + alpha I)^{-1}, the shifted symbol inverted once.
 
-    Volterra kinds: convolution with the reciprocal series of the shifted
-    lags (the inverse of a lower-triangular Toeplitz matrix is again lower
-    Toeplitz); node 0 gets f_0 / alpha.  Diagonal kind: componentwise
-    division.  Schemes that solve m times with one alpha build this once.
+    Volterra kinds: the reciprocal series of the shifted lags (the inverse of
+    a lower-triangular Toeplitz matrix is again lower Toeplitz); node 0 gets
+    f_0 / alpha.  Diagonal kind: division by sigma_k + alpha.  Schemes that
+    solve m times with one alpha build this once.
     """
     if alpha <= 0:
         raise DomainError("shift alpha must be positive")
     if op.is_volterra:
         shifted = op.weights.copy()
         shifted[0] += alpha
-        recip = series_reciprocal(shifted)
-        return lambda block: _convolve_rows(recip, block, block[:, 0] / alpha)
-    denom = op.weights + alpha
-    return lambda block: block / denom
+        return SymbolMap(series_reciprocal(shifted), volterra=True, node0=alpha, quotient=True)
+    return SymbolMap(op.weights + alpha, volterra=False, quotient=True)
 
 
 def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
     """Solve (A + alpha I) v = f; see ``shifted_solver``."""
     _check_dims(op, f)
-    return f.with_values(shifted_solver(op, alpha)(f.values[None])[0])
+    return shifted_solver(op, alpha).on(f)
 
 
 def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:

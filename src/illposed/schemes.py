@@ -32,14 +32,14 @@ import numpy as np
 from .errors import DomainError
 from .fractional import (
     fractional_power_exact,  # bench/tracing.py counts calls through schemes.<name>
-    fractional_power_rows,
+    power_map,
     series_exp,
 )
 from .grid import GridFunction, check_finite, grid_norms
 from .operators import (
     DiscreteOperator,
+    SymbolMap,
     _check_dims,
-    _convolve_rows,
     series_reciprocal,
     shifted_solve,  # bench/tracing.py counts calls through schemes.<name>
     shifted_solver,
@@ -149,32 +149,18 @@ def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
     """
     if op.kind == "diagonal":
         s = op.weights
-        decay = np.exp(-s * t)
-        reach = -np.expm1(-s * t) / s  # (1 - e^{-st})/s, stable for small st
-
-        def companion(u):
-            return decay * u
-
-        def apply_(g):
-            return reach * g
-
+        decay = SymbolMap(np.exp(-s * t), volterra=False)
+        # (1 - e^{-st})/s, stable for small st
+        reach = SymbolMap(-np.expm1(-s * t) / s, volterra=False)
     else:
         lags = op.weights
-        decay = series_exp(-t * lags)
-        gap = -decay
+        series = series_exp(-t * lags)
+        gap = -series
         gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
-        reach = np.convolve(gap, series_reciprocal(lags))[: lags.size]
-
-        def companion(u):
-            return _convolve_rows(decay, u, u[:, 0])
-
-        def apply_(g):
-            return _convolve_rows(reach, g, t * g[:, 0])
-
-    def element(f, ubar):
-        return companion(ubar) + apply_(f)
-
-    return Regularizer(element, apply_, companion)
+        decay = SymbolMap(series, volterra=True, node0=1.0)
+        phi = np.convolve(gap, series_reciprocal(lags))[: lags.size]
+        reach = SymbolMap(phi, volterra=True, node0=t)
+    return Regularizer(lambda f, ubar: decay(ubar) + reach(f), reach, decay)
 
 
 def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> Regularizer:
@@ -284,7 +270,7 @@ def qualification_checks(
         block = np.reshape([u.values for u in probes], (-1, op.dim))
     norms = grid_norms(block, op.norm_kind)
     block, norms = block[norms != 0.0], norms[norms != 0.0]
-    powered = [fractional_power_rows(op, p, block) for p in ps]
+    powered = [power_map(op, p)(block) for p in ps]
     sups = [0.0] * len(ps)
     for a in grid:
         s_alpha = regularizer(op, cfg, float(a))

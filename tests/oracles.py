@@ -1,24 +1,44 @@
 """Independent reference implementations for the symbol calculus.
 
-The library computes A u, (A + alpha I)^{-1} f, e^{-tA} and
+The library computes A u, A^p, (A + alpha I)^{-1} f, e^{-tA} and
 (lambda I - log A)^{-nu} exactly, as functions of the operator's symbol,
 without forming a matrix.  The routes here share none of that code path:
-the dense matrix itself, a dense matrix exponential, and the Laplace
-representation of the shifted log resolvent integrated node by node with
-exact powers A^q.  QUADPACK (Piessens et al., 1983) checks the
-double-exponential rule for the low-order candidate's w.
+
+* ``dense_matrix``, the dense matrix itself;
+* ``expm_evolve``, a dense matrix exponential;
+* ``laplace_log_resolvent_power``, the Laplace representation of the shifted
+  log resolvent integrated node by node with exact powers A^q;
+* ``fractional_power_balakrishnan`` (with ``BalakrishnanQuadrature`` and
+  ``QuadratureBoundsWarning``), the resolvent integral for A^p by a
+  trapezoid rule in tau = log s;
+* ``diagonal_log_values``, the closed form log sigma_k;
+* ``log_kernel_apply``, the log-kernel transform at every node, one
+  ``log_kernel_apply_at`` call per node;
+* ``alpha_sweep_oracle``, the best alpha of a dense grid by the true error;
+* ``quadpack_w``, QUADPACK (Piessens et al., 1983) for the low-order
+  candidate's w, which checks the library's double-exponential rule.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, toeplitz
 
-from illposed import DomainError, GridFunction, fractional_power_exact
+from illposed import (
+    DomainError,
+    GridFunction,
+    apply,
+    fractional_power_exact,
+    log_kernel_apply_at,
+    regularize,
+    shifted_solve,
+)
+from illposed.harness import Problem
 from illposed.loworder import LogExampleParams, u_log_derivative
 from illposed.operators import DiscreteOperator
 
@@ -139,3 +159,115 @@ def quadpack_w(params: LogExampleParams, x: float) -> float:
         limit=200,
     )
     return i1 + i2
+
+
+class QuadratureBoundsWarning(UserWarning):
+    """Quadrature bounds do not bracket the recommended spectral window."""
+
+
+@dataclass(frozen=True)
+class BalakrishnanQuadrature:
+    """Composite trapezoid rule in tau for the substitution s = e^tau.
+
+    The integrand decays like e^{q tau} on the left and e^{(q-1) tau} on the
+    right, so the truncation error is governed by the bounds alone; the
+    trapezoid rule itself is spectrally accurate here.  The default window
+    [1e-16 ||A||, 1e16 ||A||] keeps both tails below 1e-4 relative for
+    q in [0.25, 0.75].
+    """
+
+    tau_min: float
+    tau_max: float
+    nodes: int = 2000
+
+    def __post_init__(self):
+        if not self.tau_min < self.tau_max:
+            raise DomainError("need tau_min < tau_max")
+        if self.nodes < 16:
+            raise DomainError("need at least 16 quadrature nodes")
+
+    @classmethod
+    def default(
+        cls,
+        op: DiscreteOperator,
+        nodes: int = 2000,
+        s_min_factor: float = 1e-16,
+        s_max_factor: float = 1e16,
+    ) -> "BalakrishnanQuadrature":
+        return cls(
+            tau_min=math.log(s_min_factor * op.op_norm),
+            tau_max=math.log(s_max_factor * op.op_norm),
+            nodes=nodes,
+        )
+
+
+def fractional_power_balakrishnan(
+    op: DiscreteOperator,
+    p: float,
+    u: GridFunction,
+    quad: BalakrishnanQuadrature | None = None,
+) -> GridFunction:
+    """A^p u by the resolvent integral, composed with whole powers of A.
+
+    Each node costs one shifted solve; A u is formed once outside the loop.
+    Summation order is fixed, so results are deterministic for a given node
+    count.
+    """
+    if p <= 0:
+        raise DomainError("the resolvent integral requires p > 0")
+    if quad is None:
+        quad = BalakrishnanQuadrature.default(op)
+    if quad.tau_min > math.log(1e-6 * op.op_norm) or quad.tau_max < math.log(1e2 * op.op_norm):
+        warnings.warn(
+            "quadrature bounds do not bracket [1e-6 ||A||, 1e2 ||A||]",
+            QuadratureBoundsWarning,
+            stacklevel=2,
+        )
+    whole = int(math.floor(p))
+    q = p - whole
+    result = u
+    if q > 0.0:
+        taus = np.linspace(quad.tau_min, quad.tau_max, quad.nodes)
+        dtau = taus[1] - taus[0]
+        au = apply(op, u)
+        acc = np.zeros(u.dim)
+        for i, tau in enumerate(taus):
+            s = math.exp(tau)
+            v = shifted_solve(op, s, au)
+            wt = dtau if 0 < i < quad.nodes - 1 else 0.5 * dtau
+            acc += wt * math.exp(q * tau) * v.values
+        result = u.with_values(math.sin(math.pi * q) / math.pi * acc)
+    for _ in range(whole):
+        result = apply(op, result)
+    return result
+
+
+def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:
+    """log sigma_k for the diagonal kind (the spectral closed form)."""
+    if op.kind != "diagonal":
+        raise DomainError("closed-form logarithm exists only for the diagonal kind")
+    return np.log(op.weights)
+
+
+def log_kernel_apply(u: GridFunction) -> GridFunction:
+    """(S u)(x_j) at every node; (S u)(0) = 0 and u(0) = 0 is required."""
+    if abs(u.values[0]) > 1e-12:
+        raise DomainError("the log-kernel transform expects u(0) = 0")
+    n = u.n
+    out = np.zeros(n + 1)
+    for j in range(1, n + 1):
+        out[j] = log_kernel_apply_at(u, j / n)
+    return u.with_values(out)
+
+
+def alpha_sweep_oracle(
+    problem: Problem, f_delta: GridFunction, alphas
+) -> tuple[float, float]:
+    """Brute-force oracle: (best alpha, smallest true error) over a dense grid."""
+    best_a, best_e = math.nan, math.inf
+    for a in alphas:
+        u = regularize(problem.op, problem.scheme, float(a), f_delta, problem.ubar)
+        e = (u - problem.u_star).norm()
+        if e < best_e:
+            best_a, best_e = float(a), e
+    return best_a, best_e

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from illposed import (
-    BalakrishnanQuadrature,
     ChiParams,
     RegularizerConfig,
     SourceCondition,
     add_noise,
-    alpha_sweep_oracle,
     apply,
     build_problem,
     chi,
@@ -25,7 +23,6 @@ from illposed import (
     check_interpolation_inequality,
     companion_apply,
     exp_decay_diagonal,
-    fractional_power_balakrishnan,
     fractional_power_exact,
     fractional_power_product_integration,
     integration_operator,
@@ -40,6 +37,12 @@ from illposed import (
 )
 from illposed.loworder import LogExampleParams, abel_order_derivative_identity_gap
 from illposed.operators import abel_operator, default_kappa_grid
+
+from oracles import (
+    BalakrishnanQuadrature,
+    alpha_sweep_oracle,
+    fractional_power_balakrishnan,
+)
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)
 

@@ -5,23 +5,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from illposed import (
-    BalakrishnanQuadrature,
     DomainError,
-    QuadratureBoundsWarning,
     RegularizerConfig,
     apply,
     check_interpolation_inequality,
     diagonal_operator,
     exp_decay_diagonal,
-    fractional_power_balakrishnan,
     fractional_power_exact,
     fractional_power_product_integration,
     integration_operator,
+    regularizer,
     regularizer_apply,
+    shifted_log_resolvent_power,
     shifted_solve,
 )
-from illposed.fractional import series_exp, series_log, series_power
-from illposed.operators import abel_operator
+from illposed.fractional import (
+    power_map,
+    product_integration_map,
+    series_exp,
+    series_log,
+    series_power,
+)
+from illposed.operator_log import log_resolvent_power_map
+from illposed.operators import SymbolMap, abel_operator, operator_map, shifted_solver
+
+from oracles import (
+    BalakrishnanQuadrature,
+    QuadratureBoundsWarning,
+    fractional_power_balakrishnan,
+)
 
 # positive, nonincreasing lag vectors: a_0 times a running product of ratios
 lag_vectors = st.builds(
@@ -155,6 +167,57 @@ def test_quadrature_validation():
         BalakrishnanQuadrature(tau_min=1.0, tau_max=0.0)
     with pytest.raises(DomainError):
         BalakrishnanQuadrature(tau_min=0.0, tau_max=1.0, nodes=4)
+
+
+def _builder_maps(op):
+    """Every SymbolMap builder of the library at one or two parameters each."""
+    alpha = 1e-2 * op.op_norm
+    cauchy = regularizer(op, RegularizerConfig("cauchy"), alpha)
+    return {
+        "A": operator_map(op),
+        "shifted": shifted_solver(op, alpha),
+        "power 0": power_map(op, 0.0),
+        "power 0.5": power_map(op, 0.5),
+        "power 2": power_map(op, 2.0),
+        "product integration 0.5": product_integration_map(op, 0.5),
+        "log resolvent nu=2": log_resolvent_power_map(op, op.omega + 1.0, 2),
+        "e^{-tA}": cauchy._companion,
+        "phi_t(A)": cauchy._apply,
+    }
+
+
+def test_quotient_maps_divide():
+    # the shifted inverse and the diagonal log-resolvent power divide by the
+    # shifted symbol, as a direct solve rounds; a reciprocal times f differs
+    # in the last bit
+    op = exp_decay_diagonal(40)
+    f = _random_element(op, 5)
+    block = np.random.Generator(np.random.Philox(key=6)).standard_normal((40, 33))
+    volterra = integration_operator(32)
+    for alpha in (1e-9, 1e-3, 0.7):
+        got = shifted_solve(op, alpha, f).values
+        assert np.array_equal(got, f.values / (op.weights + alpha))
+        # node 0 of a Volterra kind, where A vanishes: f_0 / alpha
+        assert np.array_equal(shifted_solver(volterra, alpha)(block)[:, 0], block[:, 0] / alpha)
+    lam = op.omega + 1.0
+    for nu in (1, 2, 3):
+        got = shifted_log_resolvent_power(op, lam, nu, f).values
+        assert np.array_equal(got, f.values / (lam - np.log(op.weights)) ** nu)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [exp_decay_diagonal(33), integration_operator(32), abel_operator(0.5, 32)],
+    ids=["diagonal", "integration", "abel-1/2"],
+)
+def test_builder_block_rows_equal_single_calls(op):
+    rng = np.random.Generator(np.random.Philox(key=11))
+    block = rng.standard_normal((3, op.dim))
+    for name, fmap in _builder_maps(op).items():
+        assert isinstance(fmap, SymbolMap), name
+        mapped = fmap(block)
+        for row, values in zip(mapped, block):
+            assert np.array_equal(row, fmap.on(op.grid_function(values)).values), name
 
 
 def test_semigroup_exact_family_is_exact():

@@ -78,6 +78,17 @@ def test_config_errors_carry_field_paths():
         ({"kind": "diagonal", "modes": 747}, "modes"),
         ({"kind": "diagonal", "modes": 40, "norm": "l1"}, "norm"),
         ({"kind": "integration", "n": 64, "norm": "l1"}, "norm"),
+        ({"kind": "diagonal", "sigma": [0.5]}, "sigma"),
+        ({"kind": "diagonal", "sigma": "abc"}, "sigma"),
+        ({"kind": "diagonal", "sigma": 0.5}, "sigma"),
+        ({"kind": "diagonal", "sigma": [1, math.nan]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [1, math.inf]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [1, 10**400]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [1, -0.5]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [1, 0]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [0.5, 1]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [True, True]}, "sigma"),
+        ({"kind": "diagonal", "sigma": [1, "0.5"]}, "sigma"),
     ):
         with pytest.raises(ConfigError, match=rf"config\.operator\.{field}:"):
             parse_config(make_doc(operator=operator))
@@ -104,22 +115,33 @@ def test_grid_n_past_modes_edges_is_config_error(tmp_path, capsys):
 
 def test_cli_package_error_is_one_line(tmp_path):
     # no traceback: one line on stderr, exit status 2
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps(make_doc(operator={"kind": "diagonal", "modes": 1, "norm": "l2_scaled"})),
-        encoding="utf-8",
-    )
+    cases = [
+        ({"kind": "diagonal", "modes": 1}, "modes: must be an integer in [2, 746], got 1"),
+        (
+            {"kind": "diagonal", "sigma": [0.5]},
+            "sigma: must be a list of at least 2 finite, positive, nonincreasing numbers",
+        ),
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    out = subprocess.run(
-        [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr == (
-        "illposed: config.operator.modes: must be an integer in [2, 746], got 1\n"
-    )
+    for operator, message in cases:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(make_doc(operator={**operator, "norm": "l2_scaled"})), encoding="utf-8"
+        )
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        out = subprocess.run(
+            [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"illposed: config.operator.{message}\n"
+
+
+def test_explicit_sigma_runs():
+    doc = make_doc(operator={"kind": "diagonal", "sigma": [1, 0.5, 0.5, 1e-3], "norm": "sup"})
+    report = run_rate_experiment(parse_config(doc))
+    assert all(math.isfinite(r.error) for r in report.rows)
 
 
 def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):

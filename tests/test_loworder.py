@@ -14,14 +14,13 @@ from illposed import (
     QuadratureError,
     GridFunction,
     LogExampleParams,
-    log_kernel_apply,
     log_kernel_apply_at,
     log_kernel_derivative,
     sample_u_log,
     verify_membership,
 )
 from illposed.loworder import EULER_GAMMA, abel_order_derivative_identity_gap
-from oracles import quadpack_w
+from oracles import log_kernel_apply, quadpack_w
 
 PARAMS = LogExampleParams(c=0.5, kappa=2.0)
 

@@ -17,9 +17,8 @@ from illposed import (
     shifted_log_resolvent_power,
 )
 from illposed.loworder import LogExampleParams
-from illposed.operator_log import diagonal_log_values
 
-from oracles import LaplaceQuadrature, laplace_log_resolvent_power
+from oracles import LaplaceQuadrature, diagonal_log_values, laplace_log_resolvent_power
 
 
 def test_log_apply_scalar():
@@ -130,14 +129,14 @@ def test_make_mixed_unit_coordinate_closed_form():
 def test_make_mixed_integration_diagnostics():
     from scipy.linalg import solve_triangular
 
-    from illposed.fractional import matrix_power_lags
+    from illposed.fractional import power_map
 
     op = integration_operator(256)
     sc = SourceCondition(p=0.5, nu=1, lam=op.omega + 1.0, w=op.ones())
     u = make_mixed_smooth_element(op, sc)
     # ||A^{-1/2} u|| is finite: solve the exact half-power system
     half = np.zeros((op.dim, op.dim))
-    lags = matrix_power_lags(op, 0.5)
+    lags = power_map(op, 0.5).symbol
     for j in range(1, op.dim):
         half[j, 1 : j + 1] = lags[:j][::-1]
     half[0, 0] = 1.0
