@@ -98,11 +98,8 @@ def series_exp(g: np.ndarray) -> np.ndarray:
 
 def _binomial_lags(h_pow: float, q: float, n: int) -> np.ndarray:
     """Coefficients of h_pow^q * (1 - z)^{-q} mod z^n (integration-kind powers)."""
-    w = np.empty(n)
-    w[0] = h_pow**q
-    for m in range(1, n):
-        w[m] = w[m - 1] * (q + m - 1.0) / m
-    return w
+    m = np.arange(1.0, n)
+    return np.cumprod(np.concatenate(([h_pow**q], (q + m - 1.0) / m)))
 
 
 def power_map(op: DiscreteOperator, p: float) -> SymbolMap:

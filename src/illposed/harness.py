@@ -86,6 +86,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _require_number(d: dict, key: str, path: str) -> float:
+    value = _require(d, key, path)
+    if not _is_finite(value):
+        raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _require_int(d: dict, key: str, path: str, lo: int, hi: float = math.inf) -> None:
     value = _require(d, key, path)
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
@@ -117,6 +128,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     version = _require(doc, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
+    if "seed" in doc:
+        # Philox keys lie below 2^128; row k draws its noise with seed + k
+        _require_int(doc, "seed", "config", 0, 2**127)
     op = _require(doc, "operator", "config")
     kind = _require(op, "kind", "config.operator")
     if kind not in ("diagonal", "integration", "abel"):
@@ -130,7 +144,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind == "diagonal" and "sigma" in op:
         s = op["sigma"]
         ok = isinstance(s, list) and len(s) >= 2
-        ok = ok and all(_is_number(v) and 0 < v <= sys.float_info.max for v in s)
+        ok = ok and all(_is_finite(v) and v > 0 for v in s)
         if not ok or any(b > a for a, b in zip(s, s[1:])):
             raise ConfigError(
                 "config.operator.sigma: must be a list of at least 2 finite, positive, "
@@ -143,11 +157,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if "norm" in op and op["norm"] not in NORM_KINDS:
         raise ConfigError(f"config.operator.norm: must be one of {NORM_KINDS}, got {op['norm']!r}")
     src = _require(doc, "source", "config")
-    for k in ("p", "nu", "lambda_offset", "w"):
-        _require(src, k, "config.source")
-    if float(src["lambda_offset"]) <= 0:
+    p = _require_number(src, "p", "config.source")
+    _require_int(src, "nu", "config.source", 1)
+    if _require_number(src, "lambda_offset", "config.source") <= 0:
         raise ConfigError("config.source.lambda_offset: must be positive")
-    wspec = src["w"]
+    wspec = _require(src, "w", "config.source")
     wkind = _require(wspec, "kind", "config.source.w")
     if wkind not in ("random", "unit", "function", "zero"):
         raise ConfigError(f"config.source.w.kind: unknown kind {wkind!r}")
@@ -155,13 +169,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     name = _require(scheme, "name", "config.scheme")
     if name not in ("lavrentiev", "cauchy"):
         raise ConfigError(f"config.scheme.name: unknown scheme {name!r}")
+    if name == "lavrentiev" and "m" in scheme:
+        _require_int(scheme, "m", "config.scheme", 1)
     rule = _require(doc, "rule", "config")
     rname = _require(rule, "name", "config.rule")
     if rname not in ("apriori", "discrepancy"):
         raise ConfigError(f"config.rule.name: unknown rule {rname!r}")
+    if "c0" in rule and _require_number(rule, "c0", "config.rule") <= 0:
+        raise ConfigError("config.rule.c0: must be positive")
+    if rname == "discrepancy":
+        _require_number(rule, "b0", "config.rule")
+        _require_number(rule, "b1", "config.rule")
     ladder = _require(doc, "delta_ladder", "config")
+    if not isinstance(ladder, list) or not all(_is_finite(d) for d in ladder):
+        raise ConfigError("config.delta_ladder: must be a list of finite numbers")
     deltas = [float(d) for d in ladder]
-    delta0 = float(doc.get("delta0", 0.1))
+    delta0 = _require_number(doc, "delta0", "config") if "delta0" in doc else 0.1
     if not 0.0 < delta0 < 1.0:
         raise ConfigError("config.delta0: must lie in (0, 1)")
     if any(d <= 0 or d > delta0 for d in deltas):
@@ -170,7 +193,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("config.delta_ladder: must be strictly decreasing")
     cfg = ExperimentConfig(raw=doc)
     # saturation interplay is checked here so failures carry a field path
-    p = float(src["p"])
     p0 = float(scheme.get("m", 1)) if name == "lavrentiev" else math.inf
     if not p < p0:
         raise ConfigError("config.source.p: must stay below the scheme saturation")

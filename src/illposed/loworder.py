@@ -311,6 +311,8 @@ def verify_membership(
     identity holds at interior points.  ``u_values`` substitutes a different
     candidate into diagnostic (iii) only (probe hook).
     """
+    if n < 2:
+        raise DomainError("need at least two grid cells")
     xs = np.array([2.0**-k for k in k_range])
     w_vals = log_kernel_derivative(params, xs)
     mags = np.abs(w_vals)

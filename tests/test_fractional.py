@@ -20,6 +20,7 @@ from illposed import (
     shifted_solve,
 )
 from illposed.fractional import (
+    _binomial_lags,
     power_map,
     product_integration_map,
     series_exp,
@@ -311,6 +312,17 @@ def test_series_power_is_exp_of_scaled_log(a, p):
     expected = series_exp(p * series_log(a))
     np.testing.assert_allclose(
         series_power(a, p), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+    )
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 1.5, 3.0])
+def test_binomial_lags_match_series_power(q):
+    # h^q (1 - z)^{-q} is the q-th power of the integration lags h / (1 - z);
+    # series_power reaches it by the log-derivative recurrence instead
+    n = 512
+    h = 1.0 / n
+    np.testing.assert_allclose(
+        _binomial_lags(h, q, n), series_power(np.full(n, h), q), rtol=1e-12, atol=0.0
     )
 
 

@@ -92,6 +92,45 @@ def test_config_errors_carry_field_paths():
     ):
         with pytest.raises(ConfigError, match=rf"config\.operator\.{field}:"):
             parse_config(make_doc(operator=operator))
+    # numeric fields outside the operator: a string, nan or a wrong type is
+    # a ConfigError naming the field, not a ValueError from float()
+    for section, key, value in (
+        ("source", "p", "0.5"),
+        ("source", "p", math.nan),
+        ("source", "lambda_offset", "1"),
+        ("source", "lambda_offset", math.inf),
+        ("source", "nu", "1"),
+        ("source", "nu", 1.5),
+        ("scheme", "m", "2"),
+        ("scheme", "m", 2.5),
+        ("scheme", "m", 0),
+        ("rule", "c0", "5"),
+        ("rule", "c0", None),
+        ("rule", "c0", -1.0),
+    ):
+        doc = make_doc()
+        doc[section] = dict(doc[section], **{key: value})
+        with pytest.raises(ConfigError, match=rf"config\.{section}\.{key}:"):
+            parse_config(doc)
+    for key in ("b0", "b1"):
+        for value in (None, "8"):
+            rule = {"name": "discrepancy", "b0": 6.0, "b1": 8.0, key: value}
+            if value is None:
+                del rule[key]
+            with pytest.raises(ConfigError, match=rf"config\.rule\.{key}:"):
+                parse_config(make_doc(rule=rule))
+    for key, value in (
+        ("seed", "7"),
+        ("seed", -1),
+        ("seed", 2**128),
+        ("delta0", "0.1"),
+        ("delta0", True),
+        ("delta_ladder", ["1e-2", 1e-3]),
+        ("delta_ladder", [1e-2, math.nan]),
+        ("delta_ladder", "abc"),
+    ):
+        with pytest.raises(ConfigError, match=rf"config\.{key}:"):
+            parse_config(make_doc(**{key: value}))
 
 
 @pytest.mark.parametrize("modes", [2, 746])
@@ -136,6 +175,14 @@ def test_cli_package_error_is_one_line(tmp_path):
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"illposed: config.operator.{message}\n"
+    for grid_n in ("0", "-3"):
+        argv = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--grid-n", grid_n]
+        out = subprocess.run(
+            [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "illposed: need at least two grid cells\n"
 
 
 def test_explicit_sigma_runs():

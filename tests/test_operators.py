@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from illposed import (
     product_integration_weights,
     shifted_solve,
 )
-from illposed.operators import _power_iteration_norm, abel_operator, default_kappa_grid
+from illposed.operators import (
+    _postype_ratios,
+    _power_iteration_norm,
+    _shifted_reciprocals,
+    abel_operator,
+    default_kappa_grid,
+    series_reciprocal,
+)
 from oracles import dense_matrix
 
 VOLTERRA_KINDS = {
@@ -132,7 +140,7 @@ def test_postype_vector_bound_on_grid():
 
 @pytest.mark.parametrize("kind", sorted(VOLTERRA_KINDS))
 def test_sup_postype_ratio_matches_dense_inverse(kind):
-    # the batched forward substitution against the max row sum of the dense
+    # the FFT Newton reciprocals against the max row sum of the dense
     # inverse, node 0 included, on the grid that defines kappa*
     op = VOLTERRA_KINDS[kind](128, "sup")
     grid = default_kappa_grid(op.op_norm)
@@ -142,6 +150,63 @@ def test_sup_postype_ratio_matches_dense_inverse(kind):
         dense.append(alpha * np.abs(inv).sum(axis=1).max())
         assert math.isclose(postype_ratio(op, float(alpha)), dense[-1], rel_tol=1e-12)
     assert math.isclose(op.kappa_star, max(dense), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [512, 16384])
+def test_sup_postype_ratio_integration_closed_form(n):
+    # 1 / (alpha + h / (1 - z)) has b_0 = 1/(h + alpha) and
+    # b_m = -(1 - r) r^{m-1} / (h + alpha) with r = alpha / (h + alpha), so
+    # alpha sum_{m<n} |b_m| = alpha (2 - r^{n-1}) / (h + alpha); r^{n-1} goes
+    # through log1p, since r ** (n - 1) would scale the rounding of r by n
+    op = integration_operator(n)
+    grid = default_kappa_grid(op.op_norm)
+    h = 1.0 / n
+    r_pow = np.exp((n - 1) * np.log1p(-h / (h + grid)))
+    closed = np.maximum(1.0, grid * (2.0 - r_pow) / (h + grid))
+    np.testing.assert_allclose(_postype_ratios(op, grid), closed, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [0.25, 0.5, 1.0])
+def test_sup_postype_ratio_matches_series_reciprocal(order):
+    # one direct Newton reciprocal (np.convolve) per alpha at n = 4096
+    op = abel_operator(order, 4096)
+    grid = default_kappa_grid(op.op_norm)
+    direct = []
+    for alpha in grid:
+        shifted = op.weights.copy()
+        shifted[0] += alpha
+        direct.append(max(1.0, alpha * np.abs(series_reciprocal(shifted)).sum()))
+    np.testing.assert_allclose(_postype_ratios(op, grid), direct, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n", [512, 4096])
+def test_sup_reciprocals_keep_kaluza_signs(order, n):
+    # log-convex lags: every reciprocal coefficient past b_0 is <= 0 (Kaluza,
+    # Math. Z. 28, 1928), so alpha sum |b| = alpha (2 b_0 - sum b) < 2
+    op = abel_operator(order, n)
+    grid = default_kappa_grid(op.op_norm)
+    blocks = list(_shifted_reciprocals(op.weights, grid))
+    b = np.concatenate(blocks)
+    assert b.shape == (grid.size, n)
+    assert max(block.size for block in blocks) <= 2**14
+    assert np.all(b[:, 1:] <= 1e-14 * np.abs(b).max(axis=1, keepdims=True))
+    assert np.all(grid * np.abs(b).sum(axis=1) < 2.0)
+    assert op.kappa_star < 2.0
+
+
+def test_sup_postype_constant_memory_stays_below_one_megabyte():
+    # row blocks of at most 2^15 floats, not one n x 60 array (3.9 MB here)
+    op = integration_operator(4096)
+    grid = default_kappa_grid(op.op_norm)
+    tracemalloc.start()
+    try:
+        kappa = estimate_postype_constant(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kappa == op.kappa_star
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("order", [0.1, 0.25, 0.5, 0.75, 1.0])
