@@ -22,24 +22,26 @@ import sys
 from pathlib import Path
 
 from .errors import IllposedError
-from .harness import check_axioms, load_config, parse_config, run_rate_experiment
+from .harness import check_axioms, parse_config, run_rate_experiment
 from .loworder import LogExampleParams, verify_membership
 
 
 def _load_with_overrides(path: str, seed: int | None, grid_n: int | None):
-    cfg = load_config(path)
-    doc = dict(cfg.raw)
+    """The config at ``path`` with the overrides applied, validated once after them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        return parse_config(doc)
     if seed is not None:
         doc["seed"] = seed
-    if grid_n is not None:
-        op = dict(doc["operator"])
-        if op["kind"] == "diagonal":
+    if grid_n is not None and isinstance(doc.get("operator"), dict):
+        op = doc["operator"]
+        if op.get("kind") == "diagonal":
             op.pop("sigma", None)
             op["modes"] = grid_n
             op.setdefault("sigma_rule", "exp_decay")
         else:
             op["n"] = grid_n
-        doc["operator"] = op
     return parse_config(doc)
 
 

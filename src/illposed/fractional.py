@@ -29,46 +29,58 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import GridFunction
-from .operators import DiscreteOperator, SymbolMap, product_integration_weights
+from .operators import (
+    DiscreteOperator,
+    SymbolMap,
+    _mul,
+    product_integration_weights,
+    series_reciprocal,
+)
 
 
 def series_power(coeffs: np.ndarray, p: float) -> np.ndarray:
     """Coefficients of (sum_m a_m z^m)^p mod z^n, a_0 > 0.
 
-    Uses the classical logarithmic-derivative recurrence
-    m a_0 b_m = sum_{k=1..m} ((p+1) k - m) a_k b_{m-k}, run on the
-    normalized series a / a_0 for scale safety.
+    Integer p: square-and-multiply on a, or on its reciprocal series when
+    p < 0, so |p| costs O(log |p|) products.  Other p: a_0^p times
+    exp(p log(a / a_0)).
     """
     a = np.asarray(coeffs, dtype=float)
     if a[0] <= 0:
         raise DomainError("series power needs a positive leading coefficient")
     n = a.size
-    ah = a / a[0]
-    b = np.zeros(n)
-    b[0] = 1.0
-    ks = np.arange(n, dtype=float)
-    for m in range(1, n):
-        coeff = (p + 1.0) * ks[1 : m + 1] - m
-        b[m] = np.dot(coeff * ah[1 : m + 1], b[m - 1 :: -1][:m]) / m
-    return a[0] ** p * b
+    if not float(p).is_integer():
+        return a[0] ** p * series_exp(p * series_log(a / a[0]))
+    if p == 0:
+        return np.eye(1, n)[0]
+    base = series_reciprocal(a) if p < 0 else a.copy()
+    e = int(abs(p))
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else _mul(out, base, n)
+        e >>= 1
+        if not e:
+            return out
+        base = _mul(base, base, n)
 
 
 def series_log(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of log(sum_m a_m z^m) mod z^n, a_0 > 0.
 
-    From the logarithmic derivative a L' = a':
-    m L_m = m a_m - sum_{k=1..m-1} k L_k a_{m-k}, run on a / a_0.
+    log a = log a_0 + int a'/a: with a^ = a / a_0, coefficient m of the
+    product (k a^_k) * (1 / a^) is m L_m, so one reciprocal series and one
+    product give every L_m.
     """
     a = np.asarray(coeffs, dtype=float)
     if a[0] <= 0:
         raise DomainError("series logarithm needs a positive leading coefficient")
     n = a.size
     ah = a / a[0]
-    out = np.zeros(n)
     ks = np.arange(n, dtype=float)
-    for m in range(1, n):
-        out[m] = ah[m] - np.dot(ks[1:m] * out[1:m], ah[m - 1 : 0 : -1]) / m
+    out = np.empty(n)
     out[0] = math.log(a[0])
+    out[1:] = _mul(ks * ah, series_reciprocal(ah), n)[1:] / ks[1:]
     return out
 
 
@@ -79,7 +91,9 @@ def series_exp(g: np.ndarray) -> np.ndarray:
     sum |g_m| / 2^s <= 1 and squared s times (scaling and squaring; Higham,
     Functions of Matrices, ch. 10).  The scaling bounds every term of the
     recurrence by e, so its cancellation error stays near rounding whatever
-    the size of g.
+    the size of g.  This is the one loop over coefficients left in the series
+    arithmetic: a Newton or FFT core moves the last bits, which the
+    finite-difference goldens magnify far past their tolerance.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -88,11 +102,11 @@ def series_exp(g: np.ndarray) -> np.ndarray:
     gs = g / 2.0**s
     b = np.zeros(n)
     b[0] = math.exp(gs[0])
-    ks = np.arange(n, dtype=float)
+    kgs = np.arange(n, dtype=float) * gs
     for m in range(1, n):
-        b[m] = np.dot(ks[1 : m + 1] * gs[1 : m + 1], b[m - 1 :: -1][:m]) / m
+        b[m] = np.dot(kgs[1 : m + 1], b[m - 1 :: -1][:m]) / m
     for _ in range(s):
-        b = np.convolve(b, b)[:n]
+        b = _mul(b, b, n)
     return b
 
 

@@ -18,10 +18,11 @@ Config schema (schema_version 1)::
                   (preprocess to ||A|| = 1/2, making the unshifted source
                   form reachable via lambda_offset = -omega),
       "source":   {"p": 0.0, "nu": 1, "lambda_offset": 1.0,
-                   "w": {"kind": "random", "seed": 7}
-                      | {"kind": "unit", "index": 3}
+                   "w": {"kind": "random", "seed": 7, "normalize": true}
+                      | {"kind": "unit", "index": 3}   # 0 <= index < dim
                       | {"kind": "function", "name": "ones" | "ramp" |
-                         "parabola" | "sinpi"}},
+                         "parabola" | "sinpi"}
+                      | {"kind": "zero"}},
       "scheme":   {"name": "lavrentiev", "m": 2}
                   | {"name": "cauchy"},
       "rule":     {"name": "apriori", "c0": 1.0}
@@ -165,6 +166,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     wkind = _require(wspec, "kind", "config.source.w")
     if wkind not in ("random", "unit", "function", "zero"):
         raise ConfigError(f"config.source.w.kind: unknown kind {wkind!r}")
+    if wkind == "unit":
+        if kind != "diagonal":
+            dim = op["n"] + 1
+        else:
+            dim = len(op["sigma"]) if "sigma" in op else op["modes"]
+        _require_int(wspec, "index", "config.source.w", 0, dim - 1)
+    elif wkind == "random":
+        _require_int(wspec, "seed", "config.source.w", 0, 2**127)
+        if not isinstance(wspec.get("normalize", True), bool):
+            raise ConfigError(
+                f"config.source.w.normalize: must be true or false, got {wspec['normalize']!r}"
+            )
+    elif wkind == "function" and _require(wspec, "name", "config.source.w") not in _W_FUNCTIONS:
+        raise ConfigError(
+            f"config.source.w.name: must be one of {sorted(_W_FUNCTIONS)}, got {wspec['name']!r}"
+        )
     scheme = _require(doc, "scheme", "config")
     name = _require(scheme, "name", "config.scheme")
     if name not in ("lavrentiev", "cauchy"):

@@ -47,20 +47,29 @@ def product_integration_weights(order: float, n: int) -> np.ndarray:
     return h**order / math.gamma(order + 1.0) * ((m + 1.0) ** order - m**order)
 
 
+def _mul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients 0..k-1 of the product of two power series.
+
+    Every series product of the package goes through here, so each keeps the
+    bits of this one ``np.convolve`` call.
+    """
+    return np.convolve(a[:k], b[:k])[:k]
+
+
 def series_reciprocal(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of 1 / (sum_m a_m z^m) mod z^n, a_0 != 0.
 
     Newton doubling b <- b (2 - a b) on the truncation length (Brent & Kung,
     J. ACM 25, 1978): each step doubles the number of correct coefficients,
-    so the log2(n) steps of np.convolve cost O(n^2) in all.
+    so the log2(n) steps of ``_mul`` cost O(n^2) in all.
     """
     a = np.asarray(coeffs, dtype=float)
     b = np.array([1.0 / a[0]])
     while b.size < a.size:
         k = min(2 * b.size, a.size)
-        c = -np.convolve(a[:k], b)[:k]
+        c = -_mul(a, b, k)
         c[0] += 2.0
-        b = np.convolve(b, c)[:k]
+        b = _mul(b, c, k)
     return b
 
 
@@ -77,7 +86,7 @@ class SymbolMap:
     the lag series is always f's own.
 
     Calling the map maps each row of a (k, dim) block; each Volterra row is
-    its own ``np.convolve``, so a row's bits do not depend on the other rows.
+    its own ``_mul``, so a row's bits do not depend on the other rows.
     ``on(u)`` maps one grid function.
     """
 
@@ -92,7 +101,7 @@ class SymbolMap:
         out = np.empty(block.shape)
         out[:, 0] = block[:, 0] / self.node0 if self.quotient else self.node0 * block[:, 0]
         for row, values in zip(out, block):
-            row[1:] = np.convolve(self.symbol, values[1:])[: self.symbol.size]
+            row[1:] = _mul(self.symbol, values[1:], self.symbol.size)
         return out
 
     def on(self, u: GridFunction) -> GridFunction:
@@ -112,8 +121,8 @@ def _power_iteration_norm(lags: np.ndarray, tol: float = 1e-8, maxit: int = 2000
     x = np.full(n, 1.0 / math.sqrt(n + 1))
     est = 0.0
     for _ in range(maxit):
-        y = np.convolve(lags, x)[:n]
-        z = np.convolve(lags, y[::-1])[:n][::-1]
+        y = _mul(lags, x, n)
+        z = _mul(lags, y[::-1], n)[::-1]
         new = float(np.linalg.norm(y))  # ||T x|| with ||x|| = 1
         x = z / np.linalg.norm(z)
         if abs(new - est) <= tol * max(new, 1e-300):

@@ -40,6 +40,7 @@ from .operators import (
     DiscreteOperator,
     SymbolMap,
     _check_dims,
+    _mul,
     series_reciprocal,
     shifted_solve,  # bench/tracing.py counts calls through schemes.<name>
     shifted_solver,
@@ -158,7 +159,7 @@ def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
         gap = -series
         gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
         decay = SymbolMap(series, volterra=True, node0=1.0)
-        phi = np.convolve(gap, series_reciprocal(lags))[: lags.size]
+        phi = _mul(gap, series_reciprocal(lags), lags.size)
         reach = SymbolMap(phi, volterra=True, node0=t)
     return Regularizer(lambda f, ubar: decay(ubar) + reach(f), reach, decay)
 

@@ -11,6 +11,9 @@ without forming a matrix.  The routes here share none of that code path:
 * ``fractional_power_balakrishnan`` (with ``BalakrishnanQuadrature`` and
   ``QuadratureBoundsWarning``), the resolvent integral for A^p by a
   trapezoid rule in tau = log s;
+* ``series_power_recurrence`` and ``series_log_recurrence``, the
+  logarithmic-derivative recurrences for a^p and log a of a power series,
+  one dot product per coefficient;
 * ``diagonal_log_values``, the closed form log sigma_k;
 * ``log_kernel_apply``, the log-kernel transform at every node, one
   ``log_kernel_apply_at`` call per node;
@@ -240,6 +243,46 @@ def fractional_power_balakrishnan(
     for _ in range(whole):
         result = apply(op, result)
     return result
+
+
+def series_power_recurrence(coeffs: np.ndarray, p: float) -> np.ndarray:
+    """Coefficients of (sum_m a_m z^m)^p mod z^n, a_0 > 0.
+
+    Uses the classical logarithmic-derivative recurrence
+    m a_0 b_m = sum_{k=1..m} ((p+1) k - m) a_k b_{m-k}, run on the
+    normalized series a / a_0 for scale safety.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    if a[0] <= 0:
+        raise DomainError("series power needs a positive leading coefficient")
+    n = a.size
+    ah = a / a[0]
+    b = np.zeros(n)
+    b[0] = 1.0
+    ks = np.arange(n, dtype=float)
+    for m in range(1, n):
+        coeff = (p + 1.0) * ks[1 : m + 1] - m
+        b[m] = np.dot(coeff * ah[1 : m + 1], b[m - 1 :: -1][:m]) / m
+    return a[0] ** p * b
+
+
+def series_log_recurrence(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of log(sum_m a_m z^m) mod z^n, a_0 > 0.
+
+    From the logarithmic derivative a L' = a':
+    m L_m = m a_m - sum_{k=1..m-1} k L_k a_{m-k}, run on a / a_0.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    if a[0] <= 0:
+        raise DomainError("series logarithm needs a positive leading coefficient")
+    n = a.size
+    ah = a / a[0]
+    out = np.zeros(n)
+    ks = np.arange(n, dtype=float)
+    for m in range(1, n):
+        out[m] = ah[m] - np.dot(ks[1:m] * out[1:m], ah[m - 1 : 0 : -1]) / m
+    out[0] = math.log(a[0])
+    return out
 
 
 def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:

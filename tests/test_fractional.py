@@ -19,6 +19,7 @@ from illposed import (
     shifted_log_resolvent_power,
     shifted_solve,
 )
+import illposed.fractional as fractional
 from illposed.fractional import (
     _binomial_lags,
     power_map,
@@ -28,12 +29,20 @@ from illposed.fractional import (
     series_power,
 )
 from illposed.operator_log import log_resolvent_power_map
-from illposed.operators import SymbolMap, abel_operator, operator_map, shifted_solver
+from illposed.operators import (
+    SymbolMap,
+    abel_operator,
+    operator_map,
+    product_integration_weights,
+    shifted_solver,
+)
 
 from oracles import (
     BalakrishnanQuadrature,
     QuadratureBoundsWarning,
     fractional_power_balakrishnan,
+    series_log_recurrence,
+    series_power_recurrence,
 )
 
 # positive, nonincreasing lag vectors: a_0 times a running product of ratios
@@ -315,10 +324,60 @@ def test_series_power_is_exp_of_scaled_log(a, p):
     )
 
 
+def _shifted_log(a):
+    """lam - log a(z) with lam = log(sum a) + 1, the symbol of lam I - log A in sup."""
+    out = -series_log_recurrence(a)
+    out[0] += math.log(a.sum()) + 1.0
+    return out
+
+
+SERIES_FAMILIES = {
+    "integration": lambda n: np.full(n, 1.0 / n),
+    "abel-0.25": lambda n: product_integration_weights(0.25, n),
+    "abel-0.5": lambda n: product_integration_weights(0.5, n),
+    "abel-1": lambda n: product_integration_weights(1.0, n),
+    "lam - log abel-0.5": lambda n: _shifted_log(product_integration_weights(0.5, n)),
+}
+
+
+def _assert_normwise_close(got, want, rtol):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 128, 512, 4096])
+@pytest.mark.parametrize("family", SERIES_FAMILIES)
+def test_series_log_and_power_match_recurrences(family, n):
+    # the reciprocal-series log, square-and-multiply and exp-of-log against
+    # the logarithmic-derivative recurrences
+    a = SERIES_FAMILIES[family](n)
+    _assert_normwise_close(series_log(a), series_log_recurrence(a), 1e-12)
+    for p in (-3, -2, -1, 0, 1, 2, 3, 0.01, 0.5, 1.5):
+        _assert_normwise_close(series_power(a, p), series_power_recurrence(a, p), 1e-12)
+
+
+def test_huge_integer_power_is_square_and_multiply(monkeypatch):
+    # p = 2^40 takes 40 squarings, not 2^40 products
+    p = 2**40
+    a = np.concatenate(([1.0], 1e-14 * 0.5 ** np.arange(63)))
+    products = []
+    mul = fractional._mul
+
+    def counting_mul(x, y, k):
+        products.append(k)
+        return mul(x, y, k)
+
+    monkeypatch.setattr(fractional, "_mul", counting_mul)
+    got = series_power(a, p)
+    assert len(products) == 40
+    monkeypatch.undo()
+    np.testing.assert_allclose(got, series_exp(p * series_log(a)), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("q", [0.25, 0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 1.5, 3.0])
 def test_binomial_lags_match_series_power(q):
     # h^q (1 - z)^{-q} is the q-th power of the integration lags h / (1 - z);
-    # series_power reaches it by the log-derivative recurrence instead
+    # series_power reaches it by square-and-multiply at integer q and as
+    # h^q exp(q log(1 / (1 - z))) otherwise
     n = 512
     h = 1.0 / n
     np.testing.assert_allclose(

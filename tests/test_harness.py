@@ -21,7 +21,7 @@ from illposed import (
     parse_config,
     run_rate_experiment,
 )
-from illposed.cli import main as cli_main
+from illposed.cli import _load_with_overrides, main as cli_main
 from illposed.harness import RateRow, load_config, plot_csv, report_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -112,6 +112,39 @@ def test_config_errors_carry_field_paths():
         doc[section] = dict(doc[section], **{key: value})
         with pytest.raises(ConfigError, match=rf"config\.{section}\.{key}:"):
             parse_config(doc)
+    # source.w fields: an index below the operator's dimension, a Philox key,
+    # a known function name, a boolean normalize
+    for operator, w, field in (
+        (None, {"kind": "unit", "index": -1}, "index"),
+        (None, {"kind": "unit", "index": 40}, "index"),
+        (None, {"kind": "unit", "index": 1.0}, "index"),
+        (None, {"kind": "unit", "index": True}, "index"),
+        (None, {"kind": "unit"}, "index"),
+        ({"kind": "integration", "n": 64}, {"kind": "unit", "index": 65}, "index"),
+        ({"kind": "diagonal", "sigma": [1, 0.5]}, {"kind": "unit", "index": 2}, "index"),
+        (None, {"kind": "random", "seed": "x"}, "seed"),
+        (None, {"kind": "random", "seed": -1}, "seed"),
+        (None, {"kind": "random", "seed": 2**127 + 1}, "seed"),
+        (None, {"kind": "random"}, "seed"),
+        (None, {"kind": "random", "seed": 7, "normalize": 1}, "normalize"),
+        (None, {"kind": "random", "seed": 7, "normalize": "false"}, "normalize"),
+        (None, {"kind": "function"}, "name"),
+        (None, {"kind": "function", "name": "cube"}, "name"),
+    ):
+        doc = make_doc(**({"operator": operator} if operator else {}))
+        doc["source"]["w"] = w
+        with pytest.raises(ConfigError, match=rf"config\.source\.w\.{field}:"):
+            parse_config(doc)
+    for operator, w in (
+        (None, {"kind": "unit", "index": 39}),
+        ({"kind": "integration", "n": 64}, {"kind": "unit", "index": 64}),
+        ({"kind": "diagonal", "sigma": [1, 0.5]}, {"kind": "unit", "index": 1}),
+        (None, {"kind": "random", "seed": 2**127, "normalize": False}),
+        (None, {"kind": "function", "name": "sinpi"}),
+    ):
+        doc = make_doc(**({"operator": operator} if operator else {}))
+        doc["source"]["w"] = w
+        parse_config(doc)
     for key in ("b0", "b1"):
         for value in (None, "8"):
             rule = {"name": "discrepancy", "b0": 6.0, "b1": 8.0, key: value}
@@ -152,29 +185,45 @@ def test_grid_n_past_modes_edges_is_config_error(tmp_path, capsys):
         assert err.startswith("illposed: config.operator.modes:")
 
 
+def test_unit_index_follows_grid_n(tmp_path):
+    # parse_config runs after --grid-n, so the index is checked against the new size
+    doc = make_doc()
+    doc["source"]["w"] = {"kind": "unit", "index": 45}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _load_with_overrides(str(cfg_path), None, 46).raw["operator"]["modes"] == 46
+    with pytest.raises(ConfigError, match=r"config\.source\.w\.index: .* \[0, 44\]"):
+        _load_with_overrides(str(cfg_path), None, 45)
+
+
 def test_cli_package_error_is_one_line(tmp_path):
     # no traceback: one line on stderr, exit status 2
+    unit_w = make_doc()
+    unit_w["source"]["w"] = {"kind": "unit", "index": 999}
     cases = [
-        ({"kind": "diagonal", "modes": 1}, "modes: must be an integer in [2, 746], got 1"),
         (
-            {"kind": "diagonal", "sigma": [0.5]},
-            "sigma: must be a list of at least 2 finite, positive, nonincreasing numbers",
+            make_doc(operator={"kind": "diagonal", "modes": 1, "norm": "l2_scaled"}),
+            "config.operator.modes: must be an integer in [2, 746], got 1",
         ),
+        (
+            make_doc(operator={"kind": "diagonal", "sigma": [0.5], "norm": "l2_scaled"}),
+            "config.operator.sigma: must be a list of at least 2 finite, positive, "
+            "nonincreasing numbers",
+        ),
+        (unit_w, "config.source.w.index: must be an integer in [0, 39], got 999"),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    for operator, message in cases:
+    for doc, message in cases:
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(make_doc(operator={**operator, "norm": "l2_scaled"})), encoding="utf-8"
-        )
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         out = subprocess.run(
             [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
         )
         assert out.returncode == 2
         assert out.stdout == ""
-        assert out.stderr == f"illposed: config.operator.{message}\n"
+        assert out.stderr == f"illposed: {message}\n"
     for grid_n in ("0", "-3"):
         argv = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--grid-n", grid_n]
         out = subprocess.run(

@@ -20,6 +20,7 @@ from illposed import (
     verify_membership,
 )
 from illposed.loworder import EULER_GAMMA, abel_order_derivative_identity_gap
+from illposed.operators import SymbolMap
 from oracles import log_kernel_apply, quadpack_w
 
 PARAMS = LogExampleParams(c=0.5, kappa=2.0)
@@ -217,6 +218,25 @@ def test_abel_order_derivative_identity():
     u = sample_u_log(PARAMS, 4096)
     gap = abel_order_derivative_identity_gap(u, (0.3, 0.4, 0.5, 0.6, 0.7))
     assert gap <= 1e-3
+
+
+@pytest.mark.parametrize("kappa", [2.0, 0.5])
+def test_abel_order_derivative_identity_gap_reads_full_convolution(kappa):
+    # the gap's dot products are entries of the whole lag convolution
+    # SymbolMap(lag).on(u), the bundled (c, kappa) pairs at identity_n = 4096
+    from illposed.fractional import _binomial_lags
+
+    n, eps = 4096, 1e-3
+    u = sample_u_log(LogExampleParams(c=0.5, kappa=kappa), n)
+    points = (0.3, 0.4, 0.5, 0.6, 0.7)
+    h = 1.0 / n
+    lag = (_binomial_lags(h, 1.0 + eps, n) - _binomial_lags(h, 1.0 - eps, n)) / (2.0 * eps)
+    deriv = SymbolMap(lag, volterra=True).on(u).values
+    idx = np.round(np.array(points) * n).astype(int)
+    target = np.array([log_kernel_apply_at(u, j * h) for j in idx])
+    target += EULER_GAMMA * h * np.cumsum(u.values[1:])[idx - 1]
+    full = float(np.max(np.abs(deriv[idx] - target) / np.maximum(np.abs(target), 1e-12)))
+    assert abel_order_derivative_identity_gap(u, points, eps) == full
 
 
 def test_abel_order_derivative_identity_monomial():
