@@ -70,6 +70,7 @@ from .parameter_choice import (
     chi,
     chi_inverse,
     discrepancy_alpha,
+    discrepancy_alphas,
 )
 from .schemes import (
     QualificationReport,

@@ -50,7 +50,13 @@ def series_power(coeffs: np.ndarray, p: float) -> np.ndarray:
         raise DomainError("series power needs a positive leading coefficient")
     n = a.size
     if not float(p).is_integer():
-        return a[0] ** p * series_exp(p * series_log(a / a[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a[0] ** p * series_exp(p * series_log(a / a[0]))
+        if not np.all(np.isfinite(out)):
+            raise DomainError(
+                f"series power at p = {p} is not finite (a_0^p or the series overflows)"
+            )
+        return out
     if p == 0:
         return np.eye(1, n)[0]
     base = series_reciprocal(a) if p < 0 else a.copy()

@@ -20,6 +20,7 @@ below the grid spacing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -138,8 +139,8 @@ class DiscreteOperator:
     Fields mirror the construction: ``weights`` holds the Toeplitz lag
     weights (Volterra kinds) or the singular values (diagonal kind); every
     Volterra operation is a convolution with a series built from the lags,
-    so no matrix is stored and memory is O(n).  ``kappa_star`` is the positive-type constant,
-    computed once at construction; ``omega`` is log ||A||.
+    so no matrix is stored and memory is O(n).  ``kappa_star`` is the
+    positive-type constant, computed on first read; ``omega`` is log ||A||.
     """
 
     kind: str
@@ -148,12 +149,16 @@ class DiscreteOperator:
     weights: np.ndarray
     op_norm: float
     omega: float
-    kappa_star: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @functools.cached_property
+    def kappa_star(self) -> float:
+        """``estimate_postype_constant`` over ``default_kappa_grid``, cached."""
+        return estimate_postype_constant(self, default_kappa_grid(self.op_norm))
 
     @property
     def is_volterra(self) -> bool:
@@ -188,8 +193,9 @@ class DiscreteOperator:
     def scaled(self, a: float) -> "DiscreteOperator":
         """The operator a*A.
 
-        The positive-type constant is scale invariant, the norm scales by a
-        and omega shifts by log(a).
+        The positive-type constant is scale invariant (the scaled operator
+        estimates its own on first read), the norm scales by a and omega
+        shifts by log(a).
         """
         if a <= 0:
             raise DomainError("scale factor must be positive")
@@ -342,17 +348,14 @@ def _finish(kind, norm_kind, order, weights) -> DiscreteOperator:
         op_norm = float(np.sum(weights))  # the last row carries every (positive) lag
     else:
         op_norm = _power_iteration_norm(weights)
-    op = DiscreteOperator(
+    return DiscreteOperator(
         kind=kind,
         norm_kind=norm_kind,
         order=order,
         weights=weights,
         op_norm=op_norm,
         omega=math.log(op_norm),
-        kappa_star=math.nan,
     )
-    kappa = estimate_postype_constant(op, default_kappa_grid(op_norm))
-    return replace(op, kappa_star=kappa)
 
 
 def integration_operator(n: int, norm_kind: str = "sup") -> DiscreteOperator:

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .grid import GridFunction
 from .operators import DiscreteOperator, apply
-from .schemes import RegularizerConfig, regularize
+from .schemes import (
+    Regularizer,
+    RegularizerConfig,
+    _one_row,
+    regularize,  # bench/tracing.py times calls through parameter_choice.<name>
+    regularizer,
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,16 @@ def apriori_alpha(delta: float, p: float, nu: int, c0: float = 1.0) -> float:
     if p < 0 or nu < 1 or c0 <= 0:
         raise DomainError("need p >= 0, nu >= 1 and c0 > 0")
     ell = math.log(1.0 / delta)
-    return c0 * delta ** (1.0 / (p + 1.0)) * ell ** (nu / (p + 1.0))
+    try:
+        alpha = c0 * delta ** (1.0 / (p + 1.0)) * ell ** (nu / (p + 1.0))
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(
+            f"a priori alpha at delta = {delta} is not a positive finite number "
+            f"(p = {p}, nu = {nu})"
+        )
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,113 @@ class DiscrepancyResult:
     residual: float
 
 
+def _band_search(
+    residual, dcfg: DiscrepancyConfig, lo_t: float, hi_t: float
+) -> tuple[float, float]:
+    """The first (alpha, residual(alpha)) of the walk that lands in [lo_t, hi_t].
+
+    Walk alpha down a geometric grid from ``alpha_max`` until the residual
+    drops to ``hi_t``, then bisect the bracketing pair in log alpha.
+    """
+    alpha = dcfg.alpha_max
+    r = residual(alpha)
+    # If the residual starts below the band, march alpha upward first: the
+    # residual tends to ||A ubar - f_delta|| > b1 delta as alpha -> infinity.
+    guard = 0
+    while r < lo_t:
+        alpha /= dcfg.ratio
+        r = residual(alpha)
+        guard += 1
+        if guard > 200:
+            raise DomainError("discrepancy band unreachable")
+    above: float | None = None
+    while True:
+        if r <= hi_t:
+            if r >= lo_t:
+                return alpha, r
+            break  # fell through the band; bisect against the last point above
+        above = alpha
+        alpha *= dcfg.ratio
+        if alpha < dcfg.alpha_min:
+            raise DomainError("discrepancy band unreachable")
+        r = residual(alpha)
+    if above is None:
+        raise DomainError("discrepancy band unreachable")
+    lo_a, hi_a = alpha, above
+    for _ in range(200):
+        if math.log(hi_a / lo_a) <= dcfg.bisect_tol:
+            break
+        mid = math.sqrt(lo_a * hi_a)
+        r_mid = residual(mid)
+        if lo_t <= r_mid <= hi_t:
+            return mid, r_mid
+        if r_mid > hi_t:
+            hi_a = mid
+        else:
+            lo_a = mid
+    raise DomainError("discrepancy band unreachable")
+
+
+def discrepancy_alphas(
+    op: DiscreteOperator,
+    cfg: RegularizerConfig,
+    dcfg: DiscrepancyConfig,
+    data: list[GridFunction],
+    deltas: list[float],
+    ubar: GridFunction,
+) -> list[DiscrepancyResult]:
+    """Residual-band a posteriori choice for each row (f_delta, delta) of a ladder.
+
+    Degenerate branch: if ||A ubar - f_delta|| <= b1 delta the answer is
+    (infinity, ubar).  Otherwise walk alpha down a geometric grid until the
+    residual drops to b1 delta, then bisect the bracketing pair in log alpha
+    until the residual lands in [b0 delta, b1 delta].
+
+    The residual of a trial is ||S_alpha r0|| with r0 = A ubar - f_delta,
+    since A u_alpha - f_delta = S_alpha (A ubar - f_delta) (Engl, Hanke &
+    Neubauer 1996, ch. 4): no element and no A apply per trial.  The grid
+    alpha_max * ratio^j repeats bit for bit across rows, so each filter is
+    built once per distinct trial alpha and serves every row that tries it;
+    u is built once per row, at the accepted alpha.
+    """
+    if len(data) != len(deltas):
+        raise DomainError("need one delta per data element")
+    if any(delta <= 0 for delta in deltas):
+        raise DomainError("delta must be positive")
+    if not cfg.p0 > 1:
+        raise DomainError("the residual-band rule needs saturation above 1 (Lavrentiev m >= 2)")
+    c0 = dcfg.c0
+    if c0 is None:
+        c0 = cfg.qualification_constant(0.0, op.kappa_star)
+    if c0 is not None and not dcfg.b0 > c0:
+        raise DomainError(f"b0 = {dcfg.b0} must strictly exceed the companion bound c0 = {c0}")
+
+    filters: dict[float, Regularizer] = {}
+
+    def filter_at(a: float) -> Regularizer:
+        if a not in filters:
+            filters[a] = regularizer(op, cfg, a)
+        return filters[a]
+
+    a_ubar = apply(op, ubar)
+    results = []
+    for f_delta, delta in zip(data, deltas):
+        r0 = a_ubar - f_delta
+        r_bar = r0.norm()
+        if r_bar <= dcfg.b1 * delta:
+            results.append(DiscrepancyResult(alpha=math.inf, u=ubar, residual=r_bar))
+            continue
+        alpha, r = _band_search(
+            lambda a: _one_row(op, filter_at(a).companion, r0).norm(),
+            dcfg,
+            dcfg.b0 * delta,
+            dcfg.b1 * delta,
+        )
+        u = _one_row(op, filter_at(alpha).element, f_delta, ubar)
+        results.append(DiscrepancyResult(alpha=alpha, u=u, residual=r))
+    return results
+
+
 def discrepancy_alpha(
     op: DiscreteOperator,
     cfg: RegularizerConfig,
@@ -134,64 +256,6 @@ def discrepancy_alpha(
 ) -> DiscrepancyResult:
     """Residual-band a posteriori choice of the regularization parameter.
 
-    Degenerate branch: if ||A ubar - f_delta|| <= b1 delta the answer is
-    (infinity, ubar).  Otherwise walk alpha down a geometric grid until the
-    residual drops to b1 delta, then bisect the bracketing pair in log alpha
-    until the residual lands in [b0 delta, b1 delta].
+    The one-row call of ``discrepancy_alphas``.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    if not cfg.p0 > 1:
-        raise DomainError("the residual-band rule needs saturation above 1 (Lavrentiev m >= 2)")
-    c0 = dcfg.c0
-    if c0 is None:
-        c0 = cfg.qualification_constant(0.0, op.kappa_star)
-    if c0 is not None and not dcfg.b0 > c0:
-        raise DomainError(f"b0 = {dcfg.b0} must strictly exceed the companion bound c0 = {c0}")
-
-    lo_t, hi_t = dcfg.b0 * delta, dcfg.b1 * delta
-    r_bar = (apply(op, ubar) - f_delta).norm()
-    if r_bar <= hi_t:
-        return DiscrepancyResult(alpha=math.inf, u=ubar, residual=r_bar)
-
-    def eval_at(a: float) -> tuple[GridFunction, float]:
-        u = regularize(op, cfg, a, f_delta, ubar)
-        return u, (apply(op, u) - f_delta).norm()
-
-    alpha = dcfg.alpha_max
-    u, r = eval_at(alpha)
-    # If the residual starts below the band, march alpha upward first: the
-    # residual tends to ||A ubar - f_delta|| > b1 delta as alpha -> infinity.
-    guard = 0
-    while r < lo_t:
-        alpha /= dcfg.ratio
-        u, r = eval_at(alpha)
-        guard += 1
-        if guard > 200:
-            raise DomainError("discrepancy band unreachable")
-    above: tuple[float, float] | None = None
-    while True:
-        if r <= hi_t:
-            if r >= lo_t:
-                return DiscrepancyResult(alpha=alpha, u=u, residual=r)
-            break  # fell through the band; bisect against the last point above
-        above = (alpha, r)
-        alpha *= dcfg.ratio
-        if alpha < dcfg.alpha_min:
-            raise DomainError("discrepancy band unreachable")
-        u, r = eval_at(alpha)
-    if above is None:
-        raise DomainError("discrepancy band unreachable")
-    lo_a, hi_a = alpha, above[0]
-    for _ in range(200):
-        if math.log(hi_a / lo_a) <= dcfg.bisect_tol:
-            break
-        mid = math.sqrt(lo_a * hi_a)
-        u_mid, r_mid = eval_at(mid)
-        if lo_t <= r_mid <= hi_t:
-            return DiscrepancyResult(alpha=mid, u=u_mid, residual=r_mid)
-        if r_mid > hi_t:
-            hi_a = mid
-        else:
-            lo_a = mid
-    raise DomainError("discrepancy band unreachable")
+    return discrepancy_alphas(op, cfg, dcfg, [f_delta], [delta], ubar)[0]

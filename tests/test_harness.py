@@ -196,6 +196,20 @@ def test_unit_index_follows_grid_n(tmp_path):
         _load_with_overrides(str(cfg_path), None, 45)
 
 
+def abel_cauchy_doc(**source):
+    """The abel-1/2 sup-norm evolution-method config, with source overrides."""
+    doc = make_doc(
+        operator={"kind": "abel", "order": 0.5, "n": 128, "norm": "sup"},
+        scheme={"name": "cauchy"},
+        rule={"name": "apriori", "c0": 1.0},
+        delta_ladder=[1e-1, 1e-2, 1e-3],
+        delta0=0.2,
+    )
+    sinpi = {"kind": "function", "name": "sinpi"}
+    doc["source"] = {"p": 0.5, "nu": 1, "lambda_offset": 1.0, "w": sinpi, **source}
+    return doc
+
+
 def test_cli_package_error_is_one_line(tmp_path):
     # no traceback: one line on stderr, exit status 2
     unit_w = make_doc()
@@ -211,6 +225,14 @@ def test_cli_package_error_is_one_line(tmp_path):
             "nonincreasing numbers",
         ),
         (unit_w, "config.source.w.index: must be an integer in [0, 39], got 999"),
+        (
+            abel_cauchy_doc(nu=10**6),
+            "a priori alpha at delta = 0.1 is not a positive finite number (p = 0.5, nu = 1000000)",
+        ),
+        (
+            abel_cauchy_doc(p=1000000.5),
+            "series power at p = 1000000.5 is not finite (a_0^p or the series overflows)",
+        ),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -550,3 +572,44 @@ def test_cli_grid_n_override(tmp_path):
         cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir), "--grid-n", "25"]) == 0
     )
     assert (out_dir / "report.csv").exists()
+
+
+def test_discrepancy_residual_matches_diagonal_closed_form():
+    # A u_alpha - f = S_alpha (A ubar - f): for iterated Lavrentiev on a
+    # diagonal operator the reported residual is
+    # sqrt(h sum_k (alpha / (sigma_k + alpha))^{2m} r0_k^2), r0 = A ubar - f_delta
+    cfg = load_config(CONFIG_DIR / "diagonal_discrepancy.json")
+    problem = build_problem(cfg)
+    op, m = problem.op, problem.scheme.m
+    report = run_rate_experiment(cfg)
+    h = 1.0 / (op.dim - 1)
+    for k, row in enumerate(report.rows):
+        f_delta = add_noise(problem.f_star, row.delta, cfg.seed + k)
+        r0 = op.weights * problem.ubar.values - f_delta.values
+        factor = (row.alpha / (op.weights + row.alpha)) ** (2 * m)
+        closed = math.sqrt(h * float(np.sum(factor * r0**2)))
+        assert math.isclose(row.residual, closed, rel_tol=1e-14)
+
+
+def test_kappa_star_is_computed_on_first_read(tmp_path, monkeypatch):
+    # a priori runs and loworder-verify never read kappa*; check-axioms does, once
+    import illposed.operators as operators
+
+    calls = []
+    estimate = operators.estimate_postype_constant
+
+    def counting(op, alpha_grid):
+        calls.append(op.kind)
+        return estimate(op, alpha_grid)
+
+    monkeypatch.setattr(operators, "estimate_postype_constant", counting)
+    config = str(CONFIG_DIR / "integration_apriori.json")
+    commands = [
+        (["loworder-verify", "--c", "0.5", "--kappa", "2", "--out", str(tmp_path / "low.json")], 0),
+        (["run", "--config", config, "--out", str(tmp_path / "run")], 0),
+        (["check-axioms", "--config", config, "--out", str(tmp_path / "ax.json")], 1),
+    ]
+    for argv, expected in commands:
+        calls.clear()
+        assert cli_main(argv) == 0
+        assert len(calls) == expected, argv[0]

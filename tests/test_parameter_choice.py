@@ -1,26 +1,32 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import illposed.parameter_choice as parameter_choice
 from illposed import (
     ChiParams,
     DiscrepancyConfig,
     DomainError,
+    Regularizer,
     RegularizerConfig,
+    abel_operator,
     apply,
     apriori_alpha,
     chi,
     chi_inverse,
     diagonal_operator,
     discrepancy_alpha,
+    discrepancy_alphas,
     exp_decay_diagonal,
 )
-from illposed.harness import add_noise
-from illposed.schemes import companion_apply
+from illposed.harness import add_noise, load_config, run_rate_experiment
+from illposed.schemes import companion_apply, regularizer
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_chi_at_inverse_e():
@@ -225,3 +231,77 @@ def test_discrepancy_config_validation():
         DiscrepancyConfig(b0=1.0, b1=2.0, alpha_max=1.0, ratio=1.5)
     with pytest.raises(DomainError):
         DiscrepancyConfig(b0=1.0, b1=2.0, alpha_max=-1.0)
+
+
+LADDER = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+
+
+def _ladder_problem(kind: str):
+    """Operator, initial guess and noisy data of each LADDER row."""
+    if kind == "abel":
+        op = abel_operator(0.5, 64, "l2_scaled")
+        x = np.linspace(0.0, 1.0, op.dim)
+        u_true, ubar = op.grid_function(np.sin(np.pi * x)), op.grid_function(0.1 * x)
+    else:
+        op = exp_decay_diagonal(30)
+        rng = np.random.Generator(np.random.Philox(key=43))
+        u_true, ubar = op.grid_function(rng.standard_normal(op.dim)), op.zeros()
+    f = apply(op, u_true)
+    data = [add_noise(f, d, seed=500 + k) for k, d in enumerate(LADDER)]
+    return op, ubar, data
+
+
+LADDER_CASES = [
+    (kind, cfg)
+    for kind in ("abel", "diagonal")
+    for cfg in (LAV2, RegularizerConfig("cauchy"))
+]
+
+
+@pytest.mark.parametrize("kind, cfg", LADDER_CASES)
+def test_discrepancy_ladder_rows_equal_one_row_calls(kind, cfg):
+    op, ubar, data = _ladder_problem(kind)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
+    rows = discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
+    assert any(math.isfinite(res.alpha) for res in rows)
+    for res, f_delta, delta in zip(rows, data, LADDER):
+        one = discrepancy_alpha(op, cfg, dcfg, f_delta, delta, ubar)
+        assert res.alpha == one.alpha
+        assert np.array_equal(res.u.values, one.u.values)
+        assert res.residual == one.residual
+
+
+@pytest.fixture
+def filter_counts(monkeypatch):
+    """The alphas of the filters the walk builds and of the trials it makes."""
+    built, trials = [], []
+
+    def counting(op, cfg, alpha):
+        built.append(alpha)
+        reg = regularizer(op, cfg, alpha)
+
+        def companion(u):
+            trials.append(alpha)
+            return reg.companion(u)
+
+        return Regularizer(reg.element, reg.apply, companion)
+
+    monkeypatch.setattr(parameter_choice, "regularizer", counting)
+    return built, trials
+
+
+@pytest.mark.parametrize("kind, cfg", LADDER_CASES)
+def test_discrepancy_ladder_builds_one_filter_per_distinct_trial(kind, cfg, filter_counts):
+    built, trials = filter_counts
+    op, ubar, data = _ladder_problem(kind)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
+    discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
+    assert len(built) == len(set(built)) == len(set(trials))
+    assert len(trials) > len(built)  # rows share the grid alpha_max * ratio^j
+
+
+def test_bundled_discrepancy_ladder_counts(filter_counts):
+    # 62 trials on the bundled ladder, 22 distinct alphas, one filter for each
+    built, trials = filter_counts
+    run_rate_experiment(load_config(CONFIG_DIR / "diagonal_discrepancy.json"))
+    assert (len(trials), len(set(trials)), len(built)) == (62, 22, 22)
