@@ -9,7 +9,7 @@ convolution representation
     w(x) = int_0^x log(x - xi) u'(xi) dxi,
     u'(xi) = kappa (-log(c xi))^{-kappa-1} / xi,
 
-which this module evaluates directly by singularity-aware quadrature in
+which this module evaluates directly by double-exponential quadrature in
 numpy alone (the proof-device approximants with cutting functions are not
 needed computationally).  Sufficiency asks kappa > 1: then w(x) -> 0 like
 (log(1/x))^{1-kappa}, a decay that is logarithmic and therefore *slow*.
@@ -115,125 +115,65 @@ def log_kernel_apply_at(u: GridFunction, x: float) -> float:
     return total
 
 
-def log_kernel_derivative(
-    params: LogExampleParams,
-    x_points,
-    rel_tol: float = 1e-6,
-    method: str = "adaptive",
-) -> np.ndarray:
+def log_kernel_derivative(params: LogExampleParams, x_points, rel_tol: float = 1e-6) -> np.ndarray:
     """w(x) = int_0^x log(x - xi) u'(xi) dxi at the requested points.
 
-    Both endpoint singularities are handled: the 1/xi-type (integrable)
-    singularity at xi -> 0 by the substitution ell = log(1/(c xi)), the log
-    kernel at xi -> x by a double-exponential rule with the log x part
-    split off exactly ("adaptive") or a graded composite rule with an
-    analytic first cell ("graded", the independent cross-check).
+    Double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974), all points
+    in one pass.  Left piece, xi in (0, x/2]: with ell = log(1/(c xi)) =
+    ell0 + r, log(x - xi) = log x + log1p(-e^{-r}/2).  The log x part
+    integrates to log(x) ell0^{-kappa} exactly; the rest decays like e^{-r}
+    and takes the exp-sinh map r = exp(pi/2 sinh tau).  Right piece,
+    t = x - xi in [0, x/2]: the tanh-sinh map t = (x/2) / (1 + e^{-pi sinh tau}),
+    free of cancellation near the log singularity t = 0.  The trapezoid rule
+    on tau in [-4, 4] halves h from 1 down to 2^-7; a point stops once a
+    halving changes its sum by at most 1e-13 relative, after at least three
+    halvings, and that last change is its error estimate.  A point whose
+    estimate exceeds ``rel_tol * |w|`` raises QuadratureError (the first such
+    point is named).
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     if np.any(xs <= 0) or np.any(xs > 1):
         raise DomainError("evaluation points must lie in (0, 1]")
-    if method == "adaptive":
-        evaluate = _w_adaptive
-    elif method == "graded":
-        evaluate = _w_graded
-    else:
-        raise DomainError(f"unknown quadrature method {method!r}")
-    return np.array([evaluate(params, float(x), rel_tol) for x in xs])
-
-
-def _w_adaptive(params: LogExampleParams, x: float, rel_tol: float) -> float:
-    """Double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974).
-
-    Left piece, xi in (0, x/2]: with ell = log(1/(c xi)) = ell0 + r,
-    log(x - xi) = log x + log1p(-e^{-r}/2).  The log x part integrates to
-    log(x) ell0^{-kappa} exactly; the rest decays like e^{-r} and takes the
-    exp-sinh map r = exp(pi/2 sinh tau).  Right piece, t = x - xi in
-    [0, x/2]: the tanh-sinh map t = (x/2) / (1 + e^{-pi sinh tau}), free of
-    cancellation near the log singularity t = 0.  The trapezoid rule on
-    tau in [-4, 4] halves h from 1 down to 2^-7 and stops once a halving
-    changes the sum by at most 1e-13 relative, after at least three
-    halvings; that last change is the error estimate.
-    """
     c, kap = params.c, params.kappa
-    ell0 = math.log(2.0 / (c * x))
+    # ell0 and the exact part log(x) ell0^{-kappa} through libm's scalar log
+    # and pow: numpy's vectorized loops may round them an ulp apart
+    ell0 = np.array(list(map(math.log, (2.0 / (c * xs)).tolist())))
+    log_x = np.array(list(map(math.log, xs.tolist())))
+    head = log_x * np.array(list(map(math.pow, ell0.tolist(), [-kap] * xs.size)))
 
-    def integrand(tau: np.ndarray) -> np.ndarray:
+    def rule_sums(tau: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sum of the mapped integrand over the nodes tau, one row per point."""
         phi = 0.5 * math.pi * np.sinh(tau)
         dphi = 0.5 * math.pi * np.cosh(tau)
         r = np.exp(phi)
-        left = np.log1p(-0.5 * np.exp(-r)) * kap * (ell0 + r) ** (-kap - 1.0) * r * dphi
+        x = xs[rows, None]
+        left = np.log1p(-0.5 * np.exp(-r)) * kap * (ell0[rows, None] + r) ** (-kap - 1.0) * r * dphi
         t = 0.5 * x / (1.0 + np.exp(-2.0 * phi))
         dt = 0.5 * x * dphi / (1.0 + np.cosh(2.0 * phi))
-        return left + np.log(t) * u_log_derivative(params, x - t) * dt
+        return np.sum(left + np.log(t) * u_log_derivative(params, x - t) * dt, axis=1)
 
     h = 1.0
-    rule = float(np.sum(integrand(np.arange(-4.0, 4.5))))
+    rule = rule_sums(np.arange(-4.0, 4.5), np.arange(xs.size))
+    err = np.empty(xs.size)
+    active = np.ones(xs.size, dtype=bool)
     for halving in range(1, 8):
         h /= 2.0
-        refined = 0.5 * rule + h * float(np.sum(integrand(np.arange(-4.0 + h, 4.0, 2.0 * h))))
-        err, rule = abs(refined - rule), refined
-        if halving >= 3 and err <= 1e-13 * abs(rule):
-            break
-    total = math.log(x) * ell0**-kap + rule
-    if err > rel_tol * max(abs(total), 1e-12):
+        rows = np.flatnonzero(active)
+        refined = 0.5 * rule[rows] + h * rule_sums(np.arange(-4.0 + h, 4.0, 2.0 * h), rows)
+        err[rows], rule[rows] = np.abs(refined - rule[rows]), refined
+        if halving >= 3:
+            active[rows] = ~(err[rows] <= 1e-13 * np.abs(refined))
+            if not active.any():
+                break
+    total = head + rule
+    failed = np.flatnonzero(err > rel_tol * np.maximum(np.abs(total), 1e-12))
+    if failed.size:
+        i = failed[0]
         raise QuadratureError(
-            f"w({x}) quadrature error {err:.2e} exceeds tolerance "
-            f"{rel_tol:.2e} * |{total:.6e}|"
+            f"w({float(xs[i])}) quadrature error {float(err[i]):.2e} exceeds tolerance "
+            f"{rel_tol:.2e} * |{float(total[i]):.6e}|"
         )
     return total
-
-
-def _gl_panels(edges: np.ndarray, npts: int = 10):
-    xi, wi = np.polynomial.legendre.leggauss(npts)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    wts = (half[:, None] * wi[None, :]).ravel()
-    return pts, wts
-
-
-def _w_graded(params: LogExampleParams, x: float, rel_tol: float) -> float:
-    """Independent evaluation: geometric panels in ell on the left, grading
-    exponent 2 toward the log singularity on the right, analytic first cell.
-
-    The rule is rerun at half resolution; a gap above rel_tol * |w| raises.
-    """
-    total = _w_graded_rule(params, x, left_edges=160, right_panels=80)
-    coarse = _w_graded_rule(params, x, left_edges=80, right_panels=40)
-    if abs(total - coarse) > rel_tol * abs(total):
-        raise QuadratureError(
-            f"w({x}) graded rule changes by {abs(total - coarse):.2e} at half "
-            f"resolution, above {rel_tol:.2e} * |{total:.6e}|"
-        )
-    return total
-
-
-def _w_graded_rule(
-    params: LogExampleParams, x: float, left_edges: int, right_panels: int
-) -> float:
-    c, kap = params.c, params.kappa
-    ell0 = math.log(2.0 / (c * x))
-    # left part in ell: tail beyond ell_max contributes ~ |log x| * ell_max^{-kap}
-    ell_max = max((abs(math.log(x)) + 10.0) / 1e-10, 1e4) ** (1.0 / kap)
-    ell_max = max(ell_max, 4.0 * ell0)
-    edges = np.geomspace(ell0, ell_max, left_edges)
-    pts, wts = _gl_panels(edges)
-    left = float(np.sum(wts * np.log(x - np.exp(-pts) / c) * kap * pts ** (-kap - 1.0)))
-    # right part in t = x - xi on [0, x/2], graded toward t = 0
-    grid = (np.arange(right_panels + 1) / right_panels) ** 2 * (x / 2.0)
-    t1 = grid[1]
-    # analytic first cell: u'(x - t) ~ linear, log t integrated exactly
-    g0 = float(u_log_derivative(params, np.array([x]))[0])
-    g1 = float(u_log_derivative(params, np.array([x - t1]))[0])
-    slope = (g1 - g0) / t1
-    m0 = t1 * (math.log(t1) - 1.0)
-    m1 = 0.5 * t1 * t1 * math.log(t1) - 0.25 * t1 * t1
-    right = g0 * m0 + slope * m1
-    pts_t, wts_t = _gl_panels(grid[1:])
-    right += float(
-        np.sum(wts_t * np.log(pts_t) * u_log_derivative(params, x - pts_t))
-    )
-    return left + right
 
 
 @dataclass(frozen=True)

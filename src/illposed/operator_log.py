@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fractional import fractional_power_exact, series_log, series_power
-from .grid import GridFunction
+from .grid import GridFunction, grid_norms
 from .operators import DiscreteOperator, SymbolMap
 
 
@@ -53,13 +53,8 @@ def log_apply(
     ps = default_p_schedule() if p_schedule is None else np.asarray(p_schedule, dtype=float)
     if ps.size < 4 or np.any(np.diff(ps) >= 0) or np.any(ps <= 0):
         raise DomainError("p schedule must be strictly decreasing, positive, length >= 4")
-    quotients = []
-    for p in ps:
-        ap = fractional_power_exact(op, float(p), u)
-        quotients.append((ap - u) * (1.0 / p))
-    dists = np.array(
-        [(quotients[k + 1] - quotients[k]).norm() for k in range(len(quotients) - 1)]
-    )
+    quotients = [(fractional_power_exact(op, float(p), u) - u) * (1.0 / p) for p in ps]
+    dists = grid_norms(np.diff([q.values for q in quotients], axis=0), u.norm_kind)
     floor = 1e-13 * max(1.0, u.norm())
     if dists[-1] <= floor:
         cauchy = True

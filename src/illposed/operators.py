@@ -140,7 +140,8 @@ class DiscreteOperator:
     weights (Volterra kinds) or the singular values (diagonal kind); every
     Volterra operation is a convolution with a series built from the lags,
     so no matrix is stored and memory is O(n).  ``kappa_star`` is the
-    positive-type constant, computed on first read; ``omega`` is log ||A||.
+    positive-type constant and ``inverse_lags`` the lag series of A^{-1},
+    both computed on first read; ``omega`` is log ||A||.
     """
 
     kind: str
@@ -159,6 +160,15 @@ class DiscreteOperator:
     def kappa_star(self) -> float:
         """``estimate_postype_constant`` over ``default_kappa_grid``, cached."""
         return estimate_postype_constant(self, default_kappa_grid(self.op_norm))
+
+    @functools.cached_property
+    def inverse_lags(self) -> np.ndarray:
+        """The lag series of A^{-1} on nodes 1..n, ``series_reciprocal(weights)``, cached.
+
+        Volterra kinds only; it does not depend on any shift, so every alpha
+        of the evolution method shares it.
+        """
+        return series_reciprocal(self.weights)
 
     @property
     def is_volterra(self) -> bool:

@@ -41,7 +41,6 @@ from .operators import (
     SymbolMap,
     _check_dims,
     _mul,
-    series_reciprocal,
     shifted_solve,  # bench/tracing.py counts calls through schemes.<name>
     shifted_solver,
 )
@@ -159,7 +158,7 @@ def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
         gap = -series
         gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
         decay = SymbolMap(series, volterra=True, node0=1.0)
-        phi = _mul(gap, series_reciprocal(lags), lags.size)
+        phi = _mul(gap, op.inverse_lags, lags.size)
         reach = SymbolMap(phi, volterra=True, node0=t)
     return Regularizer(lambda f, ubar: decay(ubar) + reach(f), reach, decay)
 
@@ -251,8 +250,9 @@ def qualification_checks(
 ) -> list[QualificationReport]:
     """``qualification_check`` at each order in ``ps``.
 
-    S_alpha is built once per alpha and serves every order; A^p of the probe
-    block is built once per order.
+    A^p of the probe block is built once per order, and the blocks of every
+    order are stacked into one; S_alpha is built once per alpha and applied
+    to that stacked block in one call.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -271,13 +271,13 @@ def qualification_checks(
         block = np.reshape([u.values for u in probes], (-1, op.dim))
     norms = grid_norms(block, op.norm_kind)
     block, norms = block[norms != 0.0], norms[norms != 0.0]
-    powered = [power_map(op, p)(block) for p in ps]
+    rows = block.shape[0]
+    powered = np.concatenate([power_map(op, p)(block) for p in ps])
     sups = [0.0] * len(ps)
     for a in grid:
-        s_alpha = regularizer(op, cfg, float(a))
+        decayed = grid_norms(regularizer(op, cfg, float(a)).companion(powered), op.norm_kind)
         for j, p in enumerate(ps):
-            decayed = grid_norms(s_alpha.companion(powered[j]), op.norm_kind)
-            ratios = decayed / (float(a) ** p * norms)
+            ratios = decayed[j * rows : (j + 1) * rows] / (float(a) ** p * norms)
             sups[j] = max(sups[j], float(np.max(ratios, initial=0.0)))
     reports = []
     for p, sup in zip(ps, sups):

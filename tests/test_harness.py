@@ -501,6 +501,67 @@ def test_bundled_check_axioms_golden(name):
     _assert_axioms_match(got, want)
 
 
+@pytest.mark.parametrize("kappa", ["2", "0.5"])
+def test_loworder_verify_golden(kappa, tmp_path):
+    out = tmp_path / "low.json"
+    assert cli_main(["loworder-verify", "--c", "0.5", "--kappa", kappa, "--out", str(out)]) == 0
+    want = json.loads((GOLDEN_DIR / f"loworder_c0.5_kappa{kappa}.json").read_text(encoding="utf-8"))
+    _assert_axioms_match(json.loads(out.read_text(encoding="utf-8")), want, "loworder")
+
+
+def test_check_axioms_builds_no_ground_truth(monkeypatch):
+    # the axioms do not read the source condition: no mixed element is built
+    import illposed.harness as harness
+
+    calls = []
+    build = harness.make_mixed_smooth_element
+
+    def counting(op, sc):
+        calls.append(op.kind)
+        return build(op, sc)
+
+    monkeypatch.setattr(harness, "make_mixed_smooth_element", counting)
+    config = load_config(CONFIG_DIR / "integration_apriori.json")
+    check_axioms(config)
+    assert calls == []
+    run_rate_experiment(config)
+    assert calls == ["integration"]
+
+
+def test_check_axioms_one_filter_per_alpha(monkeypatch):
+    # growth and commutation: one filter and one block apply per alpha
+    import illposed.harness as harness
+    from illposed.schemes import Regularizer
+
+    calls = {"build": 0, "apply": 0}
+    build, apply_block = harness.regularizer, Regularizer.apply
+
+    def counting_build(op, cfg, alpha):
+        calls["build"] += 1
+        return build(op, cfg, alpha)
+
+    def counting_apply(self, g):
+        calls["apply"] += 1
+        return apply_block(self, g)
+
+    monkeypatch.setattr(harness, "regularizer", counting_build)
+    monkeypatch.setattr(Regularizer, "apply", counting_apply)
+    check_axioms(load_config(CONFIG_DIR / "integration_apriori.json"))
+    assert calls == {"build": 20, "apply": 20}
+
+
+def test_check_axioms_ignores_source(tmp_path):
+    # a source whose A^p overflows no longer stops the axiom suites
+    outs = []
+    for p in (0.5, 1000000.5):
+        cfg_path = tmp_path / f"cfg{p}.json"
+        cfg_path.write_text(json.dumps(abel_cauchy_doc(p=p)), encoding="utf-8")
+        out = tmp_path / f"axioms{p}.json"
+        assert cli_main(["check-axioms", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outs.append(out.read_text(encoding="utf-8"))
+    assert outs[0] == outs[1]
+
+
 def test_csv_schema():
     report = run_rate_experiment(parse_config(make_doc()))
     text = report_csv(report)

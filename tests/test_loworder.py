@@ -21,7 +21,7 @@ from illposed import (
 )
 from illposed.loworder import EULER_GAMMA, abel_order_derivative_identity_gap
 from illposed.operators import SymbolMap
-from oracles import log_kernel_apply, quadpack_w
+from oracles import graded_w, log_kernel_apply, quadpack_w
 
 PARAMS = LogExampleParams(c=0.5, kappa=2.0)
 
@@ -133,14 +133,14 @@ def test_log_kernel_transform_bounded():
 def test_w_dual_quadrature_agreement():
     xs = [1.0, 0.5, 0.125]
     adaptive = log_kernel_derivative(PARAMS, xs)
-    graded = log_kernel_derivative(PARAMS, xs, method="graded")
+    graded = graded_w(PARAMS, xs)
     assert np.max(np.abs(adaptive - graded)) <= 1e-5 * np.max(np.abs(adaptive))
 
 
 def test_w_graded_enforces_rel_tol():
     # the graded rule agrees with its half-resolution rerun to ~1e-8, not 1e-14
     with pytest.raises(QuadratureError):
-        log_kernel_derivative(PARAMS, [2.0**-10], rel_tol=1e-14, method="graded")
+        graded_w(PARAMS, [2.0**-10], rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0, 3.0])
@@ -149,15 +149,46 @@ def test_w_adaptive_matches_quadpack(c, kappa):
     # within the epsrel = 1e-10 that QUADPACK itself is asked for
     params = LogExampleParams(c=c, kappa=kappa)
     xs = [1.0, 2.0**-1, 2.0**-10, 2.0**-20, 2.0**-143, 2.0**-400]
-    got = log_kernel_derivative(params, xs, method="adaptive")
+    got = log_kernel_derivative(params, xs)
     ref = np.array([quadpack_w(params, x) for x in xs])
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+
+MEMBERSHIP_XS = [2.0**-k for k in range(4, 21)] + [0.5, 2.0**-143, 2.0**-400]
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+def test_w_all_points_equal_one_point_calls(c, kappa):
+    # one pass over all points stops each where it would stop alone: same
+    # bits, and at rel_tol = 1e-15 the same first failing point and message
+    params = LogExampleParams(c=c, kappa=kappa)
+    together = log_kernel_derivative(params, MEMBERSHIP_XS)
+    alone = [log_kernel_derivative(params, [x])[0] for x in MEMBERSHIP_XS]
+    assert np.array_equal(together, alone)
+    messages = []
+    for x in MEMBERSHIP_XS:
+        try:
+            log_kernel_derivative(params, [x], rel_tol=1e-15)
+        except QuadratureError as exc:
+            messages.append(str(exc))
+    if not messages:
+        log_kernel_derivative(params, MEMBERSHIP_XS, rel_tol=1e-15)
+        return
+    with pytest.raises(QuadratureError) as info:
+        log_kernel_derivative(params, MEMBERSHIP_XS, rel_tol=1e-15)
+    assert str(info.value) == messages[0]
+    frozen = {
+        (0.5, 2.0): "w(0.5) quadrature error 7.42e-14 exceeds tolerance 1.00e-15 * |-9.519125e-01|",
+        (0.9, 2.0): "w(0.5) quadrature error 6.13e-14 exceeds tolerance 1.00e-15 * |-3.479421e+00|",
+    }
+    assert messages[0] == frozen[(c, kappa)]
 
 
 def test_w_adaptive_enforces_rel_tol():
     # at x = 1 the last halving moves the sum by 5.9e-14, 1.7e-14 of |w| = 3.4
     with pytest.raises(QuadratureError):
-        log_kernel_derivative(PARAMS, [1.0], rel_tol=1e-15, method="adaptive")
+        log_kernel_derivative(PARAMS, [1.0], rel_tol=1e-15)
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):
@@ -210,8 +241,6 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 def test_w_domain_checks():
     with pytest.raises(DomainError):
         log_kernel_derivative(PARAMS, [0.0])
-    with pytest.raises(DomainError):
-        log_kernel_derivative(PARAMS, [0.5], method="bogus")
 
 
 def test_abel_order_derivative_identity():

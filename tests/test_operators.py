@@ -19,6 +19,7 @@ from illposed import (
     product_integration_weights,
     shifted_solve,
 )
+from illposed.grid import NORM_KINDS, grid_norm, grid_norms
 from illposed.operators import (
     _postype_ratios,
     _power_iteration_norm,
@@ -311,6 +312,18 @@ def test_grid_function_norms():
         GridFunction([1.0], "sup")
     with pytest.raises(ValueError):
         GridFunction([1.0, math.inf], "sup")
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_grid_norms_rows_equal_grid_norm(kind):
+    # one reduction per block keeps each row's grid_norm bits; the scope is
+    # one machine, numpy and BLAS build
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for n in range(2, 1101):
+        for rows in (1, 3, 4, 12, 51):
+            block = rng.standard_normal((rows, n))
+            want = np.array([grid_norm(row, kind) for row in block])
+            assert np.array_equal(grid_norms(block, kind), want), (n, rows)
 
 
 def test_operator_rescaling():

@@ -16,6 +16,7 @@ from illposed import (
     integration_operator,
     lavrentiev_iterated,
     qualification_check,
+    qualification_checks,
     regularize,
     regularizer,
     regularizer_apply,
@@ -370,3 +371,35 @@ def test_config_validation():
         RegularizerConfig("lavrentiev", m=0)
     assert RegularizerConfig("cauchy").p0 == math.inf
     assert RegularizerConfig("lavrentiev", m=3).p0 == 3.0
+
+
+@pytest.mark.parametrize(
+    "op",
+    [integration_operator(64, "sup"), exp_decay_diagonal(30, "l2_scaled")],
+    ids=["integration_sup", "diagonal30"],
+)
+def test_qualification_stacked_orders_equal_single_orders(op):
+    # the orders share one stacked block per alpha; each keeps its own bits
+    grid = np.logspace(-6, 0, 13) * op.op_norm
+    stacked = qualification_checks(op, LAV2, [0, 1, 2], grid)
+    assert stacked == [qualification_check(op, LAV2, p, grid) for p in (0, 1, 2)]
+
+
+def test_cauchy_inverse_lags_built_once_per_operator(monkeypatch):
+    # A^{-1}'s lag series does not depend on alpha: five filters, one build
+    import illposed.operators as operators
+
+    op = abel_operator(0.5, 64, "sup")
+    calls = []
+    reciprocal = operators.series_reciprocal
+
+    def counting(coeffs):
+        if np.array_equal(coeffs, op.weights):
+            calls.append(1)
+        return reciprocal(coeffs)
+
+    monkeypatch.setattr(operators, "series_reciprocal", counting)
+    for ratio in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+        regularizer(op, CAUCHY, ratio * op.op_norm)
+    assert len(calls) == 1
+    assert np.array_equal(op.inverse_lags, reciprocal(op.weights))
