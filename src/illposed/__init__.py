@@ -48,7 +48,6 @@ from .operator_log import (
     default_p_schedule,
     log_apply,
     make_mixed_smooth_element,
-    shifted_log_resolvent_power,
 )
 from .operators import (
     DiscreteOperator,
@@ -58,7 +57,6 @@ from .operators import (
     estimate_postype_constant,
     exp_decay_diagonal,
     integration_operator,
-    postype_ratio,
     product_integration_weights,
     shifted_solve,
 )
@@ -76,14 +74,9 @@ from .schemes import (
     QualificationReport,
     Regularizer,
     RegularizerConfig,
-    cauchy_method,
-    companion_apply,
-    lavrentiev_iterated,
-    qualification_check,
     qualification_checks,
     regularize,
     regularizer,
-    regularizer_apply,
 )
 
 __version__ = "0.1.0"

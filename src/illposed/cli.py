@@ -83,23 +83,14 @@ def _run(args) -> int:
     if args.command == "run":
         cfg = _load_with_overrides(args.config, args.seed, args.grid_n)
         report = run_rate_experiment(cfg, out_dir=args.out)
-        summary = dict(report.summary)
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps(report.summary, indent=2, sort_keys=True))
         return 0
 
     if args.command == "loworder-verify":
         params = LogExampleParams(c=args.c, kappa=args.kappa)
-        report = verify_membership(params, n=args.grid_n)
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    # check-axioms
-    cfg = _load_with_overrides(args.config, args.seed, args.grid_n)
-    result = check_axioms(cfg)
+        result = verify_membership(params, n=args.grid_n).to_dict()
+    else:  # check-axioms
+        result = check_axioms(_load_with_overrides(args.config, args.seed, args.grid_n))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -106,11 +106,14 @@ def series_exp(g: np.ndarray) -> np.ndarray:
     size = float(np.abs(g).sum())
     s = math.ceil(math.log2(size)) if size > 1.0 else 0
     gs = g / 2.0**s
-    b = np.zeros(n)
-    b[0] = math.exp(gs[0])
+    # rev[n-1-j] = b_j, so b_{m-1}..b_0 is the contiguous tail rev[n-m:]: the
+    # same ddot operands as a reversed view of b, without the copy np.dot makes
+    rev = np.zeros(n)
+    rev[n - 1] = math.exp(gs[0])
     kgs = np.arange(n, dtype=float) * gs
     for m in range(1, n):
-        b[m] = np.dot(kgs[1 : m + 1], b[m - 1 :: -1][:m]) / m
+        rev[n - 1 - m] = np.dot(kgs[1 : m + 1], rev[n - m :]) / m
+    b = rev[::-1].copy()
     for _ in range(s):
         b = _mul(b, b, n)
     return b

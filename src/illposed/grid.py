@@ -102,6 +102,3 @@ class GridFunction:
         return self.with_values(float(a) * self.values)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return self.with_values(-self.values)

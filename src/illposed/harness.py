@@ -1,37 +1,17 @@
 """Experiment orchestration: problem assembly, exact-norm noise, rate runs.
 
-Configs are JSON documents (schema below, versioned).  All randomness flows
-through the Philox 4x64 counter-based generator keyed by explicit seeds, so
-identical configs produce byte-identical CSV output.
+Configs are JSON documents, versioned by ``schema_version`` (1).  ``FIELDS``
+is the schema: one row per field with its type, bounds, default and the
+operator kind, source element, scheme or rule it applies to.
+``parse_config`` checks a document against it row by row, then checks the
+rules that tie fields together (sigma order, the unit index below the
+operator's dimension, the ladder below ``delta0`` and strictly decreasing,
+``p`` below the scheme's saturation), and returns a normalized copy that
+holds every field that applies, defaults filled in.  The builders read only
+that copy.  Every error is a ``ConfigError`` that names the field.
 
-Config schema (schema_version 1)::
-
-    {
-      "schema_version": 1,
-      "seed": 123,
-      "operator": {"kind": "diagonal", "modes": 50, "sigma_rule": "exp_decay",
-                   "norm": "l2_scaled"}
-                  | {"kind": "diagonal", "sigma": [...], "norm": ...}
-                  | {"kind": "integration", "n": 512, "norm": "sup"}
-                  | {"kind": "abel", "order": 0.5, "n": 256, "norm": "sup"},
-                  each optionally with "rescale_to_half_norm": true
-                  (preprocess to ||A|| = 1/2, making the unshifted source
-                  form reachable via lambda_offset = -omega),
-      "source":   {"p": 0.0, "nu": 1, "lambda_offset": 1.0,
-                   "w": {"kind": "random", "seed": 7, "normalize": true}
-                      | {"kind": "unit", "index": 3}   # 0 <= index < dim
-                      | {"kind": "function", "name": "ones" | "ramp" |
-                         "parabola" | "sinpi"}
-                      | {"kind": "zero"}},
-      "scheme":   {"name": "lavrentiev", "m": 2}
-                  | {"name": "cauchy"},
-      "rule":     {"name": "apriori", "c0": 1.0}
-                  | {"name": "discrepancy", "b0": 6.0, "b1": 8.0,
-                     "c0": optional sharp companion bound},
-      "delta_ladder": [1e-2, ...],   # strictly decreasing, all < delta0
-      "delta0": 0.1,
-      "spread_tolerance": 3.0
-    }
+All randomness flows through the Philox 4x64 counter-based generator keyed
+by explicit seeds, so identical configs produce byte-identical CSV output.
 
 Outputs: ``report.csv`` (header ``delta,alpha,error,residual,bound,ratio``,
 floats with 17 significant digits, alpha = inf serialized as "inf"),
@@ -40,10 +20,11 @@ floats with 17 significant digits, alpha = inf serialized as "inf"),
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +33,7 @@ from .errors import ConfigError, DomainError
 from .grid import GridFunction, NORM_KINDS, grid_norms
 from .operator_log import SourceCondition, make_mixed_smooth_element
 from .operators import (
+    MAX_GRID_CELLS,
     DiscreteOperator,
     _postype_ratios,
     abel_operator,
@@ -70,7 +52,7 @@ from .parameter_choice import (
 )
 from .schemes import (
     RegularizerConfig,
-    companion_apply,
+    _one_row,
     qualification_checks,
     regularize,
     regularizer,
@@ -79,151 +61,171 @@ from .schemes import (
 SCHEMA_VERSION = 1
 #: exp(-745) is the last sigma_k = exp(-k) that does not underflow to 0
 MAX_EXP_DECAY_MODES = 746
+#: check-axioms checks the m + 1 qualification orders 0..m, so its cost grows as m^2
+MAX_LAVRENTIEV_STEPS = 64
+#: the pass verdict's bound on ratio_spread = max/median, which is never below 1
+SPREAD_TOLERANCE = 3.0
 GENERATOR_NAME = "philox4x64"  # numpy Philox, 64-bit counter-based
 
+_W_FUNCTIONS = {
+    "ones": lambda x: np.ones_like(x),
+    "ramp": lambda x: x,
+    "parabola": lambda x: x * (1.0 - x),
+    "sinpi": lambda x: np.sin(np.pi * x),
+}
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return d[key]
+_REQUIRED = object()
+_ANY = (-math.inf, math.inf, "()")
+_POSITIVE = (0, math.inf, "()")
+_VOLTERRA = ("operator.kind", ("integration", "abel"))
+_DIAGONAL = ("operator.kind", ("diagonal",))
+_EXP_DECAY = (_DIAGONAL, ("operator.sigma", (None,)))
+_DISCREPANCY = (("rule.name", ("discrepancy",)),)
+#: (path, type, bounds, default, when), checked in order.  Bounds are
+#: (lo, hi, brackets) for "int", "number" and the entries of "numbers", or
+#: the admitted values of "choice".  A row applies when the field at each
+#: (path, values) pair of ``when`` holds one of the values.  A field that
+#: applies and is left out takes the default, or is an error when it is
+#: _REQUIRED; a field whose default is None may also be null.
+FIELDS = (
+    ("schema_version", "choice", (SCHEMA_VERSION,), _REQUIRED, ()),
+    # Philox keys lie below 2^128; row k draws its noise with seed + k
+    ("seed", "int", (0, 2**127, "[]"), 0, ()),
+    ("operator", "object", None, _REQUIRED, ()),
+    ("operator.kind", "choice", ("diagonal", "integration", "abel"), _REQUIRED, ()),
+    ("operator.order", "number", (0, 1, "(]"), _REQUIRED, (("operator.kind", ("abel",)),)),
+    ("operator.n", "int", (2, MAX_GRID_CELLS, "[]"), _REQUIRED, (_VOLTERRA,)),
+    ("operator.norm", "choice", NORM_KINDS, "sup", (_VOLTERRA,)),
+    ("operator.norm", "choice", NORM_KINDS, "l2_scaled", (_DIAGONAL,)),
+    ("operator.sigma", "numbers", _POSITIVE, None, (_DIAGONAL,)),
+    ("operator.modes", "int", (2, MAX_EXP_DECAY_MODES, "[]"), _REQUIRED, _EXP_DECAY),
+    ("operator.sigma_rule", "choice", ("exp_decay",), "exp_decay", _EXP_DECAY),
+    ("operator.rescale_to_half_norm", "bool", None, False, ()),
+    ("source", "object", None, _REQUIRED, ()),
+    ("source.p", "number", _ANY, _REQUIRED, ()),
+    ("source.nu", "int", (1, math.inf, "[)"), _REQUIRED, ()),
+    ("source.lambda_offset", "number", _POSITIVE, _REQUIRED, ()),
+    ("source.w", "object", None, _REQUIRED, ()),
+    ("source.w.kind", "choice", ("random", "unit", "function", "zero"), _REQUIRED, ()),
+    ("source.w.index", "int", (0, math.inf, "[)"), _REQUIRED, (("source.w.kind", ("unit",)),)),
+    ("source.w.seed", "int", (0, 2**127, "[]"), _REQUIRED, (("source.w.kind", ("random",)),)),
+    ("source.w.normalize", "bool", None, True, (("source.w.kind", ("random",)),)),
+    ("source.w.name", "choice", tuple(_W_FUNCTIONS), _REQUIRED,
+     (("source.w.kind", ("function",)),)),
+    ("scheme", "object", None, _REQUIRED, ()),
+    ("scheme.name", "choice", ("lavrentiev", "cauchy"), _REQUIRED, ()),
+    ("scheme.m", "int", (1, MAX_LAVRENTIEV_STEPS, "[]"), RegularizerConfig.m,
+     (("scheme.name", ("lavrentiev",)),)),
+    ("rule", "object", None, _REQUIRED, ()),
+    ("rule.name", "choice", ("apriori", "discrepancy"), _REQUIRED, ()),
+    ("rule.c0", "number", _POSITIVE, 1.0, (("rule.name", ("apriori",)),)),
+    # absent: the certified companion bound of the scheme
+    ("rule.c0", "number", _POSITIVE, None, _DISCREPANCY),
+    ("rule.b0", "number", _ANY, _REQUIRED, _DISCREPANCY),
+    ("rule.b1", "number", _ANY, _REQUIRED, _DISCREPANCY),
+    # absent: ||A||
+    ("rule.alpha_max", "number", _POSITIVE, None, _DISCREPANCY),
+    ("rule.ratio", "number", (0, 1, "()"), DiscrepancyConfig.ratio, _DISCREPANCY),
+    ("rule.bisect_tol", "number", _POSITIVE, DiscrepancyConfig.bisect_tol, _DISCREPANCY),
+    ("delta_ladder", "numbers", _POSITIVE, _REQUIRED, ()),
+    ("delta0", "number", (0, 1, "()"), 0.1, ()),
+    ("spread_tolerance", "number", (1, math.inf, "[)"), SPREAD_TOLERANCE, ()),
+)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _at(doc: dict, path: str):
+    """The field at a dotted path, None where it is missing."""
+    for key in path.split("."):
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
 
 
-def _is_finite(value) -> bool:
-    return _is_number(value) and abs(value) <= sys.float_info.max
+def _complaint(kind: str, bounds, value) -> str | None:
+    """What is wrong with ``value`` for a field of this type and bounds, or None."""
+    if kind == "choice":
+        return None if value in bounds else f"must be one of {list(bounds)}, got {value!r}"
+    if kind in ("object", "bool"):
+        if isinstance(value, dict if kind == "object" else bool):
+            return None
+        return f"must be {'a JSON object' if kind == 'object' else 'true or false'}, got {value!r}"
+    lo, hi, brackets = bounds
+    number = int if kind == "int" else (int, float)
 
+    def fits(v) -> bool:
+        if isinstance(v, bool) or not isinstance(v, number) or not abs(v) <= sys.float_info.max:
+            return False
+        above = lo < v or (brackets[0] == "[" and v == lo)
+        return above and (v < hi or (brackets[1] == "]" and v == hi))
 
-def _require_number(d: dict, key: str, path: str) -> float:
-    value = _require(d, key, path)
-    if not _is_finite(value):
-        raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _require_int(d: dict, key: str, path: str, lo: int, hi: float = math.inf) -> None:
-    value = _require(d, key, path)
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        span = f">= {lo}" if math.isinf(hi) else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{path}.{key}: must be an integer {span}, got {value!r}")
+    span = f" in {brackets[0]}{lo}, {hi}{brackets[1]}"
+    if kind == "numbers":
+        if isinstance(value, list) and all(map(fits, value)):
+            return None
+        return f"must be a list of finite numbers{span}"
+    if fits(value):
+        return None
+    return f"must be {'an integer' if kind == 'int' else 'a finite number'}{span}, got {value!r}"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
-
-    @property
-    def delta_ladder(self) -> list[float]:
-        return [float(d) for d in self.raw["delta_ladder"]]
-
-    @property
-    def spread_tolerance(self) -> float:
-        return float(self.raw.get("spread_tolerance", 3.0))
+    raw: dict  # the normalized document: every field that applies, defaults filled
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document; errors carry the offending field path."""
+    """Check a config document against ``FIELDS`` and the cross-field rules.
+
+    Errors carry the offending field path.  The document is not changed: the
+    config holds a copy with the defaults filled in.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    version = _require(doc, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema_version: unsupported version {version}")
-    if "seed" in doc:
-        # Philox keys lie below 2^128; row k draws its noise with seed + k
-        _require_int(doc, "seed", "config", 0, 2**127)
-    op = _require(doc, "operator", "config")
-    kind = _require(op, "kind", "config.operator")
-    if kind not in ("diagonal", "integration", "abel"):
-        raise ConfigError(f"config.operator.kind: unknown kind {kind!r}")
-    if kind == "abel":
-        order = _require(op, "order", "config.operator")
-        if not _is_number(order) or not 0.0 < order <= 1.0:
-            raise ConfigError(f"config.operator.order: must be a number in (0, 1], got {order!r}")
-    if kind in ("integration", "abel"):
-        _require_int(op, "n", "config.operator", 2)
-    if kind == "diagonal" and "sigma" in op:
-        s = op["sigma"]
-        ok = isinstance(s, list) and len(s) >= 2
-        ok = ok and all(_is_finite(v) and v > 0 for v in s)
-        if not ok or any(b > a for a, b in zip(s, s[1:])):
-            raise ConfigError(
-                "config.operator.sigma: must be a list of at least 2 finite, positive, "
-                "nonincreasing numbers"
-            )
-    elif kind == "diagonal":
-        if "modes" not in op:
-            raise ConfigError("config.operator: diagonal kind needs 'sigma' or 'modes'")
-        _require_int(op, "modes", "config.operator", 2, MAX_EXP_DECAY_MODES)
-    if "norm" in op and op["norm"] not in NORM_KINDS:
-        raise ConfigError(f"config.operator.norm: must be one of {NORM_KINDS}, got {op['norm']!r}")
-    src = _require(doc, "source", "config")
-    p = _require_number(src, "p", "config.source")
-    _require_int(src, "nu", "config.source", 1)
-    if _require_number(src, "lambda_offset", "config.source") <= 0:
-        raise ConfigError("config.source.lambda_offset: must be positive")
-    wspec = _require(src, "w", "config.source")
-    wkind = _require(wspec, "kind", "config.source.w")
-    if wkind not in ("random", "unit", "function", "zero"):
-        raise ConfigError(f"config.source.w.kind: unknown kind {wkind!r}")
-    if wkind == "unit":
-        if kind != "diagonal":
+    doc = copy.deepcopy(doc)
+    for path, kind, bounds, default, when in FIELDS:
+        if not all(_at(doc, cond) in values for cond, values in when):
+            continue
+        parent, _, key = path.rpartition(".")
+        node = _at(doc, parent) if parent else doc
+        if key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"config.{path}: missing required field")
+            node[key] = default
+        elif default is not None or node[key] is not None:
+            complaint = _complaint(kind, bounds, node[key])
+            if complaint:
+                raise ConfigError(f"config.{path}: {complaint}")
+    op, src, scheme, rule = doc["operator"], doc["source"], doc["scheme"], doc["rule"]
+    sigma = op["sigma"] if op["kind"] == "diagonal" else None
+    if sigma is not None and (len(sigma) < 2 or any(b > a for a, b in zip(sigma, sigma[1:]))):
+        raise ConfigError(
+            "config.operator.sigma: must be a list of at least 2 finite, positive, "
+            "nonincreasing numbers"
+        )
+    if src["w"]["kind"] == "unit":
+        if op["kind"] != "diagonal":
             dim = op["n"] + 1
         else:
-            dim = len(op["sigma"]) if "sigma" in op else op["modes"]
-        _require_int(wspec, "index", "config.source.w", 0, dim - 1)
-    elif wkind == "random":
-        _require_int(wspec, "seed", "config.source.w", 0, 2**127)
-        if not isinstance(wspec.get("normalize", True), bool):
+            dim = op["modes"] if sigma is None else len(sigma)
+        if not src["w"]["index"] < dim:
             raise ConfigError(
-                f"config.source.w.normalize: must be true or false, got {wspec['normalize']!r}"
+                f"config.source.w.index: must be an integer in [0, {dim - 1}], "
+                f"got {src['w']['index']!r}"
             )
-    elif wkind == "function" and _require(wspec, "name", "config.source.w") not in _W_FUNCTIONS:
-        raise ConfigError(
-            f"config.source.w.name: must be one of {sorted(_W_FUNCTIONS)}, got {wspec['name']!r}"
-        )
-    scheme = _require(doc, "scheme", "config")
-    name = _require(scheme, "name", "config.scheme")
-    if name not in ("lavrentiev", "cauchy"):
-        raise ConfigError(f"config.scheme.name: unknown scheme {name!r}")
-    if name == "lavrentiev" and "m" in scheme:
-        _require_int(scheme, "m", "config.scheme", 1)
-    rule = _require(doc, "rule", "config")
-    rname = _require(rule, "name", "config.rule")
-    if rname not in ("apriori", "discrepancy"):
-        raise ConfigError(f"config.rule.name: unknown rule {rname!r}")
-    if "c0" in rule and _require_number(rule, "c0", "config.rule") <= 0:
-        raise ConfigError("config.rule.c0: must be positive")
-    if rname == "discrepancy":
-        _require_number(rule, "b0", "config.rule")
-        _require_number(rule, "b1", "config.rule")
-    ladder = _require(doc, "delta_ladder", "config")
-    if not isinstance(ladder, list) or not all(_is_finite(d) for d in ladder):
-        raise ConfigError("config.delta_ladder: must be a list of finite numbers")
-    deltas = [float(d) for d in ladder]
-    delta0 = _require_number(doc, "delta0", "config") if "delta0" in doc else 0.1
-    if not 0.0 < delta0 < 1.0:
-        raise ConfigError("config.delta0: must lie in (0, 1)")
-    if any(d <= 0 or d > delta0 for d in deltas):
+    deltas = doc["delta_ladder"]
+    if any(d > doc["delta0"] for d in deltas):
         raise ConfigError("config.delta_ladder: entries must lie in (0, delta0]")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("config.delta_ladder: must be strictly decreasing")
-    cfg = ExperimentConfig(raw=doc)
     # saturation interplay is checked here so failures carry a field path
-    p0 = float(scheme.get("m", 1)) if name == "lavrentiev" else math.inf
-    if not p < p0:
+    p0 = float(scheme["m"]) if scheme["name"] == "lavrentiev" else math.inf
+    if not src["p"] < p0:
         raise ConfigError("config.source.p: must stay below the scheme saturation")
-    if rname == "discrepancy":
+    if rule["name"] == "discrepancy":
         if not p0 > 1:
             raise ConfigError("config.rule: discrepancy needs saturation > 1 (lavrentiev m >= 2)")
-        if not p < p0 - 1:
+        if not src["p"] < p0 - 1:
             raise ConfigError("config.source.p: discrepancy rule needs p < saturation - 1")
-    return cfg
+    return ExperimentConfig(raw=doc)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -232,21 +234,17 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_operator(spec: dict) -> DiscreteOperator:
-    kind = spec["kind"]
+    """The operator of a normalized ``operator`` record (see ``parse_config``)."""
+    kind, norm = spec["kind"], spec["norm"]
     if kind == "integration":
-        op = integration_operator(int(spec["n"]), spec.get("norm", "sup"))
+        op = integration_operator(int(spec["n"]), norm)
     elif kind == "abel":
-        op = abel_operator(float(spec["order"]), int(spec["n"]), spec.get("norm", "sup"))
+        op = abel_operator(float(spec["order"]), int(spec["n"]), norm)
+    elif spec["sigma"] is not None:
+        op = diagonal_operator(np.asarray(spec["sigma"], dtype=float), norm)
     else:
-        norm = spec.get("norm", "l2_scaled")
-        if "sigma" in spec:
-            op = diagonal_operator(np.asarray(spec["sigma"], dtype=float), norm)
-        else:
-            rule = spec.get("sigma_rule", "exp_decay")
-            if rule != "exp_decay":
-                raise ConfigError(f"config.operator.sigma_rule: unknown rule {rule!r}")
-            op = exp_decay_diagonal(int(spec["modes"]), norm)
-    if spec.get("rescale_to_half_norm", False):
+        op = exp_decay_diagonal(int(spec["modes"]), norm)
+    if spec["rescale_to_half_norm"]:
         # optional preprocessing: scale to ||A|| = 1/2 so omega < 0 and the
         # unshifted source form becomes available (lambda_offset = -omega)
         op = op.scaled(0.5 / op.op_norm)
@@ -267,15 +265,8 @@ def operator_spec(op: DiscreteOperator) -> dict:
     return spec
 
 
-_W_FUNCTIONS = {
-    "ones": lambda x: np.ones_like(x),
-    "ramp": lambda x: x,
-    "parabola": lambda x: x * (1.0 - x),
-    "sinpi": lambda x: np.sin(np.pi * x),
-}
-
-
 def build_source_element(op: DiscreteOperator, wspec: dict) -> GridFunction:
+    """The element w of a normalized ``source.w`` record."""
     kind = wspec["kind"]
     if kind == "zero":
         return op.zeros()
@@ -285,24 +276,19 @@ def build_source_element(op: DiscreteOperator, wspec: dict) -> GridFunction:
         rng = np.random.Generator(np.random.Philox(key=int(wspec["seed"])))
         vals = rng.standard_normal(op.dim)
         w = op.grid_function(vals)
-        if wspec.get("normalize", True):
+        if wspec["normalize"]:
             nrm = w.norm()
             if nrm == 0.0:
                 return build_source_element(op, {**wspec, "seed": int(wspec["seed"]) + 1})
             w = (1.0 / nrm) * w
         return w
-    if kind == "function":
-        fn = _W_FUNCTIONS.get(wspec["name"])
-        if fn is None:
-            raise ConfigError(f"config.source.w.name: unknown function {wspec['name']!r}")
-        x = np.linspace(0.0, 1.0, op.dim)
-        return op.grid_function(fn(x))
-    raise ConfigError(f"config.source.w.kind: unknown kind {kind!r}")
+    x = np.linspace(0.0, 1.0, op.dim)
+    return op.grid_function(_W_FUNCTIONS[wspec["name"]](x))
 
 
 def build_scheme(spec: dict) -> RegularizerConfig:
     if spec["name"] == "lavrentiev":
-        return RegularizerConfig(scheme="lavrentiev", m=int(spec.get("m", 1)))
+        return RegularizerConfig(scheme="lavrentiev", m=int(spec["m"]))
     return RegularizerConfig(scheme="cauchy")
 
 
@@ -333,7 +319,6 @@ def build_problem(config: ExperimentConfig) -> Problem:
         lam=op.omega + float(src["lambda_offset"]),
         w=w,
     )
-    sc.validate_against(op, p0=scheme.p0)
     mixed = make_mixed_smooth_element(op, sc)
     ubar = op.zeros()
     u_star = ubar - mixed
@@ -369,7 +354,6 @@ class RateRow:
 class ExperimentReport:
     rows: list[RateRow]
     summary: dict
-    config: dict = field(default_factory=dict)
 
 
 def error_bound(delta: float, p: float, nu: int, d_w: float) -> float:
@@ -388,7 +372,9 @@ def _median(values: np.ndarray) -> float:
     return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2.0)
 
 
-def fit_rate(rows: list[RateRow], p: float, nu: int, spread_tolerance: float = 3.0) -> dict:
+def fit_rate(
+    rows: list[RateRow], p: float, nu: int, spread_tolerance: float = SPREAD_TOLERANCE
+) -> dict:
     """Ratio statistics plus the apparent exponent after removing the log factor.
 
     ``ratio_spread`` (max/median) drives the pass verdict; ``ratio_range``
@@ -435,10 +421,11 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
     p, nu = float(src["p"]), int(src["nu"])
     d_w = max(problem.sc.w.norm(), 1.0)
     rule = config.raw["rule"]
-    deltas = config.delta_ladder
-    data = [add_noise(problem.f_star, delta, config.seed + k) for k, delta in enumerate(deltas)]
+    deltas = [float(d) for d in config.raw["delta_ladder"]]
+    seed = config.raw["seed"]
+    data = [add_noise(problem.f_star, delta, seed + k) for k, delta in enumerate(deltas)]
     if rule["name"] == "apriori":
-        c0 = float(rule.get("c0", 1.0))
+        c0 = float(rule["c0"])
         chosen = []
         for f_delta, delta in zip(data, deltas):
             alpha = apriori_alpha(delta, p, nu, c0)
@@ -448,10 +435,10 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
         dcfg = DiscrepancyConfig(
             b0=float(rule["b0"]),
             b1=float(rule["b1"]),
-            alpha_max=float(rule.get("alpha_max", op.op_norm)),
-            ratio=float(rule.get("ratio", 0.5)),
-            bisect_tol=float(rule.get("bisect_tol", 1e-3)),
-            c0=rule.get("c0"),
+            alpha_max=op.op_norm if rule["alpha_max"] is None else float(rule["alpha_max"]),
+            ratio=float(rule["ratio"]),
+            bisect_tol=float(rule["bisect_tol"]),
+            c0=rule["c0"],
         )
         results = discrepancy_alphas(op, scheme, dcfg, data, deltas, problem.ubar)
         chosen = [(res.alpha, res.u, res.residual) for res in results]
@@ -475,7 +462,7 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
             alpha_lower_ratios.append(
                 alpha / (delta ** (1.0 / (p + 1.0)) * ell ** (nu / (p + 1.0)))
             )
-    summary = fit_rate(rows, p, nu, config.spread_tolerance) if len(rows) >= 3 else {}
+    summary = fit_rate(rows, p, nu, float(config.raw["spread_tolerance"])) if len(rows) >= 3 else {}
     summary["rule"] = rule["name"]
     summary["generator"] = GENERATOR_NAME
     if rule["name"] == "discrepancy":
@@ -485,16 +472,10 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
             summary["alpha_lower_ratio_stability"] = (
                 max(alpha_lower_ratios) / min(alpha_lower_ratios)
             )
-    report = ExperimentReport(rows=rows, summary=summary, config=config.raw)
+    report = ExperimentReport(rows=rows, summary=summary)
     if out_dir is not None:
         write_report(report, out_dir)
     return report
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.17g}"
 
 
 CSV_HEADER = "delta,alpha,error,residual,bound,ratio"
@@ -504,7 +485,7 @@ def report_csv(report: ExperimentReport) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
         lines.append(
-            ",".join(_fmt(v) for v in (r.delta, r.alpha, r.error, r.residual, r.bound, r.ratio))
+            ",".join(f"{v:.17g}" for v in (r.delta, r.alpha, r.error, r.residual, r.bound, r.ratio))
         )
     return "\n".join(lines) + "\n"
 
@@ -514,7 +495,7 @@ def plot_csv(report: ExperimentReport) -> str:
     lines = [",".join("log10_" + c for c in cols)]
     for r in report.rows:
         vals = (r.delta, r.alpha, r.error, r.residual, r.bound, r.ratio)
-        lines.append(",".join(_fmt(math.log10(v)) if v > 0 else "nan" for v in vals))
+        lines.append(",".join(f"{math.log10(v):.17g}" if v > 0 else "nan" for v in vals))
     return "\n".join(lines) + "\n"
 
 
@@ -540,7 +521,7 @@ def check_axioms(config: ExperimentConfig) -> dict:
     op = build_operator(config.raw["operator"])
     scheme = build_scheme(config.raw["scheme"])
     alphas = default_kappa_grid(op.op_norm, 20)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = np.random.Generator(np.random.Philox(key=config.raw["seed"]))
     probes = rng.standard_normal((3, op.dim))
 
     postype = float(np.max(_postype_ratios(op, alphas)))
@@ -560,19 +541,10 @@ def check_axioms(config: ExperimentConfig) -> dict:
         commutation = max(commutation, float(np.max(gap / au_nrm)))
     ps = [0.0, 1.0] if scheme.scheme == "cauchy" else [float(j) for j in range(scheme.m + 1)]
     reports = qualification_checks(op, scheme, ps, np.logspace(-6, 0, 13) * op.op_norm)
-    quals = [
-        {
-            "p": rep.p,
-            "sup_ratio": rep.sup_ratio,
-            "certified_bound": rep.certified_bound,
-            "passed": rep.passed,
-        }
-        for rep in reports
-    ]
     a0 = 0.1 * op.op_norm
     u = op.grid_function(probes[0])
-    s0 = companion_apply(op, scheme, a0, u)
-    s1 = companion_apply(op, scheme, a0 * (1.0 + 1e-6), u)
+    s0 = _one_row(op, regularizer(op, scheme, a0).companion, u)
+    s1 = _one_row(op, regularizer(op, scheme, a0 * (1.0 + 1e-6)).companion, u)
     continuity = (s1 - s0).norm() / max(s0.norm(), 1e-300)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -586,7 +558,7 @@ def check_axioms(config: ExperimentConfig) -> dict:
         "growth_sup": growth_sup,
         "growth_certified": scheme.growth_constant(op.kappa_star),
         "commutation_defect": commutation,
-        "qualification": quals,
+        "qualification": [asdict(rep) for rep in reports],
         "continuity_relative_change": continuity,
         "sectorial_certified": scheme.sectorial_certified(op),
     }

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .grid import GridFunction
 from .operator_log import log_apply
-from .operators import integration_operator
+from .operators import MAX_GRID_CELLS, integration_operator
 
 EULER_GAMMA = 0.5772156649015329  # gamma = -Gamma'(1), 16 digits
 
@@ -253,8 +253,12 @@ def verify_membership(
     """
     if n < 2:
         raise DomainError("need at least two grid cells")
+    if n > MAX_GRID_CELLS:
+        raise DomainError(f"need at most {MAX_GRID_CELLS} grid cells, got {n}")
     xs = np.array([2.0**-k for k in k_range])
-    w_vals = log_kernel_derivative(params, xs)
+    # the decay points and fd_x in one pass; each point stops as it would alone
+    w_all = log_kernel_derivative(params, np.append(xs, fd_x))
+    w_vals, w_at = w_all[:-1], float(w_all[-1])
     mags = np.abs(w_vals)
     w_decreasing = bool(np.all(np.diff(mags) < 0.0))
 
@@ -262,7 +266,6 @@ def verify_membership(
     su_plus = log_kernel_apply_at(u, fd_x + fd_h)
     su_minus = log_kernel_apply_at(u, fd_x - fd_h)
     fd = (su_plus - su_minus) / (2.0 * fd_h)
-    w_at = float(log_kernel_derivative(params, [fd_x])[0])
     derivative_match_rel = abs(fd - w_at) / max(abs(w_at), 1e-12)
     derivative_match_ok = derivative_match_rel <= 1e-3
 

@@ -5,11 +5,11 @@
 quotients form a Cauchy sequence is grid-level *evidence* of membership in
 the domain of log(A), reported as a flag and never as proof.
 
-``shifted_log_resolvent_power`` realizes (lambda I - log A)^{-nu} w, for
-every shift lambda above omega = log ||A||, as a function of the symbol:
-the scalar form (lambda - log sigma_k)^{-nu} on the diagonal kind, and the
-power series (lambda - log a(z))^{-nu} of the lag symbol a(z) on the
-Volterra kinds.  The tests check both against the Laplace representation
+``log_resolvent_power_map`` realizes (lambda I - log A)^{-nu}, for every
+shift lambda above omega = log ||A||, as a function of the symbol: the
+scalar form (lambda - log sigma_k)^{-nu} on the diagonal kind, and the power
+series (lambda - log a(z))^{-nu} of the lag symbol a(z) on the Volterra
+kinds.  The tests check both against the Laplace representation
 (1/(nu-1)!) * int_0^infty q^{nu-1} e^{-lambda q} A^q w dq.
 """
 
@@ -84,13 +84,6 @@ def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> Symbol
     return SymbolMap(series_power(shifted, -float(nu)), volterra=True)
 
 
-def shifted_log_resolvent_power(
-    op: DiscreteOperator, lam: float, nu: int, w: GridFunction
-) -> GridFunction:
-    """(lambda I - log A)^{-nu} w; see ``log_resolvent_power_map``."""
-    return log_resolvent_power_map(op, lam, nu).on(w)
-
-
 @dataclass(frozen=True)
 class SourceCondition:
     """Mixed-smoothness descriptor: u = A^p (lambda I - log A)^{-nu} w."""
@@ -120,5 +113,5 @@ class SourceCondition:
 def make_mixed_smooth_element(op: DiscreteOperator, sc: SourceCondition) -> GridFunction:
     """u = A^p (lambda I - log A)^{-nu} w, the ground-truth generator for rate runs."""
     sc.validate_against(op)
-    v = shifted_log_resolvent_power(op, sc.lam, sc.nu, sc.w)
+    v = log_resolvent_power_map(op, sc.lam, sc.nu).on(sc.w)
     return fractional_power_exact(op, sc.p, v)

@@ -30,6 +30,9 @@ from .errors import DimensionMismatchError, DomainError
 from .grid import GridFunction, NORM_KINDS
 
 DEFAULT_KAPPA_GRID_POINTS = 60
+#: largest grid of a config or of ``loworder-verify``: four times the largest
+#: size-ladder grid (16384); every array is O(n), the series products O(n^2)
+MAX_GRID_CELLS = 2**16
 #: default estimation window for the positive-type constant, relative to ||A||
 KAPPA_GRID_WINDOW = (1e-8, 1e4)
 
@@ -319,17 +322,6 @@ def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, alphas * np.concatenate(sums))
 
 
-def postype_ratio(op: DiscreteOperator, alpha: float) -> float:
-    """alpha * ||(A + alpha I)^{-1}|| in the operator's induced norm.
-
-    Exact max-row-sum for the sup norm, the Fejer certificate 1 for the
-    scaled l2 norm on the Volterra kinds, exact on the diagonal kind.
-    """
-    if alpha <= 0:
-        raise DomainError("shift alpha must be positive")
-    return float(_postype_ratios(op, np.array([float(alpha)]))[0])
-
-
 def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
     """Positive-type constant over an alpha grid.
 
@@ -369,13 +361,8 @@ def _finish(kind, norm_kind, order, weights) -> DiscreteOperator:
 
 
 def integration_operator(n: int, norm_kind: str = "sup") -> DiscreteOperator:
-    """The discrete integration operator (Ju)(x) = int_0^x u on n cells."""
-    if n < 2:
-        raise DomainError("need at least two grid cells")
-    if norm_kind not in NORM_KINDS:
-        raise DomainError(f"unknown norm kind {norm_kind!r}")
-    w = product_integration_weights(1.0, n)
-    return _finish("integration", norm_kind, 1.0, w)
+    """The discrete integration operator (Ju)(x) = int_0^x u on n cells: Abel order 1."""
+    return replace(abel_operator(1.0, n, norm_kind), kind="integration")
 
 
 def abel_operator(order: float, n: int, norm_kind: str = "sup") -> DiscreteOperator:

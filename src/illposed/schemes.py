@@ -12,8 +12,9 @@ Two schemes are provided:
 
 ``regularizer(op, cfg, alpha)`` builds a scheme's filter once for one alpha
 and applies R_alpha, S_alpha and the regularized element to blocks of
-elements, one per row; the one-element functions (``regularize``,
-``regularizer_apply``, ``companion_apply``, ...) are one-row calls of it.
+elements, one per row.  ``_one_row`` applies one of these maps to single
+elements as one-row blocks, with the bits of the same row in a larger block;
+``regularize`` is that call for the regularized element.
 
 The evolution method is exposed for every kind, but is only certified for
 operators with a strong sectorial resolvent condition; fractional
@@ -183,28 +184,6 @@ def _one_row(op: DiscreteOperator, block_map, *elements: GridFunction) -> GridFu
     return elements[0].with_values(block_map(*(u.values[None] for u in elements))[0])
 
 
-def lavrentiev_iterated(
-    op: DiscreteOperator, m: int, alpha: float, f: GridFunction, ubar: GridFunction
-) -> GridFunction:
-    """m-step iterated Lavrentiev approximation with initial guess ubar."""
-    cfg = RegularizerConfig("lavrentiev", m=m)
-    return _one_row(op, regularizer(op, cfg, alpha).element, f, ubar)
-
-
-def cauchy_method(
-    op: DiscreteOperator, alpha: float, f: GridFunction, ubar: GridFunction
-) -> GridFunction:
-    """Evolution-equation regularization: u(1/alpha) for u' + A u = f, u(0) = ubar."""
-    return _one_row(op, regularizer(op, RegularizerConfig("cauchy"), alpha).element, f, ubar)
-
-
-def companion_apply(
-    op: DiscreteOperator, cfg: RegularizerConfig, alpha: float, u: GridFunction
-) -> GridFunction:
-    """S_alpha u = u - R_alpha A u for the configured scheme."""
-    return _one_row(op, regularizer(op, cfg, alpha).companion, u)
-
-
 def regularize(
     op: DiscreteOperator,
     cfg: RegularizerConfig,
@@ -216,13 +195,6 @@ def regularize(
     return _one_row(op, regularizer(op, cfg, alpha).element, f_delta, ubar)
 
 
-def regularizer_apply(
-    op: DiscreteOperator, cfg: RegularizerConfig, alpha: float, g: GridFunction
-) -> GridFunction:
-    """R_alpha g, the regularized element with zero initial guess."""
-    return _one_row(op, regularizer(op, cfg, alpha).apply, g)
-
-
 @dataclass(frozen=True)
 class QualificationReport:
     """Empirical decay check of ||S_alpha A^p u|| / (alpha^p ||u||)."""
@@ -231,14 +203,6 @@ class QualificationReport:
     sup_ratio: float
     certified_bound: float | None
     passed: bool | None
-    sectorial_certified: bool
-
-
-def _default_probes(op: DiscreteOperator) -> np.ndarray:
-    if op.kind == "diagonal":
-        return np.vstack([np.eye(op.dim), np.ones(op.dim)])
-    x = np.linspace(0.0, 1.0, op.dim)
-    return np.stack([np.ones_like(x), x, x * (1.0 - x), np.sin(np.pi * x)])
 
 
 def qualification_checks(
@@ -246,10 +210,11 @@ def qualification_checks(
     cfg: RegularizerConfig,
     ps,
     alpha_grid,
-    probes: list[GridFunction] | None = None,
 ) -> list[QualificationReport]:
-    """``qualification_check`` at each order in ``ps``.
+    """Sup over alpha and the probes of the decay ratio, at each order in ``ps``.
 
+    Raises beyond the saturation of the scheme; ``passed`` is a verdict only
+    where a certified constant exists, otherwise the ratio is reported bare.
     A^p of the probe block is built once per order, and the blocks of every
     order are stacked into one; S_alpha is built once per alpha and applied
     to that stacked block in one call.
@@ -265,10 +230,12 @@ def qualification_checks(
     grid = np.asarray(list(alpha_grid), dtype=float)
     if grid.size == 0 or np.any(grid <= 0):
         raise DomainError("alpha grid must be nonempty and positive")
-    if probes is None:
-        block = _default_probes(op)
+    # probes: the unit vectors and ones (diagonal kind), or 1, x, x (1 - x), sin(pi x)
+    if op.kind == "diagonal":
+        block = np.vstack([np.eye(op.dim), np.ones(op.dim)])
     else:
-        block = np.reshape([u.values for u in probes], (-1, op.dim))
+        x = np.linspace(0.0, 1.0, op.dim)
+        block = np.stack([np.ones_like(x), x, x * (1.0 - x), np.sin(np.pi * x)])
     norms = grid_norms(block, op.norm_kind)
     block, norms = block[norms != 0.0], norms[norms != 0.0]
     rows = block.shape[0]
@@ -288,22 +255,6 @@ def qualification_checks(
                 sup_ratio=sup,
                 certified_bound=bound,
                 passed=None if bound is None else bool(sup <= bound * (1.0 + 1e-9)),
-                sectorial_certified=cfg.sectorial_certified(op),
             )
         )
     return reports
-
-
-def qualification_check(
-    op: DiscreteOperator,
-    cfg: RegularizerConfig,
-    p: float,
-    alpha_grid,
-    probes: list[GridFunction] | None = None,
-) -> QualificationReport:
-    """Estimate sup over alpha and probe elements of the decay ratio at order p.
-
-    Raises beyond the saturation of the scheme; ``passed`` is a verdict only
-    where a certified constant exists, otherwise the ratio is reported bare.
-    """
-    return qualification_checks(op, cfg, [p], alpha_grid, probes)[0]

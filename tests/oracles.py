@@ -14,6 +14,9 @@ without forming a matrix.  The routes here share none of that code path:
 * ``series_power_recurrence`` and ``series_log_recurrence``, the
   logarithmic-derivative recurrences for a^p and log a of a power series,
   one dot product per coefficient;
+* ``series_exp_reversed_view``, ``series_exp`` with its recurrence run on a
+  reversed view of the coefficients, which the library's reversed buffer
+  must match bit for bit;
 * ``diagonal_log_values``, the closed form log sigma_k;
 * ``log_kernel_apply``, the log-kernel transform at every node, one
   ``log_kernel_apply_at`` call per node;
@@ -323,6 +326,24 @@ def series_power_recurrence(coeffs: np.ndarray, p: float) -> np.ndarray:
         coeff = (p + 1.0) * ks[1 : m + 1] - m
         b[m] = np.dot(coeff * ah[1 : m + 1], b[m - 1 :: -1][:m]) / m
     return a[0] ** p * b
+
+
+def series_exp_reversed_view(g: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(sum_m g_m z^m) mod z^n, the scaled recurrence of
+    ``series_exp`` with b_{m-1}..b_0 read through a negative-stride view."""
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    size = float(np.abs(g).sum())
+    s = math.ceil(math.log2(size)) if size > 1.0 else 0
+    gs = g / 2.0**s
+    b = np.zeros(n)
+    b[0] = math.exp(gs[0])
+    kgs = np.arange(n, dtype=float) * gs
+    for m in range(1, n):
+        b[m] = np.dot(kgs[1 : m + 1], b[m - 1 :: -1][:m]) / m
+    for _ in range(s):
+        b = np.convolve(b, b)[:n]
+    return b
 
 
 def series_log_recurrence(coeffs: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from illposed import (
     chi,
     chi_inverse,
     check_interpolation_inequality,
-    companion_apply,
     exp_decay_diagonal,
     fractional_power_exact,
     fractional_power_product_integration,
@@ -30,13 +29,13 @@ from illposed import (
     log_kernel_derivative,
     make_mixed_smooth_element,
     parse_config,
-    postype_ratio,
     run_rate_experiment,
     sample_u_log,
     verify_membership,
 )
 from illposed.loworder import LogExampleParams, abel_order_derivative_identity_gap
-from illposed.operators import abel_operator, default_kappa_grid
+from illposed.operators import _postype_ratios, abel_operator, default_kappa_grid
+from illposed.schemes import _one_row, regularizer
 
 from oracles import (
     BalakrishnanQuadrature,
@@ -62,7 +61,7 @@ def test_criterion_01_positive_type_bound():
     ok = True
     for op in (integration_operator(256), abel_operator(0.5, 256), exp_decay_diagonal(50)):
         grid = default_kappa_grid(op.op_norm)
-        worst = max(postype_ratio(op, float(a)) for a in grid)
+        worst = float(np.max(_postype_ratios(op, grid)))
         good = worst <= op.kappa_star * (1.0 + 1e-9)
         ok &= good
         details.append(f"{op.kind}: grid max {worst:.4f} <= kappa {op.kappa_star:.4f}")
@@ -156,7 +155,7 @@ def test_criterion_04_qualification_orders():
         for alpha in np.logspace(-6, 0, 13):
             impl_worst = max(
                 impl_worst,
-                companion_apply(op, LAV2, float(alpha), g).norm()
+                _one_row(op, regularizer(op, LAV2, float(alpha)).companion, g).norm()
                 / (float(alpha) ** p * op.ones().norm()),
             )
     impl_ok = impl_worst <= 1.0 + 1e-9
@@ -164,7 +163,8 @@ def test_criterion_04_qualification_orders():
     g = fractional_power_exact(op, p_over, op.ones())
 
     def ratio(alpha):
-        return companion_apply(op, LAV2, alpha, g).norm() / (alpha**p_over * op.ones().norm())
+        s = _one_row(op, regularizer(op, LAV2, alpha).companion, g)
+        return s.norm() / (alpha**p_over * op.ones().norm())
 
     divergence = ratio(1e-6) / ratio(1e-2)
     div_ok = divergence > 50.0
@@ -187,12 +187,8 @@ def test_criterion_05_log_decay_bound():
     ok = True
     for p, nu in ((0.0, 1), (0.0, 2), (0.5, 1)):
         u = make_mixed_smooth_element(op, SourceCondition(p=p, nu=nu, lam=lam, w=w))
-        ratios = np.array(
-            [
-                companion_apply(op, LAV2, a, u).norm() / (a**p * math.log(1.0 / a) ** -nu)
-                for a in alphas
-            ]
-        )
+        decayed = [_one_row(op, regularizer(op, LAV2, a).companion, u).norm() for a in alphas]
+        ratios = np.array([d / (a**p * math.log(1.0 / a) ** -nu) for d, a in zip(decayed, alphas)])
         spread = ratios.max() / np.median(ratios)
         ok &= spread <= 3.0
         details.append(f"(p={p}, nu={nu}): sup/median {spread:.2f}")
@@ -227,7 +223,7 @@ def test_criterion_06_apriori_rate():
     sweep_alphas = np.logspace(-9, 0, 90)
     factors = []
     for k, row in enumerate(report.rows):
-        f_delta = add_noise(problem.f_star, row.delta, cfg.seed + k)
+        f_delta = add_noise(problem.f_star, row.delta, cfg.raw["seed"] + k)
         _, best = alpha_sweep_oracle(problem, f_delta, sweep_alphas)
         factors.append(row.error / best)
     sweep_ok = max(factors) <= 2.0
@@ -276,7 +272,7 @@ def test_criterion_08_discrepancy_rate():
     problem = build_problem(cfg)
     band_ok = True
     for k, row in enumerate(report.rows):
-        f_delta = add_noise(problem.f_star, row.delta, cfg.seed + k)
+        f_delta = add_noise(problem.f_star, row.delta, cfg.raw["seed"] + k)
         degenerate = (apply(problem.op, problem.ubar) - f_delta).norm() <= 8.0 * row.delta
         if math.isinf(row.alpha):
             band_ok &= degenerate

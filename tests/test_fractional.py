@@ -15,8 +15,6 @@ from illposed import (
     fractional_power_product_integration,
     integration_operator,
     regularizer,
-    regularizer_apply,
-    shifted_log_resolvent_power,
     shifted_solve,
 )
 import illposed.fractional as fractional
@@ -36,11 +34,13 @@ from illposed.operators import (
     product_integration_weights,
     shifted_solver,
 )
+from illposed.schemes import _one_row
 
 from oracles import (
     BalakrishnanQuadrature,
     QuadratureBoundsWarning,
     fractional_power_balakrishnan,
+    series_exp_reversed_view,
     series_log_recurrence,
     series_power_recurrence,
 )
@@ -211,7 +211,7 @@ def test_quotient_maps_divide():
         assert np.array_equal(shifted_solver(volterra, alpha)(block)[:, 0], block[:, 0] / alpha)
     lam = op.omega + 1.0
     for nu in (1, 2, 3):
-        got = shifted_log_resolvent_power(op, lam, nu, f).values
+        got = log_resolvent_power_map(op, lam, nu).on(f).values
         assert np.array_equal(got, f.values / (lam - np.log(op.weights)) ** nu)
 
 
@@ -305,6 +305,15 @@ def test_interpolation_inequality_rejects_bad_orders():
 @given(lag_vectors)
 def test_series_exp_inverts_series_log(a):
     np.testing.assert_allclose(series_exp(series_log(a)), a, rtol=0, atol=1e-12 * a[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128, 512, 1100])
+def test_series_exp_reversed_buffer_keeps_bits(n):
+    # each step hands ddot the operands that a reversed view of b gave it
+    lags = product_integration_weights(0.5, n)
+    rng = np.random.Generator(np.random.Philox(key=n))
+    for g in [-t * lags for t in (1e-3, 1.0, 10.0, 1000.0)] + [rng.standard_normal(n)]:
+        assert np.array_equal(series_exp(g), series_exp_reversed_view(g))
 
 
 @given(lag_vectors, st.floats(0.0, 50.0), st.floats(0.0, 50.0))
@@ -406,8 +415,8 @@ def test_regularizer_commutes_with_operator(op, key, log_rel_alpha, cfg):
     # R_alpha A u = A R_alpha u, measured against ||A|| ||u|| / alpha
     u = _random_element(op, key)
     alpha = 10.0**log_rel_alpha * op.op_norm
-    lhs = regularizer_apply(op, cfg, alpha, apply(op, u))
-    rhs = apply(op, regularizer_apply(op, cfg, alpha, u))
+    lhs = _one_row(op, regularizer(op, cfg, alpha).apply, apply(op, u))
+    rhs = apply(op, _one_row(op, regularizer(op, cfg, alpha).apply, u))
     assert (lhs - rhs).norm() <= 1e-12 * op.op_norm * u.norm() / alpha
 
 

@@ -166,6 +166,96 @@ def test_config_errors_carry_field_paths():
             parse_config(make_doc(**{key: value}))
 
 
+DISCREPANCY_RULE = {"name": "discrepancy", "b0": 6.0, "b1": 8.0}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("spread_tolerance", "x"),
+        ("spread_tolerance", -1),  # the spread max/median is never below 1
+        ("rule.alpha_max", "x"),
+        ("rule.ratio", "x"),
+        ("rule.ratio", 1.5),
+        ("rule.bisect_tol", -1),
+        ("operator.rescale_to_half_norm", "false"),
+        ("operator.n", 10**9),  # 8 GB per array before anything fails
+        ("scheme.m", 10**6),  # check-axioms would build m + 1 qualification orders
+    ],
+)
+def test_config_fields_checked_before_the_numerics(path, value):
+    doc = make_doc(
+        operator={"kind": "integration", "n": 64, "norm": "sup"}, rule=dict(DISCREPANCY_RULE)
+    )
+    *parents, key = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    with pytest.raises(ConfigError, match=rf"config\.{path}: "):
+        parse_config(doc)
+
+
+def test_config_defaults_filled_from_the_table():
+    doc = make_doc(rule=dict(DISCREPANCY_RULE))
+    raw = parse_config(doc).raw
+    assert "ratio" not in doc["rule"]  # the caller's document is left as it was
+    assert raw["spread_tolerance"] == 3.0 and raw["delta0"] == 0.1 and raw["seed"] == 20260808
+    assert raw["operator"]["rescale_to_half_norm"] is False and raw["operator"]["sigma"] is None
+    assert raw["source"]["w"]["normalize"] is True
+    rule = raw["rule"]
+    assert (rule["ratio"], rule["bisect_tol"]) == (0.5, 1e-3)
+    assert rule["alpha_max"] is None and rule["c0"] is None  # ||A|| and the certified bound
+    assert parse_config(raw).raw == raw
+    doc = make_doc(
+        operator={"kind": "abel", "order": 0.5, "n": 64},
+        scheme={"name": "lavrentiev"},
+        rule={"name": "apriori"},
+    )
+    raw = parse_config(doc).raw
+    assert raw["operator"]["norm"] == "sup" and raw["scheme"]["m"] == 1 and raw["rule"]["c0"] == 1.0
+
+
+def test_cli_reports_bad_field_in_one_line(tmp_path):
+    # a ValueError or numpy's allocation error, traceback and exit 1, before the bound
+    doc = make_doc(spread_tolerance="x")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, message in (
+        (
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            "config.spread_tolerance: must be a finite number in [1, inf), got 'x'",
+        ),
+        (
+            ["loworder-verify", "--c", "0.5", "--kappa", "2", "--grid-n", "10000000000000"],
+            "need at most 65536 grid cells, got 10000000000000",
+        ),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == f"illposed: {message}\n"
+
+
+def test_tracer_names_resolve(monkeypatch):
+    # bench/tracing.py patches these module attributes; one that is gone makes
+    # Tracer.install raise AttributeError and fails every --trace 1 run
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_tracing", tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANS and tracing.COUNTERS
+    for mod_name, attr, _ in tracing.SPANS + tracing.COUNTERS:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+
+
 @pytest.mark.parametrize("modes", [2, 746])
 def test_diagonal_modes_edges_run(modes):
     # 746 modes reach sigma = exp(-745), the last power of e above 0 in doubles
@@ -290,13 +380,16 @@ def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):
 def test_operator_config_record_round_trip():
     from illposed.harness import build_operator, operator_spec
 
+    def normalized(spec):  # build_operator reads the record parse_config fills in
+        return parse_config(make_doc(operator=spec)).raw["operator"]
+
     for spec in (
         {"kind": "integration", "n": 64, "norm": "sup"},
         {"kind": "abel", "order": 0.5, "n": 64, "norm": "sup"},
         {"kind": "diagonal", "modes": 12, "sigma_rule": "exp_decay", "norm": "l2_scaled"},
     ):
-        op = build_operator(spec)
-        again = build_operator(operator_spec(op))
+        op = build_operator(normalized(spec))
+        again = build_operator(normalized(operator_spec(op)))
         assert again.kind == op.kind and again.norm_kind == op.norm_kind
         np.testing.assert_allclose(again.weights, op.weights, rtol=1e-15)
 
@@ -383,7 +476,7 @@ def test_run_exact_data_errors_shrink():
     from illposed import apriori_alpha, regularize
 
     errs = []
-    for d in cfg.delta_ladder:
+    for d in cfg.raw["delta_ladder"]:
         alpha = apriori_alpha(d, 0.0, 1, 5.0)
         u = regularize(problem.op, problem.scheme, alpha, problem.f_star, problem.ubar)
         errs.append((u - problem.u_star).norm())
@@ -529,7 +622,8 @@ def test_check_axioms_builds_no_ground_truth(monkeypatch):
 
 
 def test_check_axioms_one_filter_per_alpha(monkeypatch):
-    # growth and commutation: one filter and one block apply per alpha
+    # growth and commutation: one filter and one block apply per alpha of
+    # the 20; continuity builds two more filters, at 0.1 ||A|| and next to it
     import illposed.harness as harness
     from illposed.schemes import Regularizer
 
@@ -547,7 +641,7 @@ def test_check_axioms_one_filter_per_alpha(monkeypatch):
     monkeypatch.setattr(harness, "regularizer", counting_build)
     monkeypatch.setattr(Regularizer, "apply", counting_apply)
     check_axioms(load_config(CONFIG_DIR / "integration_apriori.json"))
-    assert calls == {"build": 20, "apply": 20}
+    assert calls == {"build": 22, "apply": 20}
 
 
 def test_check_axioms_ignores_source(tmp_path):
@@ -645,7 +739,7 @@ def test_discrepancy_residual_matches_diagonal_closed_form():
     report = run_rate_experiment(cfg)
     h = 1.0 / (op.dim - 1)
     for k, row in enumerate(report.rows):
-        f_delta = add_noise(problem.f_star, row.delta, cfg.seed + k)
+        f_delta = add_noise(problem.f_star, row.delta, cfg.raw["seed"] + k)
         r0 = op.weights * problem.ubar.values - f_delta.values
         factor = (row.alpha / (op.weights + row.alpha)) ** (2 * m)
         closed = math.sqrt(h * float(np.sum(factor * r0**2)))

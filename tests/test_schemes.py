@@ -8,20 +8,16 @@ from illposed import (
     RegularizerConfig,
     abel_operator,
     apply,
-    cauchy_method,
-    companion_apply,
     diagonal_operator,
     exp_decay_diagonal,
     fractional_power_exact,
     integration_operator,
-    lavrentiev_iterated,
-    qualification_check,
     qualification_checks,
     regularize,
     regularizer,
-    regularizer_apply,
     shifted_solve,
 )
+from illposed.schemes import _one_row
 
 from oracles import expm_evolve
 
@@ -37,7 +33,7 @@ def scalar_op(s):
 def test_lavrentiev_classical_scalar():
     s, alpha = 0.6, 0.1
     op = scalar_op(s)
-    u = lavrentiev_iterated(op, 1, alpha, op.grid_function([s, s]), op.zeros())
+    u = regularize(op, LAV1, alpha, op.grid_function([s, s]), op.zeros())
     np.testing.assert_allclose(u.values, s / (s + alpha), rtol=1e-14)
 
 
@@ -47,7 +43,7 @@ def test_lavrentiev_consistent_data_is_fixed_point():
     f = apply(op, ubar)
     for m in (1, 2, 4):
         for alpha in (1e-4, 0.3, 10.0):
-            u = lavrentiev_iterated(op, m, alpha, f, ubar)
+            u = regularize(op, RegularizerConfig("lavrentiev", m=m), alpha, f, ubar)
             assert (u - ubar).norm() <= 1e-11 * ubar.norm()
 
 
@@ -59,7 +55,7 @@ def test_lavrentiev_matches_explicit_resolvent_sum():
     rng = np.random.Generator(np.random.Philox(key=17))
     f = op.grid_function(rng.standard_normal(op.dim))
     ubar = op.grid_function(rng.standard_normal(op.dim))
-    got = lavrentiev_iterated(op, m, alpha, f, ubar)
+    got = regularize(op, RegularizerConfig("lavrentiev", m=m), alpha, f, ubar)
     g = apply(op, ubar) - f
     r_g = op.zeros()
     term = g
@@ -83,9 +79,9 @@ def test_iterated_steps_equal_repeated_shifted_solves(make):
     for _ in range(m):
         v = shifted_solve(op, alpha, f + alpha * v)
         s = alpha * shifted_solve(op, alpha, s)
-    assert np.array_equal(lavrentiev_iterated(op, m, alpha, f, ubar).values, v.values)
     cfg = RegularizerConfig("lavrentiev", m=m)
-    assert np.array_equal(companion_apply(op, cfg, alpha, f).values, s.values)
+    assert np.array_equal(regularize(op, cfg, alpha, f, ubar).values, v.values)
+    assert np.array_equal(_one_row(op, regularizer(op, cfg, alpha).companion, f).values, s.values)
 
 
 @pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
@@ -110,8 +106,8 @@ def test_regularizer_block_rows_equal_single_calls(kind, norm):
             for i in range(f.shape[0]):
                 fi, ui = op.grid_function(f[i]), op.grid_function(ubar[i])
                 assert np.array_equal(element[i], regularize(op, cfg, alpha, fi, ui).values)
-                assert np.array_equal(r_f[i], regularizer_apply(op, cfg, alpha, fi).values)
-                assert np.array_equal(s_u[i], companion_apply(op, cfg, alpha, ui).values)
+                assert np.array_equal(r_f[i], _one_row(op, reg.apply, fi).values)
+                assert np.array_equal(s_u[i], _one_row(op, reg.companion, ui).values)
 
 
 def test_regularizer_rejects_nonfinite_blocks():
@@ -127,12 +123,12 @@ def test_regularizer_rejects_nonfinite_blocks():
 def test_lavrentiev_rejects_nonpositive_alpha():
     op = scalar_op(1.0)
     with pytest.raises(DomainError):
-        lavrentiev_iterated(op, 1, 0.0, op.ones(), op.zeros())
+        regularize(op, LAV1, 0.0, op.ones(), op.zeros())
 
 
 def test_cauchy_scalar_closed_form_integrator():
     op = integration_operator(32)
-    u = cauchy_method(op, 1.0, op.ones(), op.zeros())
+    u = regularize(op, CAUCHY, 1.0, op.ones(), op.zeros())
     expected = expm_evolve(op, 1.0, op.ones(), op.zeros())
     assert (u - expected).norm() <= 1e-12 * expected.norm()
 
@@ -140,7 +136,7 @@ def test_cauchy_scalar_closed_form_integrator():
 def test_cauchy_exact_diagonal_path():
     s = 0.7
     op = scalar_op(s)
-    u = cauchy_method(op, 0.5, op.ones(), op.zeros())
+    u = regularize(op, CAUCHY, 0.5, op.ones(), op.zeros())
     np.testing.assert_allclose(u.values, (1.0 - math.exp(-2.0 * s)) / s, rtol=1e-13)
 
 
@@ -148,7 +144,7 @@ def test_cauchy_initial_condition():
     op = integration_operator(64)
     ubar = op.grid_function(np.linspace(0.5, 1.0, op.dim))
     f = op.ones()
-    u = cauchy_method(op, 1e6, f, ubar)
+    u = regularize(op, CAUCHY, 1e6, f, ubar)
     tol = 1e-5 * (f.norm() + apply(op, ubar).norm())
     assert (u - ubar).norm() <= tol
 
@@ -158,7 +154,7 @@ def test_cauchy_stationary_solution():
     ubar = op.grid_function(np.linspace(1.0, 0.1, op.dim))
     f = apply(op, ubar)
     for alpha in (1e-3, 1.0):
-        u = cauchy_method(op, alpha, f, ubar)
+        u = regularize(op, CAUCHY, alpha, f, ubar)
         assert (u - ubar).norm() <= 1e-11 * ubar.norm()
 
 
@@ -167,17 +163,17 @@ def test_companion_lavrentiev_scalar():
     op = scalar_op(s)
     for m in (1, 2, 3):
         cfg = RegularizerConfig("lavrentiev", m=m)
-        v = companion_apply(op, cfg, alpha, op.ones())
+        v = _one_row(op, regularizer(op, cfg, alpha).companion, op.ones())
         np.testing.assert_allclose(v.values, (alpha / (s + alpha)) ** m, rtol=1e-13)
 
 
 def test_companion_cauchy_scalar_exponential():
     s = 0.8
     op = scalar_op(s)
-    v = companion_apply(op, CAUCHY, 1.0, op.ones())
+    v = _one_row(op, regularizer(op, CAUCHY, 1.0).companion, op.ones())
     np.testing.assert_allclose(v.values, math.exp(-s), rtol=1e-13)
     op = integration_operator(32)
-    vi = companion_apply(op, CAUCHY, 1.0, op.ones())
+    vi = _one_row(op, regularizer(op, CAUCHY, 1.0).companion, op.ones())
     expected = expm_evolve(op, 1.0, op.zeros(), op.ones())
     assert (vi - expected).norm() <= 1e-12 * expected.norm()
 
@@ -194,11 +190,11 @@ def test_cauchy_matches_expm_oracle(kind, norm, n):
     f = op.grid_function(np.cos(3.0 * x))
     for ratio in (1e6, 1.0, 1e-2, 1e-4, 1e-8):
         alpha = ratio * op.op_norm
-        s = companion_apply(op, CAUCHY, alpha, u)
+        s = _one_row(op, regularizer(op, CAUCHY, alpha).companion, u)
         s_ref = expm_evolve(op, 1.0 / alpha, op.zeros(), u)
         assert np.all(np.isfinite(s.values))
         assert (s - s_ref).norm() <= 1e-12 * max(s_ref.norm(), u.norm())
-        v = cauchy_method(op, alpha, f, op.zeros())
+        v = regularize(op, CAUCHY, alpha, f, op.zeros())
         v_ref = expm_evolve(op, 1.0 / alpha, f, op.zeros())
         assert np.all(np.isfinite(v.values))
         assert (v - v_ref).norm() <= 1e-12 * v_ref.norm()
@@ -208,7 +204,7 @@ def test_companion_large_alpha_approaches_identity():
     op = integration_operator(64)
     u = op.grid_function(np.linspace(0.0, 1.0, op.dim))
     alpha = 1e6 * op.op_norm
-    v = companion_apply(op, LAV2, alpha, u)
+    v = _one_row(op, regularizer(op, LAV2, alpha).companion, u)
     assert (v - u).norm() <= 1e-4 * u.norm()
 
 
@@ -238,8 +234,9 @@ def test_regularize_error_decomposition():
     for cfg in (LAV2, CAUCHY):
         alpha = 0.05
         lhs = regularize(op, cfg, alpha, f_delta, ubar) - u_true
-        rhs = companion_apply(op, cfg, alpha, ubar - u_true) - regularizer_apply(
-            op, cfg, alpha, apply(op, u_true) - f_delta
+        reg = regularizer(op, cfg, alpha)
+        rhs = _one_row(op, reg.companion, ubar - u_true) - _one_row(
+            op, reg.apply, apply(op, u_true) - f_delta
         )
         assert (lhs - rhs).norm() <= 1e-11 * max(lhs.norm(), 1.0)
 
@@ -270,8 +267,7 @@ def test_qualification_scalar_oracle_integer_orders():
 def test_qualification_check_diagonal():
     op = exp_decay_diagonal(30)
     grid = np.logspace(-6, 0, 13)
-    for p in (0.0, 1.0, 2.0):
-        rep = qualification_check(op, LAV2, p, grid)
+    for rep in qualification_checks(op, LAV2, [0.0, 1.0, 2.0], grid):
         assert rep.passed
         assert rep.sup_ratio <= 1.0 + 1e-9  # Hilbert case: the sharp bound is 1
         assert rep.certified_bound == (op.kappa_star + 1.0) ** 2
@@ -279,7 +275,7 @@ def test_qualification_check_diagonal():
 
 def test_qualification_check_non_integer_constant():
     op = exp_decay_diagonal(20)
-    rep = qualification_check(op, LAV2, 0.5, np.logspace(-4, 0, 9))
+    rep = qualification_checks(op, LAV2, [0.5], np.logspace(-4, 0, 9))[0]
     assert rep.certified_bound == 2.0 * (op.kappa_star + 1.0) ** 1.5
     assert rep.passed
 
@@ -287,7 +283,7 @@ def test_qualification_check_non_integer_constant():
 def test_qualification_beyond_saturation_raises():
     op = exp_decay_diagonal(10)
     with pytest.raises(DomainError, match="saturation"):
-        qualification_check(op, LAV2, 2.5, [0.1])
+        qualification_checks(op, LAV2, [2.5], [0.1])
 
 
 def test_divergence_beyond_saturation_detected():
@@ -297,14 +293,15 @@ def test_divergence_beyond_saturation_detected():
     g = fractional_power_exact(op, p, op.ones())
 
     def ratio(alpha):
-        return companion_apply(op, LAV2, alpha, g).norm() / (alpha**p * op.ones().norm())
+        s = _one_row(op, regularizer(op, LAV2, alpha).companion, g)
+        return s.norm() / (alpha**p * op.ones().norm())
 
     assert ratio(1e-6) / ratio(1e-2) > 50.0
 
 
 def test_cauchy_qualification_reported_without_verdict():
     op = exp_decay_diagonal(20)
-    rep = qualification_check(op, CAUCHY, 3.0, np.logspace(-4, 0, 9))
+    rep = qualification_checks(op, CAUCHY, [3.0], np.logspace(-4, 0, 9))[0]
     assert rep.certified_bound is None and rep.passed is None
     assert rep.sup_ratio < 10.0
 
@@ -317,10 +314,8 @@ def test_commutation_invariant():
         au = apply(op, u)
         for cfg in (LAV2, CAUCHY):
             for alpha in (0.01, 0.5):
-                gap = (
-                    regularizer_apply(op, cfg, alpha, au)
-                    - apply(op, regularizer_apply(op, cfg, alpha, u))
-                ).norm()
+                reg = regularizer(op, cfg, alpha)
+                gap = (_one_row(op, reg.apply, au) - apply(op, _one_row(op, reg.apply, u))).norm()
                 assert gap <= 1e-10 * max(au.norm(), 1.0)
 
 
@@ -331,13 +326,15 @@ def test_growth_invariant():
         for cfg in (LAV1, LAV2):
             bound = cfg.growth_constant(op.kappa_star)
             for alpha in np.logspace(-6, 1, 8):
-                val = float(alpha) * regularizer_apply(op, cfg, float(alpha), f).norm()
+                r_f = _one_row(op, regularizer(op, cfg, float(alpha)).apply, f)
+                val = float(alpha) * r_f.norm()
                 assert val <= bound * f.norm() * (1.0 + 1e-9)
     # evolution method on the diagonal kind: alpha ||R_alpha|| <= kappa = 1
     op = exp_decay_diagonal(25)
     f = op.grid_function(rng.standard_normal(op.dim))
     for alpha in np.logspace(-6, 1, 8):
-        val = float(alpha) * regularizer_apply(op, CAUCHY, float(alpha), f).norm()
+        r_f = _one_row(op, regularizer(op, CAUCHY, float(alpha)).apply, f)
+        val = float(alpha) * r_f.norm()
         assert val <= op.kappa_star * f.norm() * (1.0 + 1e-9)
 
 
@@ -346,8 +343,8 @@ def test_continuity_in_alpha():
     u = op.grid_function(np.linspace(1.0, 0.2, op.dim))
     for cfg in (LAV2, CAUCHY):
         for alpha in (1e-3, 0.1):
-            s0 = companion_apply(op, cfg, alpha, u)
-            s1 = companion_apply(op, cfg, alpha * (1.0 + 1e-6), u)
+            s0 = _one_row(op, regularizer(op, cfg, alpha).companion, u)
+            s1 = _one_row(op, regularizer(op, cfg, alpha * (1.0 + 1e-6)).companion, u)
             assert (s1 - s0).norm() <= 1e-4 * max(s0.norm(), 1e-300)
 
 
@@ -359,8 +356,9 @@ def test_range_chain_decay_ordering():
     u1 = fractional_power_exact(op, p1, v)
     u2 = fractional_power_exact(op, p2, v)
     for alpha in np.logspace(-6, -1, 6):
-        d1 = companion_apply(op, LAV2, float(alpha), u1).norm() / u1.norm()
-        d2 = companion_apply(op, LAV2, float(alpha), u2).norm() / u2.norm()
+        reg = regularizer(op, LAV2, float(alpha))
+        d1 = _one_row(op, reg.companion, u1).norm() / u1.norm()
+        d2 = _one_row(op, reg.companion, u2).norm() / u2.norm()
         assert d2 <= d1 * (1.0 + 1e-9)
 
 
@@ -382,7 +380,7 @@ def test_qualification_stacked_orders_equal_single_orders(op):
     # the orders share one stacked block per alpha; each keeps its own bits
     grid = np.logspace(-6, 0, 13) * op.op_norm
     stacked = qualification_checks(op, LAV2, [0, 1, 2], grid)
-    assert stacked == [qualification_check(op, LAV2, p, grid) for p in (0, 1, 2)]
+    assert stacked == [qualification_checks(op, LAV2, [p], grid)[0] for p in (0, 1, 2)]
 
 
 def test_cauchy_inverse_lags_built_once_per_operator(monkeypatch):
