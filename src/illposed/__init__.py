@@ -14,9 +14,8 @@ from .fractional import (
     InterpolationReport,
     check_interpolation_inequality,
     fractional_power_exact,
-    fractional_power_product_integration,
 )
-from .grid import GridFunction, grid_norm
+from .grid import GridFunction
 from .harness import (
     ExperimentConfig,
     ExperimentReport,

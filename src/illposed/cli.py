@@ -10,8 +10,9 @@ Subcommands:
   the results as JSON.
 
 ``--seed`` and ``--grid-n`` override the corresponding config fields.  A
-package error (bad config field, domain or quadrature failure) prints one
-line ``illposed: <message>`` on stderr and exits with status 2.
+package error (bad config field, domain or quadrature failure) or a file
+error on reading the config or writing the outputs prints one line
+``illposed: <message>`` on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -22,27 +23,8 @@ import sys
 from pathlib import Path
 
 from .errors import IllposedError
-from .harness import check_axioms, parse_config, run_rate_experiment
+from .harness import check_axioms, load_config, run_rate_experiment
 from .loworder import LogExampleParams, verify_membership
-
-
-def _load_with_overrides(path: str, seed: int | None, grid_n: int | None):
-    """The config at ``path`` with the overrides applied, validated once after them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        return parse_config(doc)
-    if seed is not None:
-        doc["seed"] = seed
-    if grid_n is not None and isinstance(doc.get("operator"), dict):
-        op = doc["operator"]
-        if op.get("kind") == "diagonal":
-            op.pop("sigma", None)
-            op["modes"] = grid_n
-            op.setdefault("sigma_rule", "exp_decay")
-        else:
-            op["n"] = grid_n
-    return parse_config(doc)
 
 
 def main(argv=None) -> int:
@@ -74,14 +56,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except IllposedError as exc:
+    except (IllposedError, OSError) as exc:
         print(f"illposed: {exc}", file=sys.stderr)
         return 2
 
 
 def _run(args) -> int:
     if args.command == "run":
-        cfg = _load_with_overrides(args.config, args.seed, args.grid_n)
+        cfg = load_config(args.config, args.seed, args.grid_n)
         report = run_rate_experiment(cfg, out_dir=args.out)
         print(json.dumps(report.summary, indent=2, sort_keys=True))
         return 0
@@ -90,7 +72,7 @@ def _run(args) -> int:
         params = LogExampleParams(c=args.c, kappa=args.kappa)
         result = verify_membership(params, n=args.grid_n).to_dict()
     else:  # check-axioms
-        result = check_axioms(_load_with_overrides(args.config, args.seed, args.grid_n))
+        result = check_axioms(load_config(args.config, args.seed, args.grid_n))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -1,19 +1,18 @@
 """Fractional powers A^p of the discrete operators.
 
-Two library routes are implemented, each a ``SymbolMap`` builder with a
-one-element call:
+Two library routes are implemented, each a ``SymbolMap`` builder:
 
-* ``power_map`` / ``fractional_power_exact`` -- the exact matrix power of
-  the discrete operator.  For the Volterra kinds this is computed in the
-  algebra of lower-triangular Toeplitz matrices (power series in the shift),
-  so the family is an exact semigroup in p and coincides with the limit of
-  the Balakrishnan resolvent integral.  For the diagonal kind it is
-  sigma_k^p.
-* ``product_integration_map`` / ``fractional_power_product_integration`` --
-  the product-integration discretization of the continuum fractional
-  integral of order p * base_order.  Exact on constants; this is the
-  continuum-consistent reference family used in grid-refinement checks.  It
-  agrees with the matrix power only up to discretization error.
+* ``power_map`` -- the exact matrix power of the discrete operator, with
+  ``fractional_power_exact`` its one-element call.  For the Volterra kinds
+  this is computed in the algebra of lower-triangular Toeplitz matrices
+  (power series in the shift), so the family is an exact semigroup in p and
+  coincides with the limit of the Balakrishnan resolvent integral.  For the
+  diagonal kind it is sigma_k^p.
+* ``product_integration_map`` -- the product-integration discretization of
+  the continuum fractional integral of order p * base_order.  Exact on
+  constants; this is the continuum-consistent reference family used in
+  grid-refinement checks.  It agrees with the matrix power only up to
+  discretization error.
 
 The tests cross-check the exact route against a third, the resolvent
 integral (sin(pi q)/pi) * int_0^infty s^{q-1} (A + sI)^{-1} A u ds by a
@@ -33,6 +32,7 @@ from .operators import (
     DiscreteOperator,
     SymbolMap,
     _mul,
+    _one_row,
     product_integration_weights,
     series_reciprocal,
 )
@@ -143,7 +143,7 @@ def power_map(op: DiscreteOperator, p: float) -> SymbolMap:
 
 def fractional_power_exact(op: DiscreteOperator, p: float, u: GridFunction) -> GridFunction:
     """A^p u by the exact power of the discrete operator (semigroup in p)."""
-    return u if p == 0 else power_map(op, p).on(u)
+    return _one_row(op, power_map(op, p), u)
 
 
 def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
@@ -155,13 +155,6 @@ def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
     if not op.is_volterra or p <= 0:
         return power_map(op, p)
     return SymbolMap(product_integration_weights(op.order * p, op.n), volterra=True)
-
-
-def fractional_power_product_integration(
-    op: DiscreteOperator, p: float, u: GridFunction
-) -> GridFunction:
-    """Product-integration discretization of the order p * base_order integral."""
-    return u if p == 0 else product_integration_map(op, p).on(u)
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,21 @@ import numpy as np
 
 NORM_KINDS = ("sup", "l2_scaled")
 
-
-def grid_norm(values: np.ndarray, kind: str) -> float:
-    v = np.asarray(values, dtype=float)
-    if kind == "sup":
-        return float(np.max(np.abs(v)))
-    if kind == "l2_scaled":
-        h = 1.0 / (v.size - 1)
-        return float(np.sqrt(h * np.dot(v, v)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+#: the named functions of x on [0, 1]: source elements and qualification probes
+_W_FUNCTIONS = {
+    "ones": lambda x: np.ones_like(x),
+    "ramp": lambda x: x,
+    "parabola": lambda x: x * (1.0 - x),
+    "sinpi": lambda x: np.sin(np.pi * x),
+}
 
 
 def grid_norms(block: np.ndarray, kind: str) -> np.ndarray:
-    """``grid_norm`` of each row of a (k, dim) value block, one reduction per block.
+    """The norm of each row of a (k, dim) value block, one reduction per block.
 
     The row inner products are a batched vector-vector matmul, which reaches
-    the same BLAS ddot as ``np.dot``, so each norm keeps ``grid_norm``'s bits
-    (``np.einsum`` does not).
+    the same BLAS ddot as ``np.dot`` for every k, so a row's norm does not
+    depend on the other rows (``np.einsum`` does not keep those bits).
     """
     b = np.asarray(block, dtype=float)
     if kind == "sup":
@@ -81,7 +79,7 @@ class GridFunction:
         return np.linspace(0.0, 1.0, self.values.size)
 
     def norm(self) -> float:
-        return grid_norm(self.values, self.norm_kind)
+        return float(grid_norms(self.values[None], self.norm_kind)[0])
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(values, self.norm_kind)

@@ -6,9 +6,10 @@ operator kind, source element, scheme or rule it applies to.
 ``parse_config`` checks a document against it row by row, then checks the
 rules that tie fields together (sigma order, the unit index below the
 operator's dimension, the ladder below ``delta0`` and strictly decreasing,
-``p`` below the scheme's saturation), and returns a normalized copy that
-holds every field that applies, defaults filled in.  The builders read only
-that copy.  Every error is a ``ConfigError`` that names the field.
+``p`` below the scheme's saturation, ``b1`` at least ``b0``), and returns a
+normalized copy that holds every field that applies, defaults filled in.
+The builders read only that copy.  Every error is a ``ConfigError`` that
+names the field.
 
 All randomness flows through the Philox 4x64 counter-based generator keyed
 by explicit seeds, so identical configs produce byte-identical CSV output.
@@ -30,11 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import GridFunction, NORM_KINDS, grid_norms
+from .grid import _W_FUNCTIONS, NORM_KINDS, GridFunction, grid_norms
 from .operator_log import SourceCondition, make_mixed_smooth_element
 from .operators import (
     MAX_GRID_CELLS,
     DiscreteOperator,
+    _one_row,
     _postype_ratios,
     abel_operator,
     apply,
@@ -50,13 +52,7 @@ from .parameter_choice import (
     discrepancy_alpha,  # bench/tracing.py times calls through harness.<name>
     discrepancy_alphas,
 )
-from .schemes import (
-    RegularizerConfig,
-    _one_row,
-    qualification_checks,
-    regularize,
-    regularizer,
-)
+from .schemes import RegularizerConfig, qualification_checks, regularize, regularizer
 
 SCHEMA_VERSION = 1
 #: exp(-745) is the last sigma_k = exp(-k) that does not underflow to 0
@@ -67,15 +63,7 @@ MAX_LAVRENTIEV_STEPS = 64
 SPREAD_TOLERANCE = 3.0
 GENERATOR_NAME = "philox4x64"  # numpy Philox, 64-bit counter-based
 
-_W_FUNCTIONS = {
-    "ones": lambda x: np.ones_like(x),
-    "ramp": lambda x: x,
-    "parabola": lambda x: x * (1.0 - x),
-    "sinpi": lambda x: np.sin(np.pi * x),
-}
-
 _REQUIRED = object()
-_ANY = (-math.inf, math.inf, "()")
 _POSITIVE = (0, math.inf, "()")
 _VOLTERRA = ("operator.kind", ("integration", "abel"))
 _DIAGONAL = ("operator.kind", ("diagonal",))
@@ -102,7 +90,7 @@ FIELDS = (
     ("operator.sigma_rule", "choice", ("exp_decay",), "exp_decay", _EXP_DECAY),
     ("operator.rescale_to_half_norm", "bool", None, False, ()),
     ("source", "object", None, _REQUIRED, ()),
-    ("source.p", "number", _ANY, _REQUIRED, ()),
+    ("source.p", "number", (0, math.inf, "[)"), _REQUIRED, ()),
     ("source.nu", "int", (1, math.inf, "[)"), _REQUIRED, ()),
     ("source.lambda_offset", "number", _POSITIVE, _REQUIRED, ()),
     ("source.w", "object", None, _REQUIRED, ()),
@@ -121,8 +109,8 @@ FIELDS = (
     ("rule.c0", "number", _POSITIVE, 1.0, (("rule.name", ("apriori",)),)),
     # absent: the certified companion bound of the scheme
     ("rule.c0", "number", _POSITIVE, None, _DISCREPANCY),
-    ("rule.b0", "number", _ANY, _REQUIRED, _DISCREPANCY),
-    ("rule.b1", "number", _ANY, _REQUIRED, _DISCREPANCY),
+    ("rule.b0", "number", _POSITIVE, _REQUIRED, _DISCREPANCY),
+    ("rule.b1", "number", _POSITIVE, _REQUIRED, _DISCREPANCY),
     # absent: ||A||
     ("rule.alpha_max", "number", _POSITIVE, None, _DISCREPANCY),
     ("rule.ratio", "number", (0, 1, "()"), DiscrepancyConfig.ratio, _DISCREPANCY),
@@ -221,6 +209,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not src["p"] < p0:
         raise ConfigError("config.source.p: must stay below the scheme saturation")
     if rule["name"] == "discrepancy":
+        if rule["b1"] < rule["b0"]:
+            raise ConfigError("config.rule.b1: must be at least rule.b0")
         if not p0 > 1:
             raise ConfigError("config.rule: discrepancy needs saturation > 1 (lavrentiev m >= 2)")
         if not src["p"] < p0 - 1:
@@ -228,9 +218,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(raw=doc)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None, grid_n: int | None = None) -> ExperimentConfig:
+    """The config file at ``path``, with the overrides applied before one validation.
+
+    ``grid_n`` sets ``operator.n``, or the mode count of a diagonal operator,
+    which then takes the ``exp_decay`` rule in place of any sigma list.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(json.load(fh))
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        return parse_config(doc)
+    if seed is not None:
+        doc["seed"] = seed
+    op = doc.get("operator")
+    if grid_n is not None and isinstance(op, dict):
+        if op.get("kind") == "diagonal":
+            op.pop("sigma", None)
+            op["modes"] = grid_n
+            op.setdefault("sigma_rule", "exp_decay")
+        else:
+            op["n"] = grid_n
+    return parse_config(doc)
 
 
 def build_operator(spec: dict) -> DiscreteOperator:
@@ -478,23 +486,21 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
     return report
 
 
-CSV_HEADER = "delta,alpha,error,residual,bound,ratio"
+#: the ``RateRow`` fields of report.csv, in column order; plot.csv holds their log10
+CSV_COLUMNS = ("delta", "alpha", "error", "residual", "bound", "ratio")
 
 
 def report_csv(report: ExperimentReport) -> str:
-    lines = [CSV_HEADER]
+    lines = [",".join(CSV_COLUMNS)]
     for r in report.rows:
-        lines.append(
-            ",".join(f"{v:.17g}" for v in (r.delta, r.alpha, r.error, r.residual, r.bound, r.ratio))
-        )
+        lines.append(",".join(f"{getattr(r, c):.17g}" for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def plot_csv(report: ExperimentReport) -> str:
-    cols = CSV_HEADER.split(",")
-    lines = [",".join("log10_" + c for c in cols)]
+    lines = [",".join("log10_" + c for c in CSV_COLUMNS)]
     for r in report.rows:
-        vals = (r.delta, r.alpha, r.error, r.residual, r.bound, r.ratio)
+        vals = (getattr(r, c) for c in CSV_COLUMNS)
         lines.append(",".join(f"{math.log10(v):.17g}" if v > 0 else "nan" for v in vals))
     return "\n".join(lines) + "\n"
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .fractional import fractional_power_exact, series_log, series_power
 from .grid import GridFunction, grid_norms
-from .operators import DiscreteOperator, SymbolMap
+from .operators import DiscreteOperator, SymbolMap, _one_row
 
 
 def default_p_schedule() -> np.ndarray:
@@ -113,5 +113,5 @@ class SourceCondition:
 def make_mixed_smooth_element(op: DiscreteOperator, sc: SourceCondition) -> GridFunction:
     """u = A^p (lambda I - log A)^{-nu} w, the ground-truth generator for rate runs."""
     sc.validate_against(op)
-    v = log_resolvent_power_map(op, sc.lam, sc.nu).on(sc.w)
+    v = _one_row(op, log_resolvent_power_map(op, sc.lam, sc.nu), sc.w)
     return fractional_power_exact(op, sc.p, v)

@@ -91,7 +91,6 @@ class SymbolMap:
 
     Calling the map maps each row of a (k, dim) block; each Volterra row is
     its own ``_mul``, so a row's bits do not depend on the other rows.
-    ``on(u)`` maps one grid function.
     """
 
     symbol: np.ndarray
@@ -108,8 +107,20 @@ class SymbolMap:
             row[1:] = _mul(self.symbol, values[1:], self.symbol.size)
         return out
 
-    def on(self, u: GridFunction) -> GridFunction:
-        return u.with_values(self(u.values[None])[0])
+
+def _one_row(op: DiscreteOperator, block_map, *elements: GridFunction) -> GridFunction:
+    """A block map of ``op`` applied to single elements as one-row blocks.
+
+    Each element must match the operator's dimension and norm kind; the
+    result has the bits of the same row in a larger block.
+    """
+    for u in elements:
+        if u.dim != op.dim or u.norm_kind != op.norm_kind:
+            raise DimensionMismatchError(
+                f"operator ({op.dim}, {op.norm_kind!r}) applied to grid function "
+                f"({u.dim}, {u.norm_kind!r})"
+            )
+    return elements[0].with_values(block_map(*(u.values[None] for u in elements))[0])
 
 
 def _power_iteration_norm(lags: np.ndarray, tol: float = 1e-8, maxit: int = 2000) -> float:
@@ -220,17 +231,6 @@ class DiscreteOperator:
         )
 
 
-def _check_dims(op: DiscreteOperator, u: GridFunction) -> None:
-    if u.dim != op.dim:
-        raise DimensionMismatchError(
-            f"operator of dimension {op.dim} applied to grid function of dimension {u.dim}"
-        )
-    if u.norm_kind != op.norm_kind:
-        raise DimensionMismatchError(
-            f"operator norm kind {op.norm_kind!r} does not match grid function {u.norm_kind!r}"
-        )
-
-
 def operator_map(op: DiscreteOperator) -> SymbolMap:
     """A itself: the lags, or the singular values entrywise."""
     return SymbolMap(op.weights, volterra=op.is_volterra)
@@ -238,8 +238,7 @@ def operator_map(op: DiscreteOperator) -> SymbolMap:
 
 def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
     """Forward application A u."""
-    _check_dims(op, u)
-    return operator_map(op).on(u)
+    return _one_row(op, operator_map(op), u)
 
 
 def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
@@ -261,8 +260,7 @@ def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
 
 def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
     """Solve (A + alpha I) v = f; see ``shifted_solver``."""
-    _check_dims(op, f)
-    return shifted_solver(op, alpha).on(f)
+    return _one_row(op, shifted_solver(op, alpha), f)
 
 
 #: cap in floats on each work array of ``_shifted_reciprocals`` (unless n > 2^14)

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .grid import GridFunction
-from .operators import DiscreteOperator, apply
+from .operators import DiscreteOperator, _one_row, apply
 from .schemes import (
     Regularizer,
     RegularizerConfig,
-    _one_row,
     regularize,  # bench/tracing.py times calls through parameter_choice.<name>
     regularizer,
 )

@@ -21,7 +21,7 @@ from illposed import (
     parse_config,
     run_rate_experiment,
 )
-from illposed.cli import _load_with_overrides, main as cli_main
+from illposed.cli import main as cli_main
 from illposed.harness import RateRow, load_config, plot_csv, report_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -240,6 +240,67 @@ def test_cli_reports_bad_field_in_one_line(tmp_path):
         assert out.stderr == f"illposed: {message}\n"
 
 
+def _bundled_doc(name, path, value):
+    """A bundled config with the field at a dotted ``path`` set to ``value``."""
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    *parents, key = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("diagonal_discrepancy", "rule.b0", -1, "must be a finite number in (0, inf), got -1"),
+        ("diagonal_discrepancy", "rule.b1", 5.0, "must be at least rule.b0"),
+        ("integration_apriori", "source.p", -0.5, "must be a finite number in [0, inf), got -0.5"),
+    ],
+    ids=["b0", "b1", "p"],
+)
+def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, capsys):
+    # each field is checked at parse time, so both commands name it; the
+    # numerics' own checks ("need b1 >= b0 > 0", "p must be nonnegative")
+    # name none, and check-axioms never builds the source
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_bundled_doc(name, path, value)), encoding="utf-8")
+    for argv in (["run", "--out", str(tmp_path / "out")], ["check-axioms"]):
+        assert cli_main([*argv, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"illposed: config.{path}: {message}\n"
+
+
+def test_cli_file_errors_are_one_line(tmp_path, capsys):
+    # an OSError on reading the config or writing the outputs is one line and
+    # exit 2, like a package error, not a traceback
+    config = str(CONFIG_DIR / "integration_apriori.json")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for argv, errno in (
+        (["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")], 2),
+        (["run", "--config", config, "--out", str(taken)], 17),
+        (["check-axioms", "--config", config, "--out", str(tmp_path / "no" / "such.json")], 2),
+    ):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"illposed: [Errno {errno}] ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m, n", [(16, 256), (64, 64)])
+def test_check_axioms_qualification_above_rounding_floor(m, n):
+    # ||S_alpha A^p u|| / (alpha^p ||u||) with alpha^p ||u|| below eps ||A^p u||
+    # is rounding: 9.5e7 to 3.3e13 at orders 14-16 for m = 16, against the bound
+    # 3.4e7 and an mpmath value of at most 1; at m = 64 alpha^p underflows to 0
+    doc = _bundled_doc("integration_apriori", "scheme.m", m)
+    doc["operator"]["n"] = n
+    reports = check_axioms(parse_config(doc))["qualification"]
+    assert [q["p"] for q in reports] == list(range(m + 1))
+    assert all(q["passed"] and 0.0 < q["sup_ratio"] <= 1.0 for q in reports)
+
+
 def test_tracer_names_resolve(monkeypatch):
     # bench/tracing.py patches these module attributes; one that is gone makes
     # Tracer.install raise AttributeError and fails every --trace 1 run
@@ -281,9 +342,9 @@ def test_unit_index_follows_grid_n(tmp_path):
     doc["source"]["w"] = {"kind": "unit", "index": 45}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
-    assert _load_with_overrides(str(cfg_path), None, 46).raw["operator"]["modes"] == 46
+    assert load_config(cfg_path, grid_n=46).raw["operator"]["modes"] == 46
     with pytest.raises(ConfigError, match=r"config\.source\.w\.index: .* \[0, 44\]"):
-        _load_with_overrides(str(cfg_path), None, 45)
+        load_config(cfg_path, grid_n=45)
 
 
 def abel_cauchy_doc(**source):
@@ -352,29 +413,32 @@ def test_explicit_sigma_runs():
     assert all(math.isfinite(r.error) for r in report.rows)
 
 
-def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):
-    # np.median and np.unique import numpy.ma; the CLI uses neither
+def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
+    # start-up is most of a bundled command's time: scipy is a test-only
+    # dependency, and np.median and np.unique would import numpy.ma
     src = str(Path(__file__).resolve().parents[1] / "src")
-    runs = [
-        ["run", "--config", str(path), "--out", str(tmp_path / path.stem)]
+    commands = [
+        [cmd, "--config", str(path), "--out", str(tmp_path / f"{cmd}-{path.stem}")]
         for path in sorted(CONFIG_DIR.glob("*.json"))
+        for cmd in ("run", "check-axioms")
     ]
-    low = [
+    commands += [
         ["loworder-verify", "--c", "0.5", "--kappa", k, "--out", str(tmp_path / f"low{k}.json")]
         for k in ("2", "0.5")
     ]
     code = (
         "import io, sys, contextlib\n"
         "from illposed.cli import main\n"
-        f"for argv in {runs + low!r}:\n"
+        f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "parts = [m.split('.') for m in sys.modules]\n"
+        "print(sorted(p for p in parts if p[0] == 'scipy' or p[:2] == ['numpy', 'ma']))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_operator_config_record_round_trip():

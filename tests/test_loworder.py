@@ -252,7 +252,7 @@ def test_abel_order_derivative_identity():
 @pytest.mark.parametrize("kappa", [2.0, 0.5])
 def test_abel_order_derivative_identity_gap_reads_full_convolution(kappa):
     # the gap's dot products are entries of the whole lag convolution
-    # SymbolMap(lag).on(u), the bundled (c, kappa) pairs at identity_n = 4096
+    # SymbolMap(lag) of u, the bundled (c, kappa) pairs at identity_n = 4096
     from illposed.fractional import _binomial_lags
 
     n, eps = 4096, 1e-3
@@ -260,7 +260,7 @@ def test_abel_order_derivative_identity_gap_reads_full_convolution(kappa):
     points = (0.3, 0.4, 0.5, 0.6, 0.7)
     h = 1.0 / n
     lag = (_binomial_lags(h, 1.0 + eps, n) - _binomial_lags(h, 1.0 - eps, n)) / (2.0 * eps)
-    deriv = SymbolMap(lag, volterra=True).on(u).values
+    deriv = SymbolMap(lag, volterra=True)(u.values[None])[0]
     idx = np.round(np.array(points) * n).astype(int)
     target = np.array([log_kernel_apply_at(u, j * h) for j in idx])
     target += EULER_GAMMA * h * np.cumsum(u.values[1:])[idx - 1]

@@ -17,6 +17,7 @@ from illposed import (
 )
 from illposed.loworder import LogExampleParams
 from illposed.operator_log import log_resolvent_power_map
+from illposed.operators import _one_row
 
 from oracles import LaplaceQuadrature, diagonal_log_values, laplace_log_resolvent_power
 
@@ -54,7 +55,7 @@ def test_resolvent_power_scalar_closed_form():
     s = 0.3
     op = diagonal_operator([s, s], "sup")
     lam = op.omega + 1.0
-    v = log_resolvent_power_map(op, lam, 1).on(op.ones())
+    v = _one_row(op, log_resolvent_power_map(op, lam, 1), op.ones())
     np.testing.assert_allclose(v.values, 1.0 / (lam - math.log(s)), rtol=1e-14)
     vq = laplace_log_resolvent_power(op, lam, 1, op.ones())
     np.testing.assert_allclose(vq.values, v.values, rtol=1e-10)
@@ -76,8 +77,9 @@ def test_resolvent_power_integration_composition():
     op = integration_operator(256)
     lam = op.omega + 1.0
     w = op.ones()
-    twice = log_resolvent_power_map(op, lam, 1).on(log_resolvent_power_map(op, lam, 1).on(w))
-    direct = log_resolvent_power_map(op, lam, 2).on(w)
+    once = log_resolvent_power_map(op, lam, 1)
+    twice = _one_row(op, once, _one_row(op, once, w))
+    direct = _one_row(op, log_resolvent_power_map(op, lam, 2), w)
     assert (twice - direct).norm() <= 1e-6 * direct.norm()
 
 
@@ -89,7 +91,7 @@ def test_resolvent_power_series_matches_laplace_oracle(kind, norm, nu):
     op = integration_operator(n, norm) if kind == "integration" else abel_operator(0.5, n, norm)
     lam = op.omega + 1.0
     w = op.grid_function(np.sin(np.pi * np.linspace(0.0, 1.0, op.dim)))
-    got = log_resolvent_power_map(op, lam, nu).on(w)
+    got = _one_row(op, log_resolvent_power_map(op, lam, nu), w)
     expected = laplace_log_resolvent_power(op, lam, nu, w)
     assert got.values[0] == 0.0
     assert (got - expected).norm() <= 1e-12 * expected.norm()
@@ -98,7 +100,7 @@ def test_resolvent_power_series_matches_laplace_oracle(kind, norm, nu):
 def test_resolvent_power_rejects_shift_below_spectral_bound():
     op = integration_operator(64)
     with pytest.raises(DomainError, match="spectral bound"):
-        log_resolvent_power_map(op, op.omega, 1).on(op.ones())
+        _one_row(op, log_resolvent_power_map(op, op.omega, 1), op.ones())
 
 
 def test_laplace_quadrature_validation():
@@ -151,7 +153,7 @@ def test_inverse_consistency_scalar_closed_form():
     op = diagonal_operator([s, s], "sup")
     lam = op.omega + 1.0
     w = op.grid_function([0.7, 0.7])
-    v = log_resolvent_power_map(op, lam, 1).on(w)
+    v = _one_row(op, log_resolvent_power_map(op, lam, 1), w)
     recovered = lam * v - v.with_values(diagonal_log_values(op) * v.values)
     assert (recovered - w).norm() <= 1e-6 * w.norm()
 
@@ -162,7 +164,7 @@ def test_inverse_consistency_via_log_apply():
     rng = np.random.Generator(np.random.Philox(key=3))
     w = op.grid_function(rng.standard_normal(op.dim))
     w = (1.0 / w.norm()) * w
-    v = log_resolvent_power_map(op, lam, 1).on(w)
+    v = _one_row(op, log_resolvent_power_map(op, lam, 1), w)
     logv, rep = log_apply(op, v)
     assert rep.cauchy
     recovered = lam * v - logv
@@ -180,8 +182,8 @@ def test_rescaling_covariance_on_diagonal():
     )
     lam = op.omega + 1.0
     w = op.grid_function(np.linspace(1.0, 0.1, op.dim))
-    u0 = log_resolvent_power_map(op, lam, 2).on(w)
-    u1 = log_resolvent_power_map(scaled, lam + math.log(a), 2).on(w.with_values(w.values))
+    u0 = _one_row(op, log_resolvent_power_map(op, lam, 2), w)
+    u1 = _one_row(scaled, log_resolvent_power_map(scaled, lam + math.log(a), 2), w)
     np.testing.assert_allclose(u1.values, u0.values, rtol=1e-10)
 
 

@@ -23,7 +23,8 @@ from illposed import (
     exp_decay_diagonal,
 )
 from illposed.harness import add_noise, load_config, run_rate_experiment
-from illposed.schemes import _one_row, regularizer
+from illposed.operators import _one_row
+from illposed.schemes import regularizer
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -17,7 +17,7 @@ from illposed import (
     regularizer,
     shifted_solve,
 )
-from illposed.schemes import _one_row
+from illposed.operators import _one_row
 
 from oracles import expm_evolve
 
