@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from illposed import check_axioms, load_config  # noqa: E402
+from illposed.harness import check_axioms, load_config  # noqa: E402
 
 
 def main() -> int:

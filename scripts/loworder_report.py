@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from illposed import LogExampleParams, verify_membership  # noqa: E402
+from illposed.loworder import LogExampleParams, verify_membership  # noqa: E402
 
 
 def main() -> int:

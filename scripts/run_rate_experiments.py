@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from illposed import load_config, run_rate_experiment  # noqa: E402
+from illposed.harness import load_config, run_rate_experiment  # noqa: E402
 
 CONFIGS = [
     "configs/diagonal_apriori.json",

@@ -13,6 +13,10 @@ Subcommands:
 package error (bad config field, domain or quadrature failure) or a file
 error on reading the config or writing the outputs prints one line
 ``illposed: <message>`` on stderr and exits with status 2.
+
+Each command loads only its own layer: ``harness`` for ``run`` and
+``check-axioms``, ``loworder`` for ``loworder-verify``.  The five names the
+commands call are module attributes resolved on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -23,8 +27,17 @@ import sys
 from pathlib import Path
 
 from .errors import IllposedError
-from .harness import check_axioms, load_config, run_rate_experiment
-from .loworder import LogExampleParams, verify_membership
+
+
+def __getattr__(name):
+    # an import statement, not importlib, so `python -X importtime` lists the layer
+    if name in ("check_axioms", "load_config", "run_rate_experiment"):
+        from . import harness as layer
+    elif name in ("LogExampleParams", "verify_membership"):
+        from . import loworder as layer
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(layer, name)
 
 
 def main(argv=None) -> int:
@@ -62,17 +75,20 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    # calls go through the module object, so a wrapper set on illposed.cli.<name>
+    # sees them; under `python -m` this module is __main__, not illposed.cli
+    cli = sys.modules[__name__]
     if args.command == "run":
-        cfg = load_config(args.config, args.seed, args.grid_n)
-        report = run_rate_experiment(cfg, out_dir=args.out)
+        cfg = cli.load_config(args.config, args.seed, args.grid_n)
+        report = cli.run_rate_experiment(cfg, out_dir=args.out)
         print(json.dumps(report.summary, indent=2, sort_keys=True))
         return 0
 
     if args.command == "loworder-verify":
-        params = LogExampleParams(c=args.c, kappa=args.kappa)
-        result = verify_membership(params, n=args.grid_n).to_dict()
+        params = cli.LogExampleParams(c=args.c, kappa=args.kappa)
+        result = cli.verify_membership(params, n=args.grid_n).to_dict()
     else:  # check-axioms
-        result = check_axioms(load_config(args.config, args.seed, args.grid_n))
+        result = cli.check_axioms(cli.load_config(args.config, args.seed, args.grid_n))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

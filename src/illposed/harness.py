@@ -224,8 +224,11 @@ def load_config(path, seed: int | None = None, grid_n: int | None = None) -> Exp
     ``grid_n`` sets ``operator.n``, or the mode count of a diagonal operator,
     which then takes the ``exp_decay`` rule in place of any sigma list.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config: not a UTF-8 JSON document: {exc}") from None
     if not isinstance(doc, dict):
         return parse_config(doc)
     if seed is not None:

@@ -37,19 +37,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, toeplitz
 
-from illposed import (
-    DomainError,
-    GridFunction,
-    QuadratureError,
-    apply,
-    fractional_power_exact,
-    log_kernel_apply_at,
-    regularize,
-    shifted_solve,
-)
+from illposed.errors import DomainError, QuadratureError
+from illposed.fractional import fractional_power_exact
+from illposed.grid import GridFunction
 from illposed.harness import Problem
-from illposed.loworder import LogExampleParams, u_log_derivative
-from illposed.operators import DiscreteOperator
+from illposed.loworder import LogExampleParams, log_kernel_apply_at, u_log_derivative
+from illposed.operators import DiscreteOperator, apply, shifted_solve
+from illposed.schemes import regularize
 
 
 def dense_matrix(op: DiscreteOperator) -> np.ndarray:

@@ -11,31 +11,32 @@ import math
 import numpy as np
 import pytest
 
-from illposed import (
-    ChiParams,
-    RegularizerConfig,
-    SourceCondition,
-    add_noise,
-    apply,
-    build_problem,
-    chi,
-    chi_inverse,
+from illposed.fractional import (
     check_interpolation_inequality,
-    exp_decay_diagonal,
     fractional_power_exact,
-    integration_operator,
+    product_integration_map,
+)
+from illposed.harness import add_noise, build_problem, parse_config, run_rate_experiment
+from illposed.loworder import (
+    LogExampleParams,
+    abel_order_derivative_identity_gap,
     log_kernel_apply_at,
     log_kernel_derivative,
-    make_mixed_smooth_element,
-    parse_config,
-    run_rate_experiment,
     sample_u_log,
     verify_membership,
 )
-from illposed.fractional import product_integration_map
-from illposed.loworder import LogExampleParams, abel_order_derivative_identity_gap
-from illposed.operators import _one_row, _postype_ratios, abel_operator, default_kappa_grid
-from illposed.schemes import regularizer
+from illposed.operator_log import SourceCondition, make_mixed_smooth_element
+from illposed.operators import (
+    _one_row,
+    _postype_ratios,
+    abel_operator,
+    apply,
+    default_kappa_grid,
+    exp_decay_diagonal,
+    integration_operator,
+)
+from illposed.parameter_choice import ChiParams, chi, chi_inverse
+from illposed.schemes import RegularizerConfig, regularizer
 
 from oracles import (
     BalakrishnanQuadrature,

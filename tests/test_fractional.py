@@ -4,21 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from illposed import (
-    DomainError,
-    RegularizerConfig,
-    apply,
-    check_interpolation_inequality,
-    diagonal_operator,
-    exp_decay_diagonal,
-    fractional_power_exact,
-    integration_operator,
-    regularizer,
-    shifted_solve,
-)
 import illposed.fractional as fractional
+from illposed.errors import DomainError
 from illposed.fractional import (
     _binomial_lags,
+    check_interpolation_inequality,
+    fractional_power_exact,
     power_map,
     product_integration_map,
     series_exp,
@@ -30,10 +21,16 @@ from illposed.operators import (
     SymbolMap,
     _one_row,
     abel_operator,
+    apply,
+    diagonal_operator,
+    exp_decay_diagonal,
+    integration_operator,
     operator_map,
     product_integration_weights,
+    shifted_solve,
     shifted_solver,
 )
+from illposed.schemes import RegularizerConfig, regularizer
 
 from oracles import (
     BalakrishnanQuadrature,

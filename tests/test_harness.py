@@ -10,19 +10,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from illposed import (
-    ConfigError,
+from illposed.cli import main as cli_main
+from illposed.errors import ConfigError
+from illposed.harness import (
+    RateRow,
     add_noise,
-    apply,
     build_problem,
     check_axioms,
     error_bound,
     fit_rate,
+    load_config,
     parse_config,
+    plot_csv,
+    report_csv,
     run_rate_experiment,
 )
-from illposed.cli import main as cli_main
-from illposed.harness import RateRow, load_config, plot_csv, report_csv
+from illposed.operators import apply
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -273,19 +276,30 @@ def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, 
 
 
 def test_cli_file_errors_are_one_line(tmp_path, capsys):
-    # an OSError on reading the config or writing the outputs is one line and
-    # exit 2, like a package error, not a traceback
+    # an OSError on reading the config or writing the outputs, or a config
+    # file that does not decode, is one line and exit 2, like a package
+    # error, not a traceback
     config = str(CONFIG_DIR / "integration_apriori.json")
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
-    for argv, errno in (
-        (["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")], 2),
-        (["run", "--config", config, "--out", str(taken)], 17),
-        (["check-axioms", "--config", config, "--out", str(tmp_path / "no" / "such.json")], 2),
+    bad, latin1 = tmp_path / "bad.json", tmp_path / "latin1.json"
+    bad.write_text("{bad", encoding="utf-8")
+    latin1.write_bytes(b'{"seed": "\xe9"}')
+    not_json = "config: not a UTF-8 JSON document: "
+    for argv, start in (
+        (["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")],
+         "[Errno 2] "),
+        (["run", "--config", config, "--out", str(taken)], "[Errno 17] "),
+        (["check-axioms", "--config", config, "--out", str(tmp_path / "no" / "such.json")],
+         "[Errno 2] "),
+        (["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+         not_json + "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["check-axioms", "--config", str(latin1)],
+         not_json + "'utf-8' codec can't decode byte 0xe9 in position 10"),
     ):
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"illposed: [Errno {errno}] ")
+        assert captured.err.startswith(f"illposed: {start}")
         assert captured.err.count("\n") == 1
 
 
@@ -315,6 +329,60 @@ def test_tracer_names_resolve(monkeypatch):
     assert tracing.SPANS and tracing.COUNTERS
     for mod_name, attr, _ in tracing.SPANS + tracing.COUNTERS:
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+
+
+def test_cli_calls_go_through_module_attributes(tmp_path, monkeypatch):
+    # bench/tracing.py times check-axioms and loworder-verify by wrapping
+    # illposed.cli.<name>; a command that bypassed the module attribute would
+    # leave both spans at 0
+    import illposed.cli as cli
+
+    calls = []
+
+    def recording(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("verify_membership", "check_axioms"):
+        monkeypatch.setattr(cli, name, recording(name))
+    config = str(CONFIG_DIR / "integration_apriori.json")
+    low = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--out", str(tmp_path / "low.json")]
+    assert cli_main(low) == 0
+    assert calls == ["verify_membership"]
+    assert cli_main(["check-axioms", "--config", config, "--out", str(tmp_path / "ax.json")]) == 0
+    assert calls == ["verify_membership", "check_axioms"]
+
+
+def test_each_cli_command_loads_only_its_layer(tmp_path):
+    # one fresh interpreter per case: the package root loads no submodule,
+    # the CLI module loads no numpy, and a command imports only its own layer
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    config = str(CONFIG_DIR / "integration_apriori.json")
+    low = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--out", str(tmp_path / "low.json")]
+    run = ["run", "--config", config, "--out", str(tmp_path / "run")]
+    axioms = ["check-axioms", "--config", config, "--out", str(tmp_path / "ax.json")]
+    command = "from illposed.cli import main\nassert main({!r}) == 0\n"
+    cases = [
+        ("import illposed\n", "illposed", ("illposed.", "numpy")),
+        ("import illposed.cli\n", "illposed.cli", ("numpy",)),
+        (command.format(low), "illposed.loworder",
+         ("illposed.harness", "illposed.schemes", "illposed.parameter_choice")),
+        (command.format(run), "illposed.harness", ("illposed.loworder",)),
+        (command.format(axioms), "illposed.harness", ("illposed.loworder",)),
+    ]
+    env = {**os.environ, "PYTHONPATH": src}
+    for code, present, absent in cases:
+        code += "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        assert present in loaded, code
+        assert [m for m in loaded if m.startswith(absent)] == [], code
 
 
 @pytest.mark.parametrize("modes", [2, 746])
@@ -493,7 +561,7 @@ def test_build_problem_unit_coordinate_closed_form():
 
 def test_build_problem_initial_error_is_mixed_smooth():
     problem = build_problem(parse_config(make_doc()))
-    from illposed import make_mixed_smooth_element
+    from illposed.operator_log import make_mixed_smooth_element
 
     mixed = make_mixed_smooth_element(problem.op, problem.sc)
     assert ((problem.ubar - problem.u_star) - mixed).norm() <= 1e-14
@@ -537,7 +605,8 @@ def test_run_exact_data_errors_shrink():
     doc = make_doc(delta_ladder=[1e-2, 1e-4, 1e-6, 1e-8])
     cfg = parse_config(doc)
     problem = build_problem(cfg)
-    from illposed import apriori_alpha, regularize
+    from illposed.parameter_choice import apriori_alpha
+    from illposed.schemes import regularize
 
     errs = []
     for d in cfg.raw["delta_ladder"]:

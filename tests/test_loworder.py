@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 import illposed
-from illposed import (
-    DomainError,
-    QuadratureError,
-    GridFunction,
+from illposed.errors import DomainError, QuadratureError
+from illposed.grid import GridFunction
+from illposed.loworder import (
+    EULER_GAMMA,
     LogExampleParams,
+    abel_order_derivative_identity_gap,
     log_kernel_apply_at,
     log_kernel_derivative,
     sample_u_log,
     verify_membership,
 )
-from illposed.loworder import EULER_GAMMA, abel_order_derivative_identity_gap
 from illposed.operators import SymbolMap
 from oracles import graded_w, log_kernel_apply, quadpack_w
 
@@ -228,9 +228,13 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # every route is numpy alone, so no scipy module loads
+    # every route is numpy alone, so no scipy module loads; the CLI module
+    # imports its layers on first use, so the test imports them itself
     src = str(Path(illposed.__file__).resolve().parents[1])
-    code = "import sys, illposed.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, illposed.cli, illposed.harness, illposed.loworder\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env

@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from illposed import (
-    DomainError,
+from illposed.errors import DomainError
+from illposed.loworder import LogExampleParams, sample_u_log
+from illposed.operator_log import (
     SourceCondition,
+    log_apply,
+    log_resolvent_power_map,
+    make_mixed_smooth_element,
+)
+from illposed.operators import (
+    _one_row,
     abel_operator,
     apply,
     diagonal_operator,
     exp_decay_diagonal,
     integration_operator,
-    log_apply,
-    make_mixed_smooth_element,
-    sample_u_log,
 )
-from illposed.loworder import LogExampleParams
-from illposed.operator_log import log_resolvent_power_map
-from illposed.operators import _one_row
 
 from oracles import LaplaceQuadrature, diagonal_log_values, laplace_log_resolvent_power
 

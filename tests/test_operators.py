@@ -6,26 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from illposed import (
-    DimensionMismatchError,
-    DomainError,
-    GridFunction,
-    apply,
-    diagonal_operator,
-    estimate_postype_constant,
-    exp_decay_diagonal,
-    integration_operator,
-    product_integration_weights,
-    shifted_solve,
-)
-from illposed.grid import NORM_KINDS, grid_norms
+from illposed.errors import DimensionMismatchError, DomainError
+from illposed.grid import NORM_KINDS, GridFunction, grid_norms
 from illposed.operators import (
     _postype_ratios,
     _power_iteration_norm,
     _shifted_reciprocals,
     abel_operator,
+    apply,
     default_kappa_grid,
+    diagonal_operator,
+    estimate_postype_constant,
+    exp_decay_diagonal,
+    integration_operator,
+    product_integration_weights,
     series_reciprocal,
+    shifted_solve,
 )
 from oracles import dense_matrix
 

@@ -6,25 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import illposed.parameter_choice as parameter_choice
-from illposed import (
+from illposed.errors import DomainError
+from illposed.harness import add_noise, load_config, run_rate_experiment
+from illposed.operators import _one_row, abel_operator, apply, diagonal_operator, exp_decay_diagonal
+from illposed.parameter_choice import (
     ChiParams,
     DiscrepancyConfig,
-    DomainError,
-    Regularizer,
-    RegularizerConfig,
-    abel_operator,
-    apply,
     apriori_alpha,
     chi,
     chi_inverse,
-    diagonal_operator,
     discrepancy_alpha,
     discrepancy_alphas,
-    exp_decay_diagonal,
 )
-from illposed.harness import add_noise, load_config, run_rate_experiment
-from illposed.operators import _one_row
-from illposed.schemes import regularizer
+from illposed.schemes import Regularizer, RegularizerConfig, regularizer
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from illposed import (
-    DomainError,
-    RegularizerConfig,
+from illposed.errors import DomainError
+from illposed.fractional import fractional_power_exact
+from illposed.operators import (
+    _one_row,
     abel_operator,
     apply,
     diagonal_operator,
     exp_decay_diagonal,
-    fractional_power_exact,
     integration_operator,
-    qualification_checks,
-    regularize,
-    regularizer,
     shifted_solve,
 )
-from illposed.operators import _one_row
+from illposed.schemes import RegularizerConfig, qualification_checks, regularize, regularizer
 
 from oracles import expm_evolve
 
