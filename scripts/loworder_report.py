@@ -15,7 +15,7 @@ def main() -> int:
     for c, kappa in ((0.5, 2.0), (0.5, 0.5)):
         report = verify_membership(LogExampleParams(c=c, kappa=kappa))
         print(f"== c = {c}, kappa = {kappa} ==")
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

@@ -25,14 +25,15 @@ def main() -> int:
         cfg_path = ROOT / rel
         out_dir = ROOT / "out" / cfg_path.stem
         report = run_rate_experiment(load_config(cfg_path), out_dir=out_dir)
+        rows, summary = report["rows"], report["summary"]
         print(f"== {cfg_path.stem} ==")
-        print(f"   rows: {len(report.rows)}   wrote {out_dir}/")
+        print(f"   rows: {len(rows)}   wrote {out_dir}/")
         keys = ("max_ratio", "median_ratio", "ratio_spread", "holder_exponent", "pass")
-        print("   " + json.dumps({k: report.summary.get(k) for k in keys}))
-        for row in report.rows:
+        print("   " + json.dumps({k: summary.get(k) for k in keys}))
+        for row in rows:
             print(
-                f"   delta={row.delta:8.1e}  alpha={row.alpha:10.3e}  "
-                f"error={row.error:10.4e}  error/bound={row.ratio:6.3f}"
+                f"   delta={row['delta']:8.1e}  alpha={row['alpha']:10.3e}  "
+                f"error={row['error']:10.4e}  error/bound={row['ratio']:6.3f}"
             )
     return 0
 

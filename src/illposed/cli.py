@@ -3,11 +3,13 @@
 Subcommands:
 
 * ``run --config <path> --out <dir>`` -- run a rate experiment, writing
-  report.csv, plot.csv and summary.json into the output directory;
+  report.csv, plot.csv and summary.json into the output directory and
+  printing the summary;
 * ``loworder-verify --c <v> --kappa <v>`` -- run the membership diagnostics
-  for the low-order candidate and emit the report as JSON;
+  for the low-order candidate and emit the dict ``verify_membership``
+  returns as JSON;
 * ``check-axioms --config <path>`` -- run the scheme-axiom suites and emit
-  the results as JSON.
+  the dict ``check_axioms`` returns as JSON.
 
 ``--seed`` and ``--grid-n`` override the corresponding config fields.  A
 package error (bad config field, domain or quadrature failure) or a file
@@ -81,12 +83,12 @@ def _run(args) -> int:
     if args.command == "run":
         cfg = cli.load_config(args.config, args.seed, args.grid_n)
         report = cli.run_rate_experiment(cfg, out_dir=args.out)
-        print(json.dumps(report.summary, indent=2, sort_keys=True))
+        print(json.dumps(report["summary"], indent=2, sort_keys=True))
         return 0
 
     if args.command == "loworder-verify":
         params = cli.LogExampleParams(c=args.c, kappa=args.kappa)
-        result = cli.verify_membership(params, n=args.grid_n).to_dict()
+        result = cli.verify_membership(params, n=args.grid_n)
     else:  # check-axioms
         result = cli.check_axioms(cli.load_config(args.config, args.seed, args.grid_n))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"

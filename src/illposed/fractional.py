@@ -22,7 +22,6 @@ trapezoid rule in tau = log s, kept in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,24 +156,15 @@ def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
     return SymbolMap(product_integration_weights(op.order * p, op.n), volterra=True)
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    """Outcome of one moment-inequality check ||A^p u|| <= c ||A^q u||^{p/q} ||u||^{1-p/q}."""
-
-    lhs: float
-    rhs: float
-    constant_used: float | None
-    ratio: float
-    holds: bool | None
-
-
 def check_interpolation_inequality(
     op: DiscreteOperator, p: float, q: float, u: GridFunction
-) -> InterpolationReport:
-    """Check the moment inequality for fractional powers on a single element.
+) -> dict:
+    """Check ||A^p u|| <= c ||A^q u||^{p/q} ||u||^{1-p/q} on a single element.
 
-    For q = 1 the certified constant 2 (kappa_star + 1) is used and ``holds``
-    is a verdict; for other q only the empirical ratio is reported.
+    Returns a dict of ``lhs``, ``rhs``, ``constant_used``, ``ratio`` =
+    lhs / rhs and ``holds``.  For q = 1 the certified constant
+    2 (kappa_star + 1) is used and ``holds`` is a verdict; for other q only
+    the empirical ratio is reported.
     """
     if not 0.0 < p < q:
         raise DomainError("need 0 < p < q")
@@ -188,4 +178,4 @@ def check_interpolation_inequality(
         c = None
         holds = None
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
-    return InterpolationReport(lhs=lhs, rhs=rhs, constant_used=c, ratio=ratio, holds=holds)
+    return {"lhs": lhs, "rhs": rhs, "constant_used": c, "ratio": ratio, "holds": holds}

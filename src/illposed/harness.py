@@ -3,9 +3,10 @@
 Configs are JSON documents, versioned by ``schema_version`` (1).  ``FIELDS``
 is the schema: one row per field with its type, bounds, default and the
 operator kind, source element, scheme or rule it applies to.
-``parse_config`` checks a document against it row by row, then checks the
-rules that tie fields together (sigma order, the unit index below the
-operator's dimension, the ladder below ``delta0`` and strictly decreasing,
+``parse_config`` rejects a key that names no row, checks the document
+against the table row by row, then checks the rules that tie fields
+together (sigma order, the unit index below the operator's dimension, the
+ladder nonempty, below ``delta0`` and strictly decreasing,
 ``p`` below the scheme's saturation, ``b1`` at least ``b0``), and returns a
 normalized copy that holds every field that applies, defaults filled in.
 The builders read only that copy.  Every error is a ``ConfigError`` that
@@ -14,9 +15,13 @@ names the field.
 All randomness flows through the Philox 4x64 counter-based generator keyed
 by explicit seeds, so identical configs produce byte-identical CSV output.
 
-Outputs: ``report.csv`` (header ``delta,alpha,error,residual,bound,ratio``,
-floats with 17 significant digits, alpha = inf serialized as "inf"),
-``plot.csv`` (the same columns in log10), ``summary.json``.
+Results are plain data.  ``run_rate_experiment`` returns
+``{"rows", "summary"}``: one dict per ladder entry keyed by ``CSV_COLUMNS``,
+and the summary document.  ``check_axioms`` returns the document that
+``check-axioms`` writes.  Outputs: ``report.csv`` (header
+``delta,alpha,error,residual,bound,ratio``, floats with 17 significant
+digits, alpha = inf serialized as "inf"), ``plot.csv`` (the same columns in
+log10), ``summary.json``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +67,8 @@ MAX_LAVRENTIEV_STEPS = 64
 #: the pass verdict's bound on ratio_spread = max/median, which is never below 1
 SPREAD_TOLERANCE = 3.0
 GENERATOR_NAME = "philox4x64"  # numpy Philox, 64-bit counter-based
+#: the keys of a rate row, in report.csv's column order; plot.csv holds their log10
+CSV_COLUMNS = ("delta", "alpha", "error", "residual", "bound", "ratio")
 
 _REQUIRED = object()
 _POSITIVE = (0, math.inf, "()")
@@ -120,6 +127,18 @@ FIELDS = (
     ("spread_tolerance", "number", (1, math.inf, "[)"), SPREAD_TOLERANCE, ()),
 )
 
+_PATHS = {row[0] for row in FIELDS}
+_OBJECTS = {row[0] for row in FIELDS if row[1] == "object"}
+
+
+def _key_paths(doc: dict, prefix: str = ""):
+    """Every key path of ``doc``, descending only into the values at "object" rows."""
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        yield path
+        if path in _OBJECTS and isinstance(value, dict):
+            yield from _key_paths(value, path + ".")
+
 
 def _at(doc: dict, path: str):
     """The field at a dotted path, None where it is missing."""
@@ -169,6 +188,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     doc = copy.deepcopy(doc)
+    unknown = [path for path in _key_paths(doc) if path not in _PATHS]
+    if unknown:
+        raise ConfigError(f"config.{unknown[0]}: unknown field")
     for path, kind, bounds, default, when in FIELDS:
         if not all(_at(doc, cond) in values for cond, values in when):
             continue
@@ -200,6 +222,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"got {src['w']['index']!r}"
             )
     deltas = doc["delta_ladder"]
+    if not deltas:
+        raise ConfigError("config.delta_ladder: must hold at least one delta")
     if any(d > doc["delta0"] for d in deltas):
         raise ConfigError("config.delta_ladder: entries must lie in (0, delta0]")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -351,22 +375,6 @@ def add_noise(f: GridFunction, delta: float, seed: int) -> GridFunction:
     return f + (delta / nz) * z
 
 
-@dataclass(frozen=True)
-class RateRow:
-    delta: float
-    alpha: float
-    error: float
-    residual: float
-    bound: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: list[RateRow]
-    summary: dict
-
-
 def error_bound(delta: float, p: float, nu: int, d_w: float) -> float:
     """D_w * delta^{p/(p+1)} * log^{-nu/(p+1)}(1/delta)."""
     ell = math.log(1.0 / delta)
@@ -384,7 +392,7 @@ def _median(values: np.ndarray) -> float:
 
 
 def fit_rate(
-    rows: list[RateRow], p: float, nu: int, spread_tolerance: float = SPREAD_TOLERANCE
+    rows: list[dict], p: float, nu: int, spread_tolerance: float = SPREAD_TOLERANCE
 ) -> dict:
     """Ratio statistics plus the apparent exponent after removing the log factor.
 
@@ -395,15 +403,15 @@ def fit_rate(
     """
     if len(rows) < 3:
         raise DomainError("rate fitting needs at least three rows")
-    ratios = np.array([r.ratio for r in rows])
+    ratios = np.array([r["ratio"] for r in rows])
     if np.any(ratios <= 0):
         raise DomainError("ratios must be positive")
     max_ratio = float(np.max(ratios))
     median_ratio = _median(ratios)
     spread = max_ratio / median_ratio
     rng = max_ratio / float(np.min(ratios))
-    deltas = np.array([r.delta for r in rows])
-    errors = np.array([r.error for r in rows])
+    deltas = np.array([r["delta"] for r in rows])
+    errors = np.array([r["error"] for r in rows])
     logfac = np.log(1.0 / deltas) ** (-nu / (p + 1.0))
     mask = errors > 0
     if np.count_nonzero(mask) >= 2:
@@ -420,11 +428,13 @@ def fit_rate(
     }
 
 
-def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
+def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run the configured (scheme x rule) over the delta ladder.
 
-    Row k uses noise seed ``seed + k``.  Rows are written in ladder order;
-    everything is deterministic for a fixed config.
+    Returns ``{"rows", "summary"}``: one dict per ladder entry, keyed by
+    ``CSV_COLUMNS``, and the ``summary.json`` document.  Row k uses noise
+    seed ``seed + k``.  Rows are written in ladder order; everything is
+    deterministic for a fixed config.
     """
     problem = build_problem(config)
     op, scheme = problem.op, problem.scheme
@@ -451,23 +461,13 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
             bisect_tol=float(rule["bisect_tol"]),
             c0=rule["c0"],
         )
-        results = discrepancy_alphas(op, scheme, dcfg, data, deltas, problem.ubar)
-        chosen = [(res.alpha, res.u, res.residual) for res in results]
-    rows: list[RateRow] = []
+        chosen = discrepancy_alphas(op, scheme, dcfg, data, deltas, problem.ubar)
+    rows = []
     alpha_lower_ratios: list[float] = []
     for delta, (alpha, u, residual) in zip(deltas, chosen):
         error = (u - problem.u_star).norm()
         bound = error_bound(delta, p, nu, d_w)
-        rows.append(
-            RateRow(
-                delta=delta,
-                alpha=alpha,
-                error=error,
-                residual=residual,
-                bound=bound,
-                ratio=error / bound,
-            )
-        )
+        rows.append(dict(zip(CSV_COLUMNS, (delta, alpha, error, residual, bound, error / bound))))
         if math.isfinite(alpha):
             ell = math.log(1.0 / delta)
             alpha_lower_ratios.append(
@@ -483,38 +483,34 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentRep
             summary["alpha_lower_ratio_stability"] = (
                 max(alpha_lower_ratios) / min(alpha_lower_ratios)
             )
-    report = ExperimentReport(rows=rows, summary=summary)
+    report = {"rows": rows, "summary": summary}
     if out_dir is not None:
         write_report(report, out_dir)
     return report
 
 
-#: the ``RateRow`` fields of report.csv, in column order; plot.csv holds their log10
-CSV_COLUMNS = ("delta", "alpha", "error", "residual", "bound", "ratio")
-
-
-def report_csv(report: ExperimentReport) -> str:
+def report_csv(report: dict) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for r in report.rows:
-        lines.append(",".join(f"{getattr(r, c):.17g}" for c in CSV_COLUMNS))
+    for r in report["rows"]:
+        lines.append(",".join(f"{r[c]:.17g}" for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def plot_csv(report: ExperimentReport) -> str:
+def plot_csv(report: dict) -> str:
     lines = [",".join("log10_" + c for c in CSV_COLUMNS)]
-    for r in report.rows:
-        vals = (getattr(r, c) for c in CSV_COLUMNS)
+    for r in report["rows"]:
+        vals = (r[c] for c in CSV_COLUMNS)
         lines.append(",".join(f"{math.log10(v):.17g}" if v > 0 else "nan" for v in vals))
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: ExperimentReport, out_dir) -> None:
+def write_report(report: dict, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(report_csv(report), encoding="utf-8", newline="\n")
     (out / "plot.csv").write_text(plot_csv(report), encoding="utf-8", newline="\n")
     (out / "summary.json").write_text(
-        json.dumps(report.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(report["summary"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -549,7 +545,6 @@ def check_axioms(config: ExperimentConfig) -> dict:
         gap = grid_norms(both[k:] - forward(ra), op.norm_kind)
         commutation = max(commutation, float(np.max(gap / au_nrm)))
     ps = [0.0, 1.0] if scheme.scheme == "cauchy" else [float(j) for j in range(scheme.m + 1)]
-    reports = qualification_checks(op, scheme, ps, np.logspace(-6, 0, 13) * op.op_norm)
     a0 = 0.1 * op.op_norm
     u = op.grid_function(probes[0])
     s0 = _one_row(op, regularizer(op, scheme, a0).companion, u)
@@ -567,7 +562,7 @@ def check_axioms(config: ExperimentConfig) -> dict:
         "growth_sup": growth_sup,
         "growth_certified": scheme.growth_constant(op.kappa_star),
         "commutation_defect": commutation,
-        "qualification": [asdict(rep) for rep in reports],
+        "qualification": qualification_checks(op, scheme, ps, np.logspace(-6, 0, 13) * op.op_norm),
         "continuity_relative_change": continuity,
         "sectorial_certified": scheme.sectorial_certified(op),
     }

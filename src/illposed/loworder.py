@@ -20,6 +20,10 @@ family at order one,
     d/dp (J_p u)|_{p=1} = S u - Gamma'(1) J u = S u + gamma J u,
 
 with gamma the Euler-Mascheroni constant (Gamma'(1) = -gamma).
+
+``verify_membership`` runs the four diagnostics and returns the JSON
+document that ``loworder-verify`` writes: the decay curve of w, each
+diagnostic's value and flag, and the verdict "pass" or "fail".
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ from .operator_log import log_apply
 from .operators import MAX_GRID_CELLS, integration_operator
 
 EULER_GAMMA = 0.5772156649015329  # gamma = -Gamma'(1), 16 digits
+#: verify_membership's diagnostic points: w at x = 2^-k for these k, the
+#: centered difference of S u at FD_X with step FD_H, and the identity points
+DECAY_POWERS = range(4, 21)
+FD_X, FD_H = 0.5, 1e-4
+IDENTITY_POINTS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
 @dataclass(frozen=True)
@@ -176,39 +185,6 @@ def log_kernel_derivative(params: LogExampleParams, x_points, rel_tol: float = 1
     return total
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Aggregate evidence that the candidate lies in the domain of log(J)."""
-
-    params: LogExampleParams
-    w_xs: np.ndarray
-    w_values: np.ndarray
-    w_decreasing: bool
-    derivative_match_rel: float
-    derivative_match_ok: bool
-    abel_identity_rel: float
-    abel_identity_ok: bool
-    log_quotients_cauchy: bool
-    verdict: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.params.c,
-            "kappa": self.params.kappa,
-            "w_decay_curve": {
-                "x": [float(v) for v in self.w_xs],
-                "w": [float(v) for v in self.w_values],
-            },
-            "w_decreasing": self.w_decreasing,
-            "derivative_match_rel": self.derivative_match_rel,
-            "derivative_match_ok": self.derivative_match_ok,
-            "abel_identity_rel": self.abel_identity_rel,
-            "abel_identity_ok": self.abel_identity_ok,
-            "log_quotients_cauchy": self.log_quotients_cauchy,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
-
 def abel_order_derivative_identity_gap(u: GridFunction, x_points, eps: float = 1e-3) -> float:
     """Max relative gap between d/dp (J^p u)|_{p=1} and S u + gamma J u at the points.
 
@@ -236,57 +212,51 @@ def abel_order_derivative_identity_gap(u: GridFunction, x_points, eps: float = 1
 def verify_membership(
     params: LogExampleParams,
     n: int = 512,
-    k_range=range(4, 21),
-    fd_x: float = 0.5,
-    fd_h: float = 1e-4,
-    identity_points=(0.3, 0.4, 0.5, 0.6, 0.7),
     identity_n: int = 4096,
     u_values: np.ndarray | None = None,
-) -> MembershipReport:
+) -> dict:
     """Run the four membership diagnostics and aggregate a verdict.
 
-    (i) w(2^-k) decreasing in magnitude toward zero; (ii) the finite
-    difference of S u matches w at ``fd_x``; (iii) the log difference
-    quotients of the sampled candidate are Cauchy; (iv) the order-derivative
-    identity holds at interior points.  ``u_values`` substitutes a different
-    candidate into diagnostic (iii) only (probe hook).
+    (i) w(2^-k), k = 4..20, decreasing in magnitude toward zero; (ii) the
+    centered difference of S u at x = 1/2 (step 1e-4) matches w there;
+    (iii) the log difference quotients of the sampled candidate are Cauchy;
+    (iv) the order-derivative identity holds at x = 0.3 .. 0.7.
+    ``u_values`` substitutes a different candidate into diagnostic (iii) only
+    (probe hook).  Returns the JSON document that ``loworder-verify`` writes,
+    with ``verdict`` "pass" or "fail".
     """
     if n < 2:
         raise DomainError("need at least two grid cells")
     if n > MAX_GRID_CELLS:
         raise DomainError(f"need at most {MAX_GRID_CELLS} grid cells, got {n}")
-    xs = np.array([2.0**-k for k in k_range])
-    # the decay points and fd_x in one pass; each point stops as it would alone
-    w_all = log_kernel_derivative(params, np.append(xs, fd_x))
+    xs = np.array([2.0**-k for k in DECAY_POWERS])
+    # the decay points and FD_X in one pass; each point stops as it would alone
+    w_all = log_kernel_derivative(params, np.append(xs, FD_X))
     w_vals, w_at = w_all[:-1], float(w_all[-1])
-    mags = np.abs(w_vals)
-    w_decreasing = bool(np.all(np.diff(mags) < 0.0))
+    w_decreasing = bool(np.all(np.diff(np.abs(w_vals)) < 0.0))
 
     u = sample_u_log(params, n)
-    su_plus = log_kernel_apply_at(u, fd_x + fd_h)
-    su_minus = log_kernel_apply_at(u, fd_x - fd_h)
-    fd = (su_plus - su_minus) / (2.0 * fd_h)
+    su_plus = log_kernel_apply_at(u, FD_X + FD_H)
+    su_minus = log_kernel_apply_at(u, FD_X - FD_H)
+    fd = (su_plus - su_minus) / (2.0 * FD_H)
     derivative_match_rel = abs(fd - w_at) / max(abs(w_at), 1e-12)
-    derivative_match_ok = derivative_match_rel <= 1e-3
 
-    op = integration_operator(n)
     probe = u if u_values is None else GridFunction(u_values, "sup")
-    _, report = log_apply(op, probe)
+    _, cauchy, _ = log_apply(integration_operator(n), probe)
 
-    u_fine = sample_u_log(params, identity_n)
-    abel_rel = abel_order_derivative_identity_gap(u_fine, identity_points)
-    abel_ok = abel_rel <= 1e-3
+    abel_rel = abel_order_derivative_identity_gap(sample_u_log(params, identity_n), IDENTITY_POINTS)
 
-    verdict = bool(w_decreasing and derivative_match_ok and report.cauchy and abel_ok)
-    return MembershipReport(
-        params=params,
-        w_xs=xs,
-        w_values=w_vals,
-        w_decreasing=w_decreasing,
-        derivative_match_rel=derivative_match_rel,
-        derivative_match_ok=derivative_match_ok,
-        abel_identity_rel=abel_rel,
-        abel_identity_ok=abel_ok,
-        log_quotients_cauchy=report.cauchy,
-        verdict=verdict,
-    )
+    match_ok, abel_ok = derivative_match_rel <= 1e-3, abel_rel <= 1e-3
+    verdict = w_decreasing and match_ok and cauchy and abel_ok
+    return {
+        "c": params.c,
+        "kappa": params.kappa,
+        "w_decay_curve": {"x": xs.tolist(), "w": w_vals.tolist()},
+        "w_decreasing": w_decreasing,
+        "derivative_match_rel": derivative_match_rel,
+        "derivative_match_ok": match_ok,
+        "abel_identity_rel": abel_rel,
+        "abel_identity_ok": abel_ok,
+        "log_quotients_cauchy": cauchy,
+        "verdict": "pass" if verdict else "fail",
+    }

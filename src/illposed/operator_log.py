@@ -26,34 +26,21 @@ from .grid import GridFunction, grid_norms
 from .operators import DiscreteOperator, SymbolMap, _one_row
 
 
-def default_p_schedule() -> np.ndarray:
-    return 2.0 ** -np.arange(3, 13, dtype=float)
+#: the schedule p -> 0 of the difference quotients: 2^-3 .. 2^-12
+P_SCHEDULE = tuple(2.0**-k for k in range(3, 13))
 
 
-@dataclass(frozen=True)
-class LogQuotientReport:
-    """Convergence diagnostics of the difference quotients (A^p u - u)/p."""
-
-    p_schedule: np.ndarray
-    distances: np.ndarray  # ||d_{k+1} - d_k||
-    cauchy: bool
-
-
-def log_apply(
-    op: DiscreteOperator, u: GridFunction, p_schedule=None
-) -> tuple[GridFunction, LogQuotientReport]:
+def log_apply(op: DiscreteOperator, u: GridFunction) -> tuple[GridFunction, bool, np.ndarray]:
     """Difference-quotient realization of log(A) u.
 
-    Returns the Richardson extrapolation over the two smallest schedule
-    entries together with a convergence report.  ``cauchy`` is True when the
-    successive quotient distances keep shrinking by at least a factor 1.5
-    over the tail of the schedule (membership evidence), False otherwise;
-    non-membership is never an error.
+    Returns ``(extrapolation, cauchy, distances)``: the Richardson
+    extrapolation over the two smallest schedule entries, the membership
+    flag, and the distances ||d_{k+1} - d_k|| of successive quotients.
+    ``cauchy`` is True when those distances keep shrinking by at least a
+    factor 1.5 over the tail of the schedule (membership evidence), False
+    otherwise; non-membership is never an error.
     """
-    ps = default_p_schedule() if p_schedule is None else np.asarray(p_schedule, dtype=float)
-    if ps.size < 4 or np.any(np.diff(ps) >= 0) or np.any(ps <= 0):
-        raise DomainError("p schedule must be strictly decreasing, positive, length >= 4")
-    quotients = [(fractional_power_exact(op, float(p), u) - u) * (1.0 / p) for p in ps]
+    quotients = [(fractional_power_exact(op, p, u) - u) * (1.0 / p) for p in P_SCHEDULE]
     dists = grid_norms(np.diff([q.values for q in quotients], axis=0), u.norm_kind)
     floor = 1e-13 * max(1.0, u.norm())
     if dists[-1] <= floor:
@@ -61,9 +48,9 @@ def log_apply(
     else:
         tail = dists[-3:]
         cauchy = bool(tail[0] >= 1.5 * tail[1] and tail[1] >= 1.5 * tail[2])
-    r = ps[-2] / ps[-1]
+    r = P_SCHEDULE[-2] / P_SCHEDULE[-1]
     extrap = (r * quotients[-1] - quotients[-2]) * (1.0 / (r - 1.0))
-    return extrap, LogQuotientReport(p_schedule=ps, distances=dists, cauchy=cauchy)
+    return extrap, cauchy, dists
 
 
 def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> SymbolMap:

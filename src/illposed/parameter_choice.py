@@ -131,13 +131,6 @@ class DiscrepancyConfig:
             raise DomainError("alpha_max and bisect_tol must be positive")
 
 
-@dataclass(frozen=True)
-class DiscrepancyResult:
-    alpha: float  # math.inf in the degenerate branch
-    u: GridFunction
-    residual: float
-
-
 def _band_search(
     residual, dcfg: DiscrepancyConfig, lo_t: float, hi_t: float
 ) -> tuple[float, float]:
@@ -192,13 +185,14 @@ def discrepancy_alphas(
     data: list[GridFunction],
     deltas: list[float],
     ubar: GridFunction,
-) -> list[DiscrepancyResult]:
+) -> list[tuple[float, GridFunction, float]]:
     """Residual-band a posteriori choice for each row (f_delta, delta) of a ladder.
 
-    Degenerate branch: if ||A ubar - f_delta|| <= b1 delta the answer is
-    (infinity, ubar).  Otherwise walk alpha down a geometric grid until the
-    residual drops to b1 delta, then bisect the bracketing pair in log alpha
-    until the residual lands in [b0 delta, b1 delta].
+    Each row's answer is ``(alpha, u, residual)``.  Degenerate branch: if
+    ||A ubar - f_delta|| <= b1 delta the answer is alpha = infinity and
+    u = ubar.  Otherwise walk alpha down a geometric grid until the residual
+    drops to b1 delta, then bisect the bracketing pair in log alpha until the
+    residual lands in [b0 delta, b1 delta].
 
     The residual of a trial is ||S_alpha r0|| with r0 = A ubar - f_delta,
     since A u_alpha - f_delta = S_alpha (A ubar - f_delta) (Engl, Hanke &
@@ -232,7 +226,7 @@ def discrepancy_alphas(
         r0 = a_ubar - f_delta
         r_bar = r0.norm()
         if r_bar <= dcfg.b1 * delta:
-            results.append(DiscrepancyResult(alpha=math.inf, u=ubar, residual=r_bar))
+            results.append((math.inf, ubar, r_bar))
             continue
         alpha, r = _band_search(
             lambda a: _one_row(op, filter_at(a).companion, r0).norm(),
@@ -241,7 +235,7 @@ def discrepancy_alphas(
             dcfg.b1 * delta,
         )
         u = _one_row(op, filter_at(alpha).element, f_delta, ubar)
-        results.append(DiscrepancyResult(alpha=alpha, u=u, residual=r))
+        results.append((alpha, u, r))
     return results
 
 
@@ -252,9 +246,9 @@ def discrepancy_alpha(
     f_delta: GridFunction,
     delta: float,
     ubar: GridFunction,
-) -> DiscrepancyResult:
+) -> tuple[float, GridFunction, float]:
     """Residual-band a posteriori choice of the regularization parameter.
 
-    The one-row call of ``discrepancy_alphas``.
+    The one-row call of ``discrepancy_alphas``: ``(alpha, u, residual)``.
     """
     return discrepancy_alphas(op, cfg, dcfg, [f_delta], [delta], ubar)[0]

@@ -187,24 +187,16 @@ def regularize(
     return _one_row(op, regularizer(op, cfg, alpha).element, f_delta, ubar)
 
 
-@dataclass(frozen=True)
-class QualificationReport:
-    """Empirical decay check of ||S_alpha A^p u|| / (alpha^p ||u||)."""
-
-    p: float
-    sup_ratio: float
-    certified_bound: float | None
-    passed: bool | None
-
-
 def qualification_checks(
     op: DiscreteOperator,
     cfg: RegularizerConfig,
     ps,
     alpha_grid,
-) -> list[QualificationReport]:
+) -> list[dict]:
     """Sup over alpha and the probes of the decay ratio, at each order in ``ps``.
 
+    One dict per order: ``p``, ``sup_ratio`` (the sup of
+    ||S_alpha A^p u|| / (alpha^p ||u||)), ``certified_bound`` and ``passed``.
     Raises beyond the saturation of the scheme; ``passed`` is a verdict only
     where a certified constant exists, otherwise the ratio is reported bare.
     A^p of the probe block is built once per order, and the blocks of every
@@ -247,12 +239,6 @@ def qualification_checks(
     reports = []
     for p, sup in zip(ps, sups):
         bound = cfg.qualification_constant(p, op.kappa_star)
-        reports.append(
-            QualificationReport(
-                p=p,
-                sup_ratio=float(sup),
-                certified_bound=bound,
-                passed=None if bound is None else bool(sup <= bound * (1.0 + 1e-9)),
-            )
-        )
+        passed = None if bound is None else bool(sup <= bound * (1.0 + 1e-9))
+        reports.append({"p": p, "sup_ratio": float(sup), "certified_bound": bound, "passed": passed})
     return reports

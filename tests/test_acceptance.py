@@ -127,7 +127,7 @@ def test_criterion_03_interpolation_inequality():
         for _ in range(100):
             u = op.grid_function(rng.standard_normal(op.dim))
             rep = check_interpolation_inequality(op, 0.5, 1.0, u)
-            violations += 0 if rep.holds else 1
+            violations += 0 if rep["holds"] else 1
     ok = violations == 0
     _line(
         "criterion 03: moment inequality with c = 2(kappa+1)",
@@ -218,20 +218,20 @@ def test_criterion_06_apriori_rate():
         _rate_doc({"name": "apriori", "c0": 5.0}, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     )
     report = run_rate_experiment(cfg)
-    spread_ok = report.summary["ratio_spread"] <= 3.0
+    spread_ok = report["summary"]["ratio_spread"] <= 3.0
     problem = build_problem(cfg)
     sweep_alphas = np.logspace(-9, 0, 90)
     factors = []
-    for k, row in enumerate(report.rows):
-        f_delta = add_noise(problem.f_star, row.delta, cfg.raw["seed"] + k)
+    for k, row in enumerate(report["rows"]):
+        f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
         _, best = alpha_sweep_oracle(problem, f_delta, sweep_alphas)
-        factors.append(row.error / best)
+        factors.append(row["error"] / best)
     sweep_ok = max(factors) <= 2.0
     ok = spread_ok and sweep_ok
     _line(
         "criterion 06: a priori rule rate",
         ok,
-        f"ratio spread {report.summary['ratio_spread']:.2f} (<= 3), "
+        f"ratio spread {report['summary']['ratio_spread']:.2f} (<= 3), "
         f"worst rule/sweep error factor {max(factors):.2f} (<= 2)",
     )
     assert ok
@@ -271,34 +271,34 @@ def test_criterion_08_discrepancy_rate():
     report = run_rate_experiment(cfg)
     problem = build_problem(cfg)
     band_ok = True
-    for k, row in enumerate(report.rows):
-        f_delta = add_noise(problem.f_star, row.delta, cfg.raw["seed"] + k)
-        degenerate = (apply(problem.op, problem.ubar) - f_delta).norm() <= 8.0 * row.delta
-        if math.isinf(row.alpha):
+    for k, row in enumerate(report["rows"]):
+        f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
+        degenerate = (apply(problem.op, problem.ubar) - f_delta).norm() <= 8.0 * row["delta"]
+        if math.isinf(row["alpha"]):
             band_ok &= degenerate
         else:
             band_ok &= not degenerate
-            band_ok &= 6.0 * row.delta <= row.residual <= 8.0 * row.delta
+            band_ok &= 6.0 * row["delta"] <= row["residual"] <= 8.0 * row["delta"]
     lower_ok = (
-        report.summary["alpha_lower_ratio_min"] > 0
-        and report.summary["alpha_lower_ratio_stability"] <= 3.0
+        report["summary"]["alpha_lower_ratio_min"] > 0
+        and report["summary"]["alpha_lower_ratio_stability"] <= 3.0
     )
-    spread_ok = report.summary["ratio_spread"] <= 3.0
+    spread_ok = report["summary"]["ratio_spread"] <= 3.0
     # degenerate branch fires exactly when the initial residual is small
     tiny = parse_config(
         _rate_doc({"name": "discrepancy", "b0": 6.0, "b1": 8.0}, [0.09, 0.05])
     )
     tiny.raw["source"]["w"] = {"kind": "unit", "index": 45}
     degen_report = run_rate_experiment(parse_config(tiny.raw))
-    degen_ok = all(math.isinf(r.alpha) for r in degen_report.rows)
+    degen_ok = all(math.isinf(r["alpha"]) for r in degen_report["rows"])
     ok = band_ok and lower_ok and spread_ok and degen_ok
     _line(
         "criterion 08: residual-band a posteriori rule",
         ok,
         f"residuals in [6d, 8d] per row: {band_ok}; alpha lower-bound ratio min "
-        f"{report.summary['alpha_lower_ratio_min']:.1f}, stability "
-        f"{report.summary['alpha_lower_ratio_stability']:.2f} (<= 3); "
-        f"error spread {report.summary['ratio_spread']:.2f} (<= 3); degenerate branch: {degen_ok}",
+        f"{report['summary']['alpha_lower_ratio_min']:.1f}, stability "
+        f"{report['summary']['alpha_lower_ratio_stability']:.2f} (<= 3); "
+        f"error spread {report['summary']['ratio_spread']:.2f} (<= 3); degenerate branch: {degen_ok}",
     )
     assert ok
 
@@ -438,12 +438,11 @@ def test_criterion_10d_order_derivative_identity():
 def test_criterion_10e_membership_verdicts():
     good = verify_membership(PARAMS_GOOD, n=256, identity_n=2048)
     bad = verify_membership(LogExampleParams(c=0.5, kappa=0.5), n=256, identity_n=1024)
-    ok = good.verdict and not bad.verdict
+    ok = good["verdict"] == "pass" and bad["verdict"] == "fail"
     _line(
         "criterion 10e: membership verdicts",
         ok,
-        f"kappa=2 verdict {'pass' if good.verdict else 'fail'}, "
-        f"kappa=0.5 verdict {'pass' if bad.verdict else 'fail'} (want pass/fail)",
+        f"kappa=2 verdict {good['verdict']}, kappa=0.5 verdict {bad['verdict']} (want pass/fail)",
     )
     assert ok
 

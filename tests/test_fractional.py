@@ -267,8 +267,8 @@ def test_strong_continuity_toward_identity():
 def test_interpolation_inequality_scalar_equality():
     op = diagonal_operator([0.7, 0.7], "sup")
     rep = check_interpolation_inequality(op, 0.3, 0.8, op.ones())
-    assert math.isclose(rep.ratio, 1.0, rel_tol=1e-12)
-    assert rep.holds is None  # certified constant exists only for q = 1
+    assert math.isclose(rep["ratio"], 1.0, rel_tol=1e-12)
+    assert rep["holds"] is None  # certified constant exists only for q = 1
 
 
 def test_interpolation_inequality_certified_q1():
@@ -278,15 +278,15 @@ def test_interpolation_inequality_certified_q1():
         for _ in range(100):
             u = op.grid_function(rng.standard_normal(op.dim))
             rep = check_interpolation_inequality(op, 0.5, 1.0, u)
-            assert rep.holds
-            assert rep.constant_used == c
+            assert rep["holds"]
+            assert rep["constant_used"] == c
 
 
 def test_interpolation_inequality_zero_vector():
     op = diagonal_operator([1.0, 0.5], "sup")
     rep = check_interpolation_inequality(op, 0.5, 1.0, op.zeros())
-    assert rep.lhs == rep.rhs == 0.0
-    assert rep.holds
+    assert rep["lhs"] == rep["rhs"] == 0.0
+    assert rep["holds"]
 
 
 def test_interpolation_inequality_rejects_bad_orders():

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from illposed.cli import main as cli_main
 from illposed.errors import ConfigError
 from illposed.harness import (
-    RateRow,
     add_noise,
     build_problem,
     check_axioms,
@@ -25,6 +24,7 @@ from illposed.harness import (
     report_csv,
     run_rate_experiment,
 )
+from illposed.loworder import LogExampleParams, verify_membership
 from illposed.operators import apply
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -260,8 +260,13 @@ def _bundled_doc(name, path, value):
         ("diagonal_discrepancy", "rule.b0", -1, "must be a finite number in (0, inf), got -1"),
         ("diagonal_discrepancy", "rule.b1", 5.0, "must be at least rule.b0"),
         ("integration_apriori", "source.p", -0.5, "must be a finite number in [0, inf), got -0.5"),
+        # a misspelt key would otherwise leave its field at the default
+        ("integration_apriori", "rule.c_0", 50, "unknown field"),
+        ("integration_apriori", "operator.norn", "l2_scaled", "unknown field"),
+        # an empty ladder would write a report.csv with no rows
+        ("integration_apriori", "delta_ladder", [], "must hold at least one delta"),
     ],
-    ids=["b0", "b1", "p"],
+    ids=["b0", "b1", "p", "misspelt_rule_key", "misspelt_operator_key", "empty_ladder"],
 )
 def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, capsys):
     # each field is checked at parse time, so both commands name it; the
@@ -391,7 +396,7 @@ def test_diagonal_modes_edges_run(modes):
     report = run_rate_experiment(
         parse_config(make_doc(operator={"kind": "diagonal", "modes": modes, "norm": "l2_scaled"}))
     )
-    assert all(math.isfinite(r.error) for r in report.rows)
+    assert all(math.isfinite(r["error"]) for r in report["rows"])
 
 
 def test_grid_n_past_modes_edges_is_config_error(tmp_path, capsys):
@@ -478,7 +483,7 @@ def test_cli_package_error_is_one_line(tmp_path):
 def test_explicit_sigma_runs():
     doc = make_doc(operator={"kind": "diagonal", "sigma": [1, 0.5, 0.5, 1e-3], "norm": "sup"})
     report = run_rate_experiment(parse_config(doc))
-    assert all(math.isfinite(r.error) for r in report.rows)
+    assert all(math.isfinite(r["error"]) for r in report["rows"])
 
 
 def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
@@ -618,18 +623,14 @@ def test_run_exact_data_errors_shrink():
 
 def test_fit_rate_identity_and_scaling():
     rows = [
-        RateRow(delta=d, alpha=1.0, error=error_bound(d, 0.0, 1, 1.0), residual=0.0,
-                bound=error_bound(d, 0.0, 1, 1.0), ratio=1.0)
+        dict(delta=d, alpha=1.0, error=error_bound(d, 0.0, 1, 1.0), residual=0.0,
+             bound=error_bound(d, 0.0, 1, 1.0), ratio=1.0)
         for d in (1e-2, 1e-3, 1e-4)
     ]
     s = fit_rate(rows, 0.0, 1)
     assert s["max_ratio"] == s["median_ratio"] == 1.0
     assert s["ratio_spread"] == 1.0 and s["pass"]
-    rows2 = [
-        RateRow(delta=r.delta, alpha=r.alpha, error=2 * r.bound, residual=0.0,
-                bound=r.bound, ratio=2.0)
-        for r in rows
-    ]
+    rows2 = [dict(r, error=2 * r["bound"], ratio=2.0) for r in rows]
     s2 = fit_rate(rows2, 0.0, 1)
     assert s2["max_ratio"] == 2.0 and s2["ratio_spread"] == 1.0 and s2["pass"]
 
@@ -640,9 +641,8 @@ def test_fit_rate_flags_wrong_log_order():
     # median-normalized spread moves slowly
     deltas = [10.0 ** -k for k in range(2, 8)]
     rows = [
-        RateRow(delta=d, alpha=1.0, error=error_bound(d, 0.0, 1, 1.0) * math.log(1.0 / d),
-                residual=0.0, bound=error_bound(d, 0.0, 1, 1.0),
-                ratio=math.log(1.0 / d))
+        dict(delta=d, alpha=1.0, error=error_bound(d, 0.0, 1, 1.0) * math.log(1.0 / d),
+             residual=0.0, bound=error_bound(d, 0.0, 1, 1.0), ratio=math.log(1.0 / d))
         for d in deltas
     ]
     s = fit_rate(rows, 0.0, 1)
@@ -651,17 +651,17 @@ def test_fit_rate_flags_wrong_log_order():
 
 
 def test_fit_rate_needs_three_rows():
-    rows = [RateRow(delta=1e-2, alpha=1.0, error=1.0, residual=0.0, bound=1.0, ratio=1.0)]
+    rows = [dict(delta=1e-2, alpha=1.0, error=1.0, residual=0.0, bound=1.0, ratio=1.0)]
     with pytest.raises(Exception):
         fit_rate(rows * 2, 0.0, 1)
 
 
 def test_run_rate_experiment_apriori_summary():
     report = run_rate_experiment(parse_config(make_doc()))
-    assert report.summary["pass"]
-    assert report.summary["ratio_spread"] <= 3.0
-    assert len(report.rows) == 4
-    assert all(r.ratio > 0 for r in report.rows)
+    assert report["summary"]["pass"]
+    assert report["summary"]["ratio_spread"] <= 3.0
+    assert len(report["rows"]) == 4
+    assert all(r["ratio"] > 0 for r in report["rows"])
 
 
 def test_run_rate_experiment_discrepancy_rows_in_band_or_inf():
@@ -670,12 +670,12 @@ def test_run_rate_experiment_discrepancy_rows_in_band_or_inf():
         delta_ladder=[1e-3, 1e-4, 1e-5],
     )
     report = run_rate_experiment(parse_config(doc))
-    for row in report.rows:
-        if math.isinf(row.alpha):
-            assert row.residual <= 8.0 * row.delta
+    for row in report["rows"]:
+        if math.isinf(row["alpha"]):
+            assert row["residual"] <= 8.0 * row["delta"]
         else:
-            assert 6.0 * row.delta <= row.residual <= 8.0 * row.delta
-    assert report.summary["alpha_lower_ratio_min"] > 0
+            assert 6.0 * row["delta"] <= row["residual"] <= 8.0 * row["delta"]
+    assert report["summary"]["alpha_lower_ratio_min"] > 0
 
 
 def test_csv_determinism(tmp_path):
@@ -696,7 +696,8 @@ def _csv_table(path):
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
 def test_bundled_config_golden_values(name, tmp_path):
     # each bundled config at its own seed against its stored report.csv
-    run_rate_experiment(load_config(CONFIG_DIR / f"{name}.json"), out_dir=tmp_path)
+    report = run_rate_experiment(load_config(CONFIG_DIR / f"{name}.json"), out_dir=tmp_path)
+    assert json.loads(json.dumps(report)) == report  # plain JSON data, rows and summary
     header, got = _csv_table(tmp_path / "report.csv")
     golden_header, golden = _csv_table(GOLDEN_DIR / f"{name}.csv")
     assert header == golden_header
@@ -722,7 +723,9 @@ def _assert_axioms_match(got, want, path="axioms"):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
 def test_bundled_check_axioms_golden(name):
-    got = json.loads(json.dumps(check_axioms(load_config(CONFIG_DIR / f"{name}.json"))))
+    result = check_axioms(load_config(CONFIG_DIR / f"{name}.json"))
+    got = json.loads(json.dumps(result))
+    assert got == result  # plain JSON data
     want = json.loads((GOLDEN_DIR / f"axioms_{name}.json").read_text(encoding="utf-8"))
     _assert_axioms_match(got, want)
 
@@ -732,7 +735,11 @@ def test_loworder_verify_golden(kappa, tmp_path):
     out = tmp_path / "low.json"
     assert cli_main(["loworder-verify", "--c", "0.5", "--kappa", kappa, "--out", str(out)]) == 0
     want = json.loads((GOLDEN_DIR / f"loworder_c0.5_kappa{kappa}.json").read_text(encoding="utf-8"))
-    _assert_axioms_match(json.loads(out.read_text(encoding="utf-8")), want, "loworder")
+    got = json.loads(out.read_text(encoding="utf-8"))
+    _assert_axioms_match(got, want, "loworder")
+    # the CLI writes verify_membership's plain JSON data as it is
+    result = verify_membership(LogExampleParams(c=0.5, kappa=float(kappa)))
+    assert json.loads(json.dumps(result)) == result == got
 
 
 def test_check_axioms_builds_no_ground_truth(monkeypatch):
@@ -794,11 +801,11 @@ def test_csv_schema():
     text = report_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "delta,alpha,error,residual,bound,ratio"
-    assert len(lines) == 1 + len(report.rows)
+    assert len(lines) == 1 + len(report["rows"])
     # 17 significant digits survive a round trip
     first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == report.rows[0].delta
-    assert first[2] == report.rows[0].error
+    assert first[0] == report["rows"][0]["delta"]
+    assert first[2] == report["rows"][0]["error"]
     ptext = plot_csv(report)
     assert ptext.startswith("log10_delta,log10_alpha,")
 
@@ -810,7 +817,7 @@ def test_csv_serializes_degenerate_alpha_as_inf():
     )
     doc["source"] = dict(doc["source"], w={"kind": "unit", "index": 30})  # tiny data norm
     report = run_rate_experiment(parse_config(doc))
-    assert any(math.isinf(r.alpha) for r in report.rows)
+    assert any(math.isinf(r["alpha"]) for r in report["rows"])
     text = report_csv(report)
     assert ",inf," in text
 
@@ -871,12 +878,12 @@ def test_discrepancy_residual_matches_diagonal_closed_form():
     op, m = problem.op, problem.scheme.m
     report = run_rate_experiment(cfg)
     h = 1.0 / (op.dim - 1)
-    for k, row in enumerate(report.rows):
-        f_delta = add_noise(problem.f_star, row.delta, cfg.raw["seed"] + k)
+    for k, row in enumerate(report["rows"]):
+        f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
         r0 = op.weights * problem.ubar.values - f_delta.values
-        factor = (row.alpha / (op.weights + row.alpha)) ** (2 * m)
+        factor = (row["alpha"] / (op.weights + row["alpha"])) ** (2 * m)
         closed = math.sqrt(h * float(np.sum(factor * r0**2)))
-        assert math.isclose(row.residual, closed, rel_tol=1e-14)
+        assert math.isclose(row["residual"], closed, rel_tol=1e-14)
 
 
 def test_kappa_star_is_computed_on_first_read(tmp_path, monkeypatch):

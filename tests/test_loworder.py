@@ -290,23 +290,20 @@ def test_abel_order_derivative_identity_monomial():
 
 def test_verify_membership_passes_for_good_parameters():
     report = verify_membership(PARAMS, n=256, identity_n=2048)
-    assert report.verdict
-    assert report.w_decreasing
-    assert report.log_quotients_cauchy
-    assert report.derivative_match_ok
-    d = report.to_dict()
-    assert d["verdict"] == "pass"
-    assert len(d["w_decay_curve"]["x"]) == len(d["w_decay_curve"]["w"])
+    assert report["verdict"] == "pass"
+    assert report["w_decreasing"]
+    assert report["log_quotients_cauchy"]
+    assert report["derivative_match_ok"]
+    assert len(report["w_decay_curve"]["x"]) == len(report["w_decay_curve"]["w"])
 
 
 def test_verify_membership_fails_below_threshold():
     report = verify_membership(LogExampleParams(c=0.5, kappa=0.5), n=256, identity_n=1024)
-    assert not report.w_decreasing
-    assert not report.verdict
-    assert report.to_dict()["verdict"] == "fail"
+    assert not report["w_decreasing"]
+    assert report["verdict"] == "fail"
 
 
 def test_verify_membership_constant_probe_not_cauchy():
     report = verify_membership(PARAMS, n=256, identity_n=1024, u_values=np.ones(257))
-    assert not report.log_quotients_cauchy
-    assert not report.verdict
+    assert not report["log_quotients_cauchy"]
+    assert report["verdict"] == "fail"

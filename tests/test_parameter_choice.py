@@ -147,9 +147,9 @@ def test_discrepancy_degenerate_branch():
     u_true = op.grid_function(np.linspace(1.0, 0.2, op.dim))
     f = apply(op, u_true)
     dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
-    res = discrepancy_alpha(op, LAV2, dcfg, f, 1.0, u_true)
-    assert math.isinf(res.alpha)
-    assert (res.u - u_true).norm() == 0.0
+    alpha, u, _ = discrepancy_alpha(op, LAV2, dcfg, f, 1.0, u_true)
+    assert math.isinf(alpha)
+    assert (u - u_true).norm() == 0.0
 
 
 def test_discrepancy_scalar_bruteforce():
@@ -159,16 +159,16 @@ def test_discrepancy_scalar_bruteforce():
     op = diagonal_operator([1.0, 1.0], "sup")
     f_delta = op.grid_function([1.0 + delta, 1.0 + delta])
     dcfg = DiscrepancyConfig(b0=b0, b1=b1, alpha_max=1.0, c0=1.0)
-    res = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
-    assert b0 * delta <= res.residual <= b1 * delta
+    alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
+    assert b0 * delta <= residual <= b1 * delta
     lo = math.sqrt(b0 * delta / (1.0 + delta))
     hi = math.sqrt(b1 * delta / (1.0 + delta))
-    assert lo / (1.0 - lo) <= res.alpha <= hi / (1.0 - hi)
+    assert lo / (1.0 - lo) <= alpha <= hi / (1.0 - hi)
     # brute-force scan confirms the analytic bracket
     alphas = np.logspace(-4, 0, 4000)
     resid = (alphas / (1.0 + alphas)) ** 2 * (1.0 + delta)
     in_band = alphas[(resid >= b0 * delta) & (resid <= b1 * delta)]
-    assert in_band.min() <= res.alpha <= in_band.max()
+    assert in_band.min() <= alpha <= in_band.max()
 
 
 def test_discrepancy_residual_in_band_on_random_instances():
@@ -180,11 +180,11 @@ def test_discrepancy_residual_in_band_on_random_instances():
         delta = 10.0 ** float(-rng.uniform(2.0, 5.0))
         f_delta = add_noise(apply(op, u_true), delta, seed=1000 + trial)
         dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
-        res = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
-        if math.isinf(res.alpha):
-            assert res.residual <= 8.0 * delta
+        alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
+        if math.isinf(alpha):
+            assert residual <= 8.0 * delta
         else:
-            assert 6.0 * delta <= res.residual <= 8.0 * delta
+            assert 6.0 * delta <= residual <= 8.0 * delta
 
 
 def test_discrepancy_requires_saturation_above_one():
@@ -258,12 +258,12 @@ def test_discrepancy_ladder_rows_equal_one_row_calls(kind, cfg):
     op, ubar, data = _ladder_problem(kind)
     dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
     rows = discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
-    assert any(math.isfinite(res.alpha) for res in rows)
-    for res, f_delta, delta in zip(rows, data, LADDER):
-        one = discrepancy_alpha(op, cfg, dcfg, f_delta, delta, ubar)
-        assert res.alpha == one.alpha
-        assert np.array_equal(res.u.values, one.u.values)
-        assert res.residual == one.residual
+    assert any(math.isfinite(alpha) for alpha, _, _ in rows)
+    for (alpha, u, residual), f_delta, delta in zip(rows, data, LADDER):
+        one_alpha, one_u, one_residual = discrepancy_alpha(op, cfg, dcfg, f_delta, delta, ubar)
+        assert alpha == one_alpha
+        assert np.array_equal(u.values, one_u.values)
+        assert residual == one_residual
 
 
 @pytest.fixture

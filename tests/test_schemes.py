@@ -265,16 +265,16 @@ def test_qualification_check_diagonal():
     op = exp_decay_diagonal(30)
     grid = np.logspace(-6, 0, 13)
     for rep in qualification_checks(op, LAV2, [0.0, 1.0, 2.0], grid):
-        assert rep.passed
-        assert rep.sup_ratio <= 1.0 + 1e-9  # Hilbert case: the sharp bound is 1
-        assert rep.certified_bound == (op.kappa_star + 1.0) ** 2
+        assert rep["passed"]
+        assert rep["sup_ratio"] <= 1.0 + 1e-9  # Hilbert case: the sharp bound is 1
+        assert rep["certified_bound"] == (op.kappa_star + 1.0) ** 2
 
 
 def test_qualification_check_non_integer_constant():
     op = exp_decay_diagonal(20)
     rep = qualification_checks(op, LAV2, [0.5], np.logspace(-4, 0, 9))[0]
-    assert rep.certified_bound == 2.0 * (op.kappa_star + 1.0) ** 1.5
-    assert rep.passed
+    assert rep["certified_bound"] == 2.0 * (op.kappa_star + 1.0) ** 1.5
+    assert rep["passed"]
 
 
 def test_qualification_beyond_saturation_raises():
@@ -299,8 +299,8 @@ def test_divergence_beyond_saturation_detected():
 def test_cauchy_qualification_reported_without_verdict():
     op = exp_decay_diagonal(20)
     rep = qualification_checks(op, CAUCHY, [3.0], np.logspace(-4, 0, 9))[0]
-    assert rep.certified_bound is None and rep.passed is None
-    assert rep.sup_ratio < 10.0
+    assert rep["certified_bound"] is None and rep["passed"] is None
+    assert rep["sup_ratio"] < 10.0
 
 
 def test_commutation_invariant():
