@@ -4,13 +4,13 @@ Configs are JSON documents, versioned by ``schema_version`` (1).  ``FIELDS``
 is the schema: one row per field with its type, bounds, default and the
 operator kind, source element, scheme or rule it applies to.
 ``parse_config`` rejects a key that names no row, checks the document
-against the table row by row, then checks the rules that tie fields
-together (sigma order, the unit index below the operator's dimension, the
-ladder nonempty, below ``delta0`` and strictly decreasing,
-``p`` below the scheme's saturation, ``b1`` at least ``b0``), and returns a
-normalized copy that holds every field that applies, defaults filled in.
-The builders read only that copy.  Every error is a ``ConfigError`` that
-names the field.
+against the table row by row, rejects a key none of whose rows applies,
+then checks the rules that tie fields together (sigma order, the unit
+index below the operator's dimension, the ladder nonempty, below ``delta0``
+and strictly decreasing, ``p`` below the scheme's saturation, ``b1`` at
+least ``b0``), and returns a normalized copy that holds every field that
+applies, defaults filled in.  The builders read only that copy.  Every
+error is a ``ConfigError`` that names the field.
 
 All randomness flows through the Philox 4x64 counter-based generator keyed
 by explicit seeds, so identical configs produce byte-identical CSV output.
@@ -47,7 +47,6 @@ from .operators import (
     apply,
     diagonal_operator,
     exp_decay_diagonal,
-    integration_operator,
     default_kappa_grid,
     operator_map,
 )
@@ -191,9 +190,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = [path for path in _key_paths(doc) if path not in _PATHS]
     if unknown:
         raise ConfigError(f"config.{unknown[0]}: unknown field")
+    applied = set()
     for path, kind, bounds, default, when in FIELDS:
         if not all(_at(doc, cond) in values for cond, values in when):
             continue
+        applied.add(path)
         parent, _, key = path.rpartition(".")
         node = _at(doc, parent) if parent else doc
         if key not in node:
@@ -204,6 +205,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
             complaint = _complaint(kind, bounds, node[key])
             if complaint:
                 raise ConfigError(f"config.{path}: {complaint}")
+    idle = [path for path in _key_paths(doc) if path not in applied]
+    if idle:
+        when = next(row[4] for row in FIELDS if row[0] == idle[0])
+        need = " and ".join(f"{cond} is one of {list(values)}" for cond, values in when)
+        raise ConfigError(f"config.{idle[0]}: applies only where {need}")
     op, src, scheme, rule = doc["operator"], doc["source"], doc["scheme"], doc["rule"]
     sigma = op["sigma"] if op["kind"] == "diagonal" else None
     if sigma is not None and (len(sigma) < 2 or any(b > a for a, b in zip(sigma, sigma[1:]))):
@@ -271,10 +277,8 @@ def load_config(path, seed: int | None = None, grid_n: int | None = None) -> Exp
 def build_operator(spec: dict) -> DiscreteOperator:
     """The operator of a normalized ``operator`` record (see ``parse_config``)."""
     kind, norm = spec["kind"], spec["norm"]
-    if kind == "integration":
-        op = integration_operator(int(spec["n"]), norm)
-    elif kind == "abel":
-        op = abel_operator(float(spec["order"]), int(spec["n"]), norm)
+    if kind != "diagonal":  # integration is Abel order 1, whose record holds no order
+        op = abel_operator(float(spec.get("order", 1.0)), int(spec["n"]), norm)
     elif spec["sigma"] is not None:
         op = diagonal_operator(np.asarray(spec["sigma"], dtype=float), norm)
     else:

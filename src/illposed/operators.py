@@ -4,8 +4,9 @@ Three kinds are provided:
 
 * ``integration`` -- the Volterra integration operator on [0, 1], discretized
   by piecewise-constant product integration (rectangle rule);
-* ``abel`` -- the fractional integration operator of order ``0 < alpha <= 1``,
+* ``abel`` -- the fractional integration operator of order ``0 < alpha < 1``,
   discretized by product integration with exactly integrated kernel moments;
+  order 1 is the ``integration`` operator and carries that kind;
 * ``diagonal`` -- a multiplication operator on a coefficient sequence, the
   Hilbert-space model (sigma_k = exp(-k) gives the exponentially ill-posed
   benchmark).
@@ -360,11 +361,15 @@ def _finish(kind, norm_kind, order, weights) -> DiscreteOperator:
 
 def integration_operator(n: int, norm_kind: str = "sup") -> DiscreteOperator:
     """The discrete integration operator (Ju)(x) = int_0^x u on n cells: Abel order 1."""
-    return replace(abel_operator(1.0, n, norm_kind), kind="integration")
+    return abel_operator(1.0, n, norm_kind)
 
 
 def abel_operator(order: float, n: int, norm_kind: str = "sup") -> DiscreteOperator:
-    """The discrete fractional integration operator of order 0 < order <= 1."""
+    """The discrete fractional integration operator of order 0 < order <= 1.
+
+    Order 1 has the lags h of the rectangle rule and is the ``integration``
+    kind, so its powers, certificates and config record are that kind's.
+    """
     if not 0.0 < order <= 1.0:
         raise DomainError("abel order must lie in (0, 1]")
     if n < 2:
@@ -372,7 +377,7 @@ def abel_operator(order: float, n: int, norm_kind: str = "sup") -> DiscreteOpera
     if norm_kind not in NORM_KINDS:
         raise DomainError(f"unknown norm kind {norm_kind!r}")
     w = product_integration_weights(order, n)
-    return _finish("abel", norm_kind, order, w)
+    return _finish("integration" if order == 1.0 else "abel", norm_kind, order, w)
 
 
 def diagonal_operator(sigma, norm_kind: str = "l2_scaled") -> DiscreteOperator:

@@ -149,8 +149,8 @@ def _band_search(
         r = residual(alpha)
         guard += 1
         if guard > 200:
-            raise DomainError("discrepancy band unreachable")
-    above: float | None = None
+            raise DomainError("discrepancy band unreachable: below it after 200 upward steps")
+    # here r >= lo_t, so the first pass below returns or sets ``above``
     while True:
         if r <= hi_t:
             if r >= lo_t:
@@ -159,10 +159,8 @@ def _band_search(
         above = alpha
         alpha *= dcfg.ratio
         if alpha < dcfg.alpha_min:
-            raise DomainError("discrepancy band unreachable")
+            raise DomainError("discrepancy band unreachable: above it down to alpha_min")
         r = residual(alpha)
-    if above is None:
-        raise DomainError("discrepancy band unreachable")
     lo_a, hi_a = alpha, above
     for _ in range(200):
         if math.log(hi_a / lo_a) <= dcfg.bisect_tol:
@@ -175,7 +173,7 @@ def _band_search(
             hi_a = mid
         else:
             lo_a = mid
-    raise DomainError("discrepancy band unreachable")
+    raise DomainError("discrepancy band unreachable: a step across it narrower than bisect_tol")
 
 
 def discrepancy_alphas(

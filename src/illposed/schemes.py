@@ -17,8 +17,8 @@ elements, one per row; ``regularize`` is the one-element call
 
 The evolution method is exposed for every kind, but is only certified for
 operators with a strong sectorial resolvent condition; fractional
-integration of order < 1 qualifies, the plain integration operator does
-not, and reports carry a flag for that.
+integration of order < 1 qualifies, the plain integration operator (Abel
+order 1) does not, and reports carry a flag for that.
 """
 
 from __future__ import annotations
@@ -86,10 +86,12 @@ class RegularizerConfig:
         return self.m * kappa_star * (kappa_star + 1.0) ** (self.m - 1)
 
     def sectorial_certified(self, op: DiscreteOperator) -> bool:
-        """Whether the evolution method is covered by theory for this operator."""
-        if self.scheme != "cauchy":
-            return True
-        return op.kind in ("diagonal", "abel")
+        """Whether the scheme is covered by theory for this operator.
+
+        Lavrentiev always is.  The evolution method is for the diagonal kind
+        and Abel order < 1, not for Abel order 1, the ``integration`` kind.
+        """
+        return self.scheme != "cauchy" or op.kind in ("diagonal", "abel")
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,14 @@ def test_config_errors_carry_field_paths():
         parse_config(doc)
     with pytest.raises(ConfigError, match="schema_version"):
         parse_config(make_doc(schema_version=99))
+    # a known key whose rows do not apply would be kept and never read
+    for overrides, path in (
+        ({"rule": {"name": "apriori", "b0": 6.0}}, "rule.b0"),
+        ({"operator": {"kind": "integration", "order": 0.3, "n": 64}}, "operator.order"),
+        ({"scheme": {"name": "cauchy", "m": 2}}, "scheme.m"),
+    ):
+        with pytest.raises(ConfigError, match=rf"config\.{path}: applies only where "):
+            parse_config(make_doc(**overrides))
     # operator fields fail here, not deep in the build
     for operator, field in (
         ({"kind": "integration", "n": "x"}, "n"),
@@ -263,10 +271,14 @@ def _bundled_doc(name, path, value):
         # a misspelt key would otherwise leave its field at the default
         ("integration_apriori", "rule.c_0", 50, "unknown field"),
         ("integration_apriori", "operator.norn", "l2_scaled", "unknown field"),
+        # a known key that the apriori rule never reads
+        ("integration_apriori", "rule.b0", 6.0,
+         "applies only where rule.name is one of ['discrepancy']"),
         # an empty ladder would write a report.csv with no rows
         ("integration_apriori", "delta_ladder", [], "must hold at least one delta"),
     ],
-    ids=["b0", "b1", "p", "misspelt_rule_key", "misspelt_operator_key", "empty_ladder"],
+    ids=["b0", "b1", "p", "misspelt_rule_key", "misspelt_operator_key", "idle_rule_key",
+         "empty_ladder"],
 )
 def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, capsys):
     # each field is checked at parse time, so both commands name it; the
@@ -512,6 +524,27 @@ def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
+def test_abel_order_one_is_the_integration_operator(norm):
+    # one operator, so one power route, one certificate and one axioms document
+    from illposed.fractional import power_map
+    from illposed.operators import abel_operator, integration_operator
+    from illposed.schemes import RegularizerConfig
+
+    abel, integ = abel_operator(1.0, 64, norm), integration_operator(64, norm)
+    assert (abel.kind, abel.order, abel.op_norm) == (integ.kind, integ.order, integ.op_norm)
+    np.testing.assert_array_equal(abel.weights, integ.weights)
+    np.testing.assert_array_equal(power_map(abel, 0.5).symbol, power_map(integ, 0.5).symbol)
+    assert not RegularizerConfig("cauchy").sectorial_certified(abel)
+    abel_doc, integ_doc = (
+        check_axioms(parse_config(make_doc(
+            operator={**spec, "n": 64, "norm": norm}, scheme={"name": "cauchy"}
+        )))
+        for spec in ({"kind": "abel", "order": 1}, {"kind": "integration"})
+    )
+    assert abel_doc == integ_doc
 
 
 def test_operator_config_record_round_trip():

@@ -219,6 +219,22 @@ def test_residual_bracket_inequality():
         assert abs(r - s.norm()) <= c0 * delta * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "residual, exit",
+    [
+        (lambda a: 10.0, "above it down to alpha_min"),
+        (lambda a: 10.0 if a > 0.3 else 0.1, "a step across it narrower than bisect_tol"),
+        (lambda a: 0.1, "below it after 200 upward steps"),
+    ],
+    ids=["above_to_alpha_min", "unresolved_step", "below_after_march"],
+)
+def test_band_search_unreachable_exits(residual, exit):
+    # synthetic residuals against the band [1, 2]: each live exit names its cause
+    dcfg = DiscrepancyConfig(b0=1.0, b1=2.0, alpha_max=1.0)
+    with pytest.raises(DomainError, match=f"discrepancy band unreachable: {exit}"):
+        parameter_choice._band_search(residual, dcfg, 1.0, 2.0)
+
+
 def test_discrepancy_config_validation():
     with pytest.raises(DomainError):
         DiscrepancyConfig(b0=2.0, b1=1.0, alpha_max=1.0)
