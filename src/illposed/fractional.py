@@ -136,7 +136,8 @@ def power_map(op: DiscreteOperator, p: float) -> SymbolMap:
     if op.kind == "diagonal":
         return SymbolMap(op.weights**p, volterra=False)
     if op.kind == "integration":
-        return SymbolMap(_binomial_lags(1.0 / op.n, p, op.n), volterra=True)
+        # lag 0 is h on the unscaled operator, a*h after scaled(a)
+        return SymbolMap(_binomial_lags(op.weights[0], p, op.n), volterra=True)
     return SymbolMap(series_power(op.weights, p), volterra=True)
 
 

@@ -187,9 +187,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     doc = copy.deepcopy(doc)
-    unknown = [path for path in _key_paths(doc) if path not in _PATHS]
-    if unknown:
-        raise ConfigError(f"config.{unknown[0]}: unknown field")
     applied = set()
     for path, kind, bounds, default, when in FIELDS:
         if not all(_at(doc, cond) in values for cond, values in when):
@@ -206,6 +203,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if complaint:
                 raise ConfigError(f"config.{path}: {complaint}")
     idle = [path for path in _key_paths(doc) if path not in applied]
+    if idle and idle[0] not in _PATHS:
+        raise ConfigError(f"config.{idle[0]}: unknown field")
     if idle:
         when = next(row[4] for row in FIELDS if row[0] == idle[0])
         need = " and ".join(f"{cond} is one of {list(values)}" for cond, values in when)

@@ -529,7 +529,7 @@ def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
 @pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
 def test_abel_order_one_is_the_integration_operator(norm):
     # one operator, so one power route, one certificate and one axioms document
-    from illposed.fractional import power_map
+    from illposed.fractional import power_map, series_power
     from illposed.operators import abel_operator, integration_operator
     from illposed.schemes import RegularizerConfig
 
@@ -537,6 +537,11 @@ def test_abel_order_one_is_the_integration_operator(norm):
     assert (abel.kind, abel.order, abel.op_norm) == (integ.kind, integ.order, integ.op_norm)
     np.testing.assert_array_equal(abel.weights, integ.weights)
     np.testing.assert_array_equal(power_map(abel, 0.5).symbol, power_map(integ, 0.5).symbol)
+    # the closed-form power keeps the scale of a rescaled operator: (a A)^p = a^p A^p
+    half = abel.scaled(0.5)
+    np.testing.assert_allclose(
+        power_map(half, 0.5).symbol, series_power(half.weights, 0.5), rtol=1e-13
+    )
     assert not RegularizerConfig("cauchy").sectorial_certified(abel)
     abel_doc, integ_doc = (
         check_axioms(parse_config(make_doc(
