@@ -93,7 +93,9 @@ def _run(args) -> int:
         result = cli.check_axioms(cli.load_config(args.config, args.seed, args.grid_n))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

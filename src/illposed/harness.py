@@ -227,8 +227,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"got {src['w']['index']!r}"
             )
     deltas = doc["delta_ladder"]
-    if not deltas:
-        raise ConfigError("config.delta_ladder: must hold at least one delta")
+    if len(deltas) < 3:  # the rate fit needs three rows
+        raise ConfigError("config.delta_ladder: must hold at least three deltas")
     if any(d > doc["delta0"] for d in deltas):
         raise ConfigError("config.delta_ladder: entries must lie in (0, delta0]")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -476,7 +476,7 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
             alpha_lower_ratios.append(
                 alpha / (delta ** (1.0 / (p + 1.0)) * ell ** (nu / (p + 1.0)))
             )
-    summary = fit_rate(rows, p, nu, float(config.raw["spread_tolerance"])) if len(rows) >= 3 else {}
+    summary = fit_rate(rows, p, nu, float(config.raw["spread_tolerance"]))
     summary["rule"] = rule["name"]
     summary["generator"] = GENERATOR_NAME
     if rule["name"] == "discrepancy":

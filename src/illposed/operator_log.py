@@ -5,12 +5,9 @@
 quotients form a Cauchy sequence is grid-level *evidence* of membership in
 the domain of log(A), reported as a flag and never as proof.
 
-``log_resolvent_power_map`` realizes (lambda I - log A)^{-nu}, for every
-shift lambda above omega = log ||A||, as a function of the symbol: the
-scalar form (lambda - log sigma_k)^{-nu} on the diagonal kind, and the power
-series (lambda - log a(z))^{-nu} of the lag symbol a(z) on the Volterra
-kinds.  The tests check both against the Laplace representation
-(1/(nu-1)!) * int_0^infty q^{nu-1} e^{-lambda q} A^q w dq.
+``make_mixed_smooth_element`` builds u = A^p (lambda I - log A)^{-nu} w from
+two functions of the symbol, ``operators.log_resolvent_power_map`` and
+``operators.fractional_power_exact``.
 """
 
 from __future__ import annotations
@@ -21,9 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractional import fractional_power_exact, series_log, series_power
 from .grid import GridFunction, grid_norms
-from .operators import DiscreteOperator, SymbolMap, _one_row
+from .operators import (
+    DiscreteOperator,
+    _one_row,
+    fractional_power_exact,  # bench/tracing.py counts calls through operator_log.<name>
+    log_resolvent_power_map,
+)
 
 
 #: the schedule p -> 0 of the difference quotients: 2^-3 .. 2^-12
@@ -51,24 +52,6 @@ def log_apply(op: DiscreteOperator, u: GridFunction) -> tuple[GridFunction, bool
     r = P_SCHEDULE[-2] / P_SCHEDULE[-1]
     extrap = (r * quotients[-1] - quotients[-2]) * (1.0 / (r - 1.0))
     return extrap, cauchy, dists
-
-
-def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> SymbolMap:
-    """(lambda I - log A)^{-nu}.
-
-    Diagonal kind: division by (lambda - log sigma_k)^nu.  Volterra kinds:
-    the power series (lambda - log a(z))^{-nu} of the lag symbol a(z); node
-    0, where A vanishes, maps to 0.
-    """
-    if nu < 1 or int(nu) != nu:
-        raise DomainError("nu must be a positive integer")
-    if lam <= op.omega:
-        raise DomainError("shift below spectral bound")
-    if op.kind == "diagonal":
-        return SymbolMap((lam - np.log(op.weights)) ** nu, volterra=False, quotient=True)
-    shifted = -series_log(op.weights)
-    shifted[0] += lam
-    return SymbolMap(series_power(shifted, -float(nu)), volterra=True)
 
 
 @dataclass(frozen=True)

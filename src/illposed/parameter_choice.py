@@ -20,6 +20,9 @@ from .schemes import (
     regularizer,
 )
 
+#: the residual-band walk gives up once alpha falls below this
+ALPHA_MIN = 1e-14
+
 
 @dataclass(frozen=True)
 class ChiParams:
@@ -120,7 +123,6 @@ class DiscrepancyConfig:
     ratio: float = 0.5
     bisect_tol: float = 1e-3
     c0: float | None = None
-    alpha_min: float = 1e-14
 
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
@@ -158,7 +160,7 @@ def _band_search(
             break  # fell through the band; bisect against the last point above
         above = alpha
         alpha *= dcfg.ratio
-        if alpha < dcfg.alpha_min:
+        if alpha < ALPHA_MIN:
             raise DomainError("discrepancy band unreachable: above it down to alpha_min")
         r = residual(alpha)
     lo_a, hi_a = alpha, above

@@ -30,17 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractional import (
-    fractional_power_exact,  # bench/tracing.py counts calls through schemes.<name>
-    power_map,
-    series_exp,
-)
 from .grid import _W_FUNCTIONS, GridFunction, check_finite, grid_norms
 from .operators import (
     DiscreteOperator,
-    SymbolMap,
-    _mul,
     _one_row,
+    evolution_maps,
+    fractional_power_exact,  # bench/tracing.py counts calls through schemes.<name>
+    power_map,
     shifted_solve,  # bench/tracing.py counts calls through schemes.<name>
     shifted_solver,
 )
@@ -142,26 +138,8 @@ def _lavrentiev(op: DiscreteOperator, m: int, alpha: float) -> Regularizer:
 
 
 def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
-    """u(t) = e^{-tA} u0 + phi_t(A) f for u' + A u = f, u(0) = u0.
-
-    phi_t(z) = (1 - e^{-tz})/z, so R_alpha = phi_t(A) and S_alpha = e^{-tA}.
-    Diagonal kind: both functions entrywise on the singular values.
-    Volterra kinds: both as truncated power series of the lag symbol, phi_t
-    as (1 - e^{-tA}) A^{-1}; node 0 (where A vanishes) gets u0 + t f.
-    """
-    if op.kind == "diagonal":
-        s = op.weights
-        decay = SymbolMap(np.exp(-s * t), volterra=False)
-        # (1 - e^{-st})/s, stable for small st
-        reach = SymbolMap(-np.expm1(-s * t) / s, volterra=False)
-    else:
-        lags = op.weights
-        series = series_exp(-t * lags)
-        gap = -series
-        gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
-        decay = SymbolMap(series, volterra=True, node0=1.0)
-        phi = _mul(gap, op.inverse_lags, lags.size)
-        reach = SymbolMap(phi, volterra=True, node0=t)
+    """u' + A u = f to time t: u(t) = e^{-tA} u(0) + phi_t(A) f, R_alpha = phi_t(A)."""
+    decay, reach = evolution_maps(op, t)
     return Regularizer(lambda f, ubar: decay(ubar) + reach(f), reach, decay)
 
 

@@ -38,11 +38,10 @@ from scipy.integrate import quad
 from scipy.linalg import expm, toeplitz
 
 from illposed.errors import DomainError, QuadratureError
-from illposed.fractional import fractional_power_exact
 from illposed.grid import GridFunction
 from illposed.harness import Problem
 from illposed.loworder import LogExampleParams, log_kernel_apply_at, u_log_derivative
-from illposed.operators import DiscreteOperator, apply, shifted_solve
+from illposed.operators import DiscreteOperator, apply, fractional_power_exact, shifted_solve
 from illposed.schemes import regularize
 
 

@@ -11,11 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from illposed.fractional import (
-    check_interpolation_inequality,
-    fractional_power_exact,
-    product_integration_map,
-)
 from illposed.harness import add_noise, build_problem, parse_config, run_rate_experiment
 from illposed.loworder import (
     LogExampleParams,
@@ -31,9 +26,12 @@ from illposed.operators import (
     _postype_ratios,
     abel_operator,
     apply,
+    check_interpolation_inequality,
     default_kappa_grid,
     exp_decay_diagonal,
+    fractional_power_exact,
     integration_operator,
+    product_integration_map,
 )
 from illposed.parameter_choice import ChiParams, chi, chi_inverse
 from illposed.schemes import RegularizerConfig, regularizer
@@ -286,7 +284,7 @@ def test_criterion_08_discrepancy_rate():
     spread_ok = report["summary"]["ratio_spread"] <= 3.0
     # degenerate branch fires exactly when the initial residual is small
     tiny = parse_config(
-        _rate_doc({"name": "discrepancy", "b0": 6.0, "b1": 8.0}, [0.09, 0.05])
+        _rate_doc({"name": "discrepancy", "b0": 6.0, "b1": 8.0}, [0.09, 0.05, 0.02])
     )
     tiny.raw["source"]["w"] = {"kind": "unit", "index": 45}
     degen_report = run_rate_experiment(parse_config(tiny.raw))

@@ -4,29 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import illposed.fractional as fractional
+import illposed.operators as operators_module
 from illposed.errors import DomainError
-from illposed.fractional import (
-    _binomial_lags,
-    check_interpolation_inequality,
-    fractional_power_exact,
-    power_map,
-    product_integration_map,
-    series_exp,
-    series_log,
-    series_power,
-)
-from illposed.operator_log import log_resolvent_power_map
 from illposed.operators import (
     SymbolMap,
+    _binomial_lags,
     _one_row,
     abel_operator,
     apply,
+    check_interpolation_inequality,
     diagonal_operator,
     exp_decay_diagonal,
+    fractional_power_exact,
     integration_operator,
+    log_resolvent_power_map,
     operator_map,
+    power_map,
+    product_integration_map,
     product_integration_weights,
+    series_exp,
+    series_log,
+    series_power,
     shifted_solve,
     shifted_solver,
 )
@@ -364,13 +362,13 @@ def test_huge_integer_power_is_square_and_multiply(monkeypatch):
     p = 2**40
     a = np.concatenate(([1.0], 1e-14 * 0.5 ** np.arange(63)))
     products = []
-    mul = fractional._mul
+    mul = operators_module._mul
 
     def counting_mul(x, y, k):
         products.append(k)
         return mul(x, y, k)
 
-    monkeypatch.setattr(fractional, "_mul", counting_mul)
+    monkeypatch.setattr(operators_module, "_mul", counting_mul)
     got = series_power(a, p)
     assert len(products) == 40
     monkeypatch.undo()

@@ -57,7 +57,7 @@ def test_config_errors_carry_field_paths():
     with pytest.raises(ConfigError, match="config.operator.kind"):
         parse_config(make_doc(operator={"kind": "fourier"}))
     with pytest.raises(ConfigError, match="config.delta_ladder"):
-        parse_config(make_doc(delta_ladder=[1e-3, 1e-2]))
+        parse_config(make_doc(delta_ladder=[1e-3, 1e-2, 1e-4]))
     with pytest.raises(ConfigError, match="config.source.p"):
         doc = make_doc()
         doc["source"] = dict(doc["source"], p=5.0)
@@ -274,11 +274,12 @@ def _bundled_doc(name, path, value):
         # a known key that the apriori rule never reads
         ("integration_apriori", "rule.b0", 6.0,
          "applies only where rule.name is one of ['discrepancy']"),
-        # an empty ladder would write a report.csv with no rows
-        ("integration_apriori", "delta_ladder", [], "must hold at least one delta"),
+        # a ladder of fewer than three deltas has no rate fit and no verdict
+        ("integration_apriori", "delta_ladder", [], "must hold at least three deltas"),
+        ("integration_apriori", "delta_ladder", [1e-2, 1e-3], "must hold at least three deltas"),
     ],
     ids=["b0", "b1", "p", "misspelt_rule_key", "misspelt_operator_key", "idle_rule_key",
-         "empty_ladder"],
+         "empty_ladder", "two_entry_ladder"],
 )
 def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, capsys):
     # each field is checked at parse time, so both commands name it; the
@@ -307,8 +308,8 @@ def test_cli_file_errors_are_one_line(tmp_path, capsys):
         (["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")],
          "[Errno 2] "),
         (["run", "--config", config, "--out", str(taken)], "[Errno 17] "),
-        (["check-axioms", "--config", config, "--out", str(tmp_path / "no" / "such.json")],
-         "[Errno 2] "),
+        (["check-axioms", "--config", config, "--out", str(taken / "such.json")],
+         "[Errno 17] "),
         (["run", "--config", str(bad), "--out", str(tmp_path / "o")],
          not_json + "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         (["check-axioms", "--config", str(latin1)],
@@ -529,8 +530,7 @@ def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
 @pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
 def test_abel_order_one_is_the_integration_operator(norm):
     # one operator, so one power route, one certificate and one axioms document
-    from illposed.fractional import power_map, series_power
-    from illposed.operators import abel_operator, integration_operator
+    from illposed.operators import abel_operator, integration_operator, power_map, series_power
     from illposed.schemes import RegularizerConfig
 
     abel, integ = abel_operator(1.0, 64, norm), integration_operator(64, norm)
@@ -885,6 +885,18 @@ def test_cli_run_and_check_axioms(tmp_path, capsys):
     assert cli_main(["check-axioms", "--config", str(cfg_path), "--out", str(ax_path)]) == 0
     assert json.loads(ax_path.read_text())["postype_ok"]
     capsys.readouterr()
+
+
+def test_cli_json_commands_create_their_out_directory(tmp_path):
+    # like `run`, check-axioms and loworder-verify write into a directory
+    # that does not exist yet
+    config = str(CONFIG_DIR / "integration_apriori.json")
+    ax, low = tmp_path / "new" / "ax.json", tmp_path / "newer" / "deep" / "low.json"
+    assert cli_main(["check-axioms", "--config", config, "--out", str(ax)]) == 0
+    assert json.loads(ax.read_text())["postype_ok"]
+    argv = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--grid-n", "64", "--out", str(low)]
+    assert cli_main(argv) == 0
+    assert json.loads(low.read_text())["verdict"] in ("pass", "fail")
 
 
 def test_cli_loworder_verify(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import illposed
+import illposed.loworder as loworder
 from illposed.errors import DomainError, QuadratureError
 from illposed.grid import GridFunction
 from illposed.loworder import (
@@ -20,7 +21,8 @@ from illposed.loworder import (
     sample_u_log,
     verify_membership,
 )
-from illposed.operators import SymbolMap
+from illposed.operator_log import log_apply
+from illposed.operators import SymbolMap, integration_operator
 from oracles import graded_w, log_kernel_apply, quadpack_w
 
 PARAMS = LogExampleParams(c=0.5, kappa=2.0)
@@ -257,7 +259,7 @@ def test_abel_order_derivative_identity():
 def test_abel_order_derivative_identity_gap_reads_full_convolution(kappa):
     # the gap's dot products are entries of the whole lag convolution
     # SymbolMap(lag) of u, the bundled (c, kappa) pairs at identity_n = 4096
-    from illposed.fractional import _binomial_lags
+    from illposed.operators import _binomial_lags
 
     n, eps = 4096, 1e-3
     u = sample_u_log(LogExampleParams(c=0.5, kappa=kappa), n)
@@ -277,7 +279,7 @@ def test_abel_order_derivative_identity_monomial():
     n = 2048
     x = np.linspace(0.0, 1.0, n + 1)
     u = GridFunction(x, "sup")
-    from illposed.fractional import _binomial_lags
+    from illposed.operators import _binomial_lags
 
     eps, h = 1e-4, 1.0 / n
     lag = (_binomial_lags(h, 1.0 + eps, n) - _binomial_lags(h, 1.0 - eps, n)) / (2.0 * eps)
@@ -303,7 +305,15 @@ def test_verify_membership_fails_below_threshold():
     assert report["verdict"] == "fail"
 
 
-def test_verify_membership_constant_probe_not_cauchy():
-    report = verify_membership(PARAMS, n=256, identity_n=1024, u_values=np.ones(257))
+def test_verify_membership_constant_probe_not_cauchy(monkeypatch):
+    # the constant is not in the domain of log(J): its quotients are not Cauchy
+    op = integration_operator(256)
+    _, cauchy, _ = log_apply(op, op.ones())
+    assert not cauchy
+    # and that diagnostic alone fails the verdict of a passing candidate
+    real = loworder.log_apply
+    monkeypatch.setattr(loworder, "log_apply", lambda op, u: real(op, op.ones()))
+    report = verify_membership(PARAMS, n=256, identity_n=2048)
+    assert report["w_decreasing"] and report["derivative_match_ok"] and report["abel_identity_ok"]
     assert not report["log_quotients_cauchy"]
     assert report["verdict"] == "fail"

@@ -5,12 +5,7 @@ import pytest
 
 from illposed.errors import DomainError
 from illposed.loworder import LogExampleParams, sample_u_log
-from illposed.operator_log import (
-    SourceCondition,
-    log_apply,
-    log_resolvent_power_map,
-    make_mixed_smooth_element,
-)
+from illposed.operator_log import SourceCondition, log_apply, make_mixed_smooth_element
 from illposed.operators import (
     _one_row,
     abel_operator,
@@ -18,6 +13,8 @@ from illposed.operators import (
     diagonal_operator,
     exp_decay_diagonal,
     integration_operator,
+    log_resolvent_power_map,
+    power_map,
 )
 
 from oracles import LaplaceQuadrature, diagonal_log_values, laplace_log_resolvent_power
@@ -125,8 +122,6 @@ def test_make_mixed_unit_coordinate_closed_form():
 
 def test_make_mixed_integration_diagnostics():
     from scipy.linalg import solve_triangular
-
-    from illposed.fractional import power_map
 
     op = integration_operator(256)
     sc = SourceCondition(p=0.5, nu=1, lam=op.omega + 1.0, w=op.ones())

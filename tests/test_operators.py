@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +335,18 @@ def test_operator_rescaling():
     assert math.isclose(sc.omega, op.omega + math.log(0.5), rel_tol=1e-12)
     u = op.grid_function(np.linspace(0, 1, op.dim))
     np.testing.assert_allclose(apply(sc, u).values, 0.5 * apply(op, u).values, rtol=1e-13)
+
+
+def test_only_operators_builds_functions_of_a():
+    # every function of A is a SymbolMap built in operators.py from its series
+    # algebra; other modules call the built maps and never the algebra itself
+    pattern = re.compile(r"SymbolMap\(|_mul\(|series_(exp|log|power|reciprocal)\(|_binomial_lags")
+    package = Path(__file__).resolve().parents[1] / "src" / "illposed"
+    offending = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operators.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offending == []

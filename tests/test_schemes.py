@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from illposed.errors import DomainError
-from illposed.fractional import fractional_power_exact
 from illposed.operators import (
     _one_row,
     abel_operator,
     apply,
     diagonal_operator,
     exp_decay_diagonal,
+    fractional_power_exact,
     integration_operator,
     shifted_solve,
 )
