@@ -52,7 +52,8 @@ class LogExampleParams:
 
     kappa > 1 is the sufficiency condition for membership; any kappa > 0
     still defines a continuous candidate with u(0) = 0, and the verifier is
-    expected to *fail* such candidates, so only kappa > 0 is enforced here.
+    expected to *fail* such candidates, so only a finite kappa > 0 is
+    enforced here.
     """
 
     c: float
@@ -61,8 +62,8 @@ class LogExampleParams:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise DomainError("c must lie strictly inside (0, 1)")
-        if self.kappa <= 0.0:
-            raise DomainError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise DomainError(f"kappa must be a finite positive number, got {self.kappa!r}")
 
 
 def sample_u_log(params: LogExampleParams, n: int) -> GridFunction:
@@ -71,7 +72,12 @@ def sample_u_log(params: LogExampleParams, n: int) -> GridFunction:
     vals = np.zeros(n + 1)
     arg = -np.log(params.c * x[1:])
     assert np.all(arg > 0.0), "c < 1 and x <= 1 guarantee c*x < 1"
-    vals[1:] = arg**-params.kappa
+    with np.errstate(over="ignore"):
+        vals[1:] = arg**-params.kappa
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(
+            f"(-log(c x))^-kappa overflows at c = {params.c}, kappa = {params.kappa!r}"
+        )
     return GridFunction(vals, "sup")
 
 

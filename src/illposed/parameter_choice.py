@@ -3,6 +3,12 @@
 The functions chi_{q, +-mu}(t) = t^q (log(1/t))^{+-mu} on (0, 1) calibrate
 every convergence statement in this package; their inverses and scaling
 behaviour are what turns noise levels into regularization parameters.
+
+The a posteriori rule is a residual band: pick alpha with
+b0 delta <= ||A u_alpha - f_delta|| <= b1 delta, where b0 exceeds the
+scheme's certified bound on ||S_alpha|| (Engl, Hanke & Neubauer 1996,
+ch. 4).  The band is its only setting: the walk starts at ||A||, steps by
+``RATIO``, bisects to ``BISECT_TOL`` and gives up below ``ALPHA_MIN``.
 """
 
 from __future__ import annotations
@@ -16,10 +22,15 @@ from .operators import DiscreteOperator, _one_row, apply
 from .schemes import (
     Regularizer,
     RegularizerConfig,
-    regularize,  # bench/tracing.py times calls through parameter_choice.<name>
+    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    regularize,
     regularizer,
 )
 
+#: each step of the residual-band walk multiplies alpha by this factor (or its inverse)
+RATIO = 0.5
+#: the walk bisects a bracketing pair until log(hi/lo) falls to this
+BISECT_TOL = 1e-3
 #: the residual-band walk gives up once alpha falls below this
 ALPHA_MIN = 1e-14
 
@@ -109,45 +120,35 @@ def apriori_alpha(delta: float, p: float, nu: int, c0: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class DiscrepancyConfig:
-    """Residual-band search parameters.
+    """The residual band [b0 delta, b1 delta] of the a posteriori rule.
 
-    ``c0`` is the bound on ||S_alpha|| that the band constants must exceed;
-    when None it defaults to the certified scheme constant at p = 0.  An
-    instance-sharp value may be passed when known (the certified worst case
-    can be far above the actual supremum on a given operator).
+    ``b0`` must exceed the scheme's certified bound on ||S_alpha||, where
+    one is known (iterated Lavrentiev); ``discrepancy_alphas`` checks it.
     """
 
     b0: float
     b1: float
-    alpha_max: float
-    ratio: float = 0.5
-    bisect_tol: float = 1e-3
-    c0: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise DomainError("ratio must lie in (0, 1)")
         if self.b1 < self.b0 or self.b0 <= 0:
             raise DomainError("need b1 >= b0 > 0")
-        if self.alpha_max <= 0 or self.bisect_tol <= 0:
-            raise DomainError("alpha_max and bisect_tol must be positive")
 
 
 def _band_search(
-    residual, dcfg: DiscrepancyConfig, lo_t: float, hi_t: float
+    residual, alpha_max: float, lo_t: float, hi_t: float
 ) -> tuple[float, float]:
     """The first (alpha, residual(alpha)) of the walk that lands in [lo_t, hi_t].
 
-    Walk alpha down a geometric grid from ``alpha_max`` until the residual
+    Walk alpha down the grid ``alpha_max * RATIO^j`` until the residual
     drops to ``hi_t``, then bisect the bracketing pair in log alpha.
     """
-    alpha = dcfg.alpha_max
+    alpha = alpha_max
     r = residual(alpha)
     # If the residual starts below the band, march alpha upward first: the
     # residual tends to ||A ubar - f_delta|| > b1 delta as alpha -> infinity.
     guard = 0
     while r < lo_t:
-        alpha /= dcfg.ratio
+        alpha /= RATIO
         r = residual(alpha)
         guard += 1
         if guard > 200:
@@ -159,13 +160,13 @@ def _band_search(
                 return alpha, r
             break  # fell through the band; bisect against the last point above
         above = alpha
-        alpha *= dcfg.ratio
+        alpha *= RATIO
         if alpha < ALPHA_MIN:
             raise DomainError("discrepancy band unreachable: above it down to alpha_min")
         r = residual(alpha)
     lo_a, hi_a = alpha, above
     for _ in range(200):
-        if math.log(hi_a / lo_a) <= dcfg.bisect_tol:
+        if math.log(hi_a / lo_a) <= BISECT_TOL:
             break
         mid = math.sqrt(lo_a * hi_a)
         r_mid = residual(mid)
@@ -197,7 +198,7 @@ def discrepancy_alphas(
     The residual of a trial is ||S_alpha r0|| with r0 = A ubar - f_delta,
     since A u_alpha - f_delta = S_alpha (A ubar - f_delta) (Engl, Hanke &
     Neubauer 1996, ch. 4): no element and no A apply per trial.  The grid
-    alpha_max * ratio^j repeats bit for bit across rows, so each filter is
+    ||A|| * RATIO^j repeats bit for bit across rows, so each filter is
     built once per distinct trial alpha and serves every row that tries it;
     u is built once per row, at the accepted alpha.
     """
@@ -207,9 +208,7 @@ def discrepancy_alphas(
         raise DomainError("delta must be positive")
     if not cfg.p0 > 1:
         raise DomainError("the residual-band rule needs saturation above 1 (Lavrentiev m >= 2)")
-    c0 = dcfg.c0
-    if c0 is None:
-        c0 = cfg.qualification_constant(0.0, op.kappa_star)
+    c0 = cfg.qualification_constant(0.0, op.kappa_star)
     if c0 is not None and not dcfg.b0 > c0:
         raise DomainError(f"b0 = {dcfg.b0} must strictly exceed the companion bound c0 = {c0}")
 
@@ -230,7 +229,7 @@ def discrepancy_alphas(
             continue
         alpha, r = _band_search(
             lambda a: _one_row(op, filter_at(a).companion, r0).norm(),
-            dcfg,
+            op.op_norm,
             dcfg.b0 * delta,
             dcfg.b1 * delta,
         )

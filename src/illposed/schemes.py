@@ -35,9 +35,11 @@ from .operators import (
     DiscreteOperator,
     _one_row,
     evolution_maps,
-    fractional_power_exact,  # bench/tracing.py counts calls through schemes.<name>
+    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    fractional_power_exact,
     power_map,
-    shifted_solve,  # bench/tracing.py counts calls through schemes.<name>
+    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    shifted_solve,
     shifted_solver,
 )
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from illposed.cli import main as cli_main
 from illposed.errors import ConfigError
 from illposed.harness import (
+    FIELDS,
     add_noise,
     build_problem,
     check_axioms,
@@ -25,7 +27,6 @@ from illposed.harness import (
     run_rate_experiment,
 )
 from illposed.loworder import LogExampleParams, verify_membership
-from illposed.operators import apply
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -123,9 +124,10 @@ def test_config_errors_carry_field_paths():
         doc[section] = dict(doc[section], **{key: value})
         with pytest.raises(ConfigError, match=rf"config\.{section}\.{key}:"):
             parse_config(doc)
-    # source.w fields: an index below the operator's dimension, a Philox key,
-    # a known function name, a boolean normalize
+    # source.w fields: a known kind, an index below the operator's dimension,
+    # a Philox key, a known function name
     for operator, w, field in (
+        (None, {"kind": "zero"}, "kind"),
         (None, {"kind": "unit", "index": -1}, "index"),
         (None, {"kind": "unit", "index": 40}, "index"),
         (None, {"kind": "unit", "index": 1.0}, "index"),
@@ -137,8 +139,6 @@ def test_config_errors_carry_field_paths():
         (None, {"kind": "random", "seed": -1}, "seed"),
         (None, {"kind": "random", "seed": 2**127 + 1}, "seed"),
         (None, {"kind": "random"}, "seed"),
-        (None, {"kind": "random", "seed": 7, "normalize": 1}, "normalize"),
-        (None, {"kind": "random", "seed": 7, "normalize": "false"}, "normalize"),
         (None, {"kind": "function"}, "name"),
         (None, {"kind": "function", "name": "cube"}, "name"),
     ):
@@ -150,7 +150,7 @@ def test_config_errors_carry_field_paths():
         (None, {"kind": "unit", "index": 39}),
         ({"kind": "integration", "n": 64}, {"kind": "unit", "index": 64}),
         ({"kind": "diagonal", "sigma": [1, 0.5]}, {"kind": "unit", "index": 1}),
-        (None, {"kind": "random", "seed": 2**127, "normalize": False}),
+        (None, {"kind": "random", "seed": 2**127}),
         (None, {"kind": "function", "name": "sinpi"}),
     ):
         doc = make_doc(**({"operator": operator} if operator else {}))
@@ -207,16 +207,25 @@ def test_config_fields_checked_before_the_numerics(path, value):
         parse_config(doc)
 
 
+def test_readme_schema_table_lists_exactly_the_fields():
+    # README's schema table is written by hand: a field added to or dropped
+    # from FIELDS on one side only would leave the other stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| field | type and bounds | default | applies to |\n"
+    assert readme.count(header) == 1
+    table = readme.split(header)[1].split("\n\n")[0].splitlines()[1:]  # past the |---| row
+    listed = [path for line in table for path in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    leaves = {row[0] for row in FIELDS if row[1] != "object"}
+    assert len(listed) == len(set(listed)) and set(listed) == leaves
+
+
 def test_config_defaults_filled_from_the_table():
     doc = make_doc(rule=dict(DISCREPANCY_RULE))
     raw = parse_config(doc).raw
-    assert "ratio" not in doc["rule"]  # the caller's document is left as it was
+    assert "spread_tolerance" not in doc  # the caller's document is left as it was
     assert raw["spread_tolerance"] == 3.0 and raw["delta0"] == 0.1 and raw["seed"] == 20260808
     assert raw["operator"]["rescale_to_half_norm"] is False and raw["operator"]["sigma"] is None
-    assert raw["source"]["w"]["normalize"] is True
-    rule = raw["rule"]
-    assert (rule["ratio"], rule["bisect_tol"]) == (0.5, 1e-3)
-    assert rule["alpha_max"] is None and rule["c0"] is None  # ||A|| and the certified bound
+    assert raw["rule"] == DISCREPANCY_RULE  # the band is the rule's only setting
     assert parse_config(raw).raw == raw
     doc = make_doc(
         operator={"kind": "abel", "order": 0.5, "n": 64},
@@ -242,6 +251,19 @@ def test_cli_reports_bad_field_in_one_line(tmp_path):
         (
             ["loworder-verify", "--c", "0.5", "--kappa", "2", "--grid-n", "10000000000000"],
             "need at most 65536 grid cells, got 10000000000000",
+        ),
+        # a kappa that is not finite, or whose candidate overflows at x = 1
+        (
+            ["loworder-verify", "--c", "0.5", "--kappa", "nan"],
+            "kappa must be a finite positive number, got nan",
+        ),
+        (
+            ["loworder-verify", "--c", "0.5", "--kappa", "inf"],
+            "kappa must be a finite positive number, got inf",
+        ),
+        (
+            ["loworder-verify", "--c", "0.5", "--kappa", "1e308"],
+            "(-log(c x))^-kappa overflows at c = 0.5, kappa = 1e+308",
         ),
     ):
         out = subprocess.run(
@@ -277,9 +299,14 @@ def _bundled_doc(name, path, value):
         # a ladder of fewer than three deltas has no rate fit and no verdict
         ("integration_apriori", "delta_ladder", [], "must hold at least three deltas"),
         ("integration_apriori", "delta_ladder", [1e-2, 1e-3], "must hold at least three deltas"),
+        # the residual-band rule takes only its band, and a random w is always normalized
+        ("diagonal_discrepancy", "rule.ratio", 0.25, "unknown field"),
+        ("diagonal_discrepancy", "rule.c0", 1.0,
+         "applies only where rule.name is one of ['apriori']"),
+        ("diagonal_apriori", "source.w.normalize", False, "unknown field"),
     ],
     ids=["b0", "b1", "p", "misspelt_rule_key", "misspelt_operator_key", "idle_rule_key",
-         "empty_ladder", "two_entry_ladder"],
+         "empty_ladder", "two_entry_ladder", "band_ratio", "band_c0", "w_normalize"],
 )
 def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, capsys):
     # each field is checked at parse time, so both commands name it; the
@@ -582,14 +609,6 @@ def test_operator_rescale_preprocessing():
     problem = build_problem(parse_config(doc))
     lam = problem.sc.lam
     assert abs(lam) <= 1e-12 and lam > problem.op.omega
-
-
-def test_build_problem_zero_source():
-    doc = make_doc()
-    doc["source"] = dict(doc["source"], w={"kind": "zero"})
-    problem = build_problem(parse_config(doc))
-    assert (problem.u_star - problem.ubar).norm() == 0.0
-    assert (problem.f_star - apply(problem.op, problem.ubar)).norm() == 0.0
 
 
 def test_build_problem_unit_coordinate_closed_form():

@@ -146,7 +146,7 @@ def test_discrepancy_degenerate_branch():
     op = exp_decay_diagonal(15)
     u_true = op.grid_function(np.linspace(1.0, 0.2, op.dim))
     f = apply(op, u_true)
-    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
     alpha, u, _ = discrepancy_alpha(op, LAV2, dcfg, f, 1.0, u_true)
     assert math.isinf(alpha)
     assert (u - u_true).norm() == 0.0
@@ -155,10 +155,11 @@ def test_discrepancy_degenerate_branch():
 def test_discrepancy_scalar_bruteforce():
     # sigma = 1, u_true = 1, ubar = 0, f_delta = 1 + delta: the residual is
     # r(alpha) = (alpha/(1+alpha))^2 (1 + delta), solvable in closed form
-    delta, b0, b1 = 1e-3, 1.5, 2.0
+    # (the walk starts at ||A|| = 1; b0 = 6 clears the certified bound (kappa+1)^2 = 4)
+    delta, b0, b1 = 1e-3, 6.0, 8.0
     op = diagonal_operator([1.0, 1.0], "sup")
     f_delta = op.grid_function([1.0 + delta, 1.0 + delta])
-    dcfg = DiscrepancyConfig(b0=b0, b1=b1, alpha_max=1.0, c0=1.0)
+    dcfg = DiscrepancyConfig(b0=b0, b1=b1)
     alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
     assert b0 * delta <= residual <= b1 * delta
     lo = math.sqrt(b0 * delta / (1.0 + delta))
@@ -179,7 +180,7 @@ def test_discrepancy_residual_in_band_on_random_instances():
         u_true = op.grid_function(rng.standard_normal(op.dim))
         delta = 10.0 ** float(-rng.uniform(2.0, 5.0))
         f_delta = add_noise(apply(op, u_true), delta, seed=1000 + trial)
-        dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
+        dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
         alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
         if math.isinf(alpha):
             assert residual <= 8.0 * delta
@@ -189,14 +190,14 @@ def test_discrepancy_residual_in_band_on_random_instances():
 
 def test_discrepancy_requires_saturation_above_one():
     op = exp_decay_diagonal(10)
-    dcfg = DiscrepancyConfig(b0=3.0, b1=4.0, alpha_max=1.0, c0=1.0)
+    dcfg = DiscrepancyConfig(b0=3.0, b1=4.0)
     with pytest.raises(DomainError, match="saturation"):
         discrepancy_alpha(op, RegularizerConfig("lavrentiev", m=1), dcfg, apply(op, op.ones()), 1e-3, op.zeros())
 
 
 def test_discrepancy_band_constants_checked_against_companion_bound():
     op = exp_decay_diagonal(10)
-    dcfg = DiscrepancyConfig(b0=1.5, b1=2.0, alpha_max=1.0)  # c0 defaults to (kappa+1)^2 = 4
+    dcfg = DiscrepancyConfig(b0=1.5, b1=2.0)  # the certified bound is (kappa+1)^2 = 4
     with pytest.raises(DomainError, match="companion bound"):
         discrepancy_alpha(op, LAV2, dcfg, apply(op, op.ones()), 1e-3, op.zeros())
 
@@ -230,18 +231,15 @@ def test_residual_bracket_inequality():
 )
 def test_band_search_unreachable_exits(residual, exit):
     # synthetic residuals against the band [1, 2]: each live exit names its cause
-    dcfg = DiscrepancyConfig(b0=1.0, b1=2.0, alpha_max=1.0)
     with pytest.raises(DomainError, match=f"discrepancy band unreachable: {exit}"):
-        parameter_choice._band_search(residual, dcfg, 1.0, 2.0)
+        parameter_choice._band_search(residual, 1.0, 1.0, 2.0)
 
 
 def test_discrepancy_config_validation():
     with pytest.raises(DomainError):
-        DiscrepancyConfig(b0=2.0, b1=1.0, alpha_max=1.0)
+        DiscrepancyConfig(b0=2.0, b1=1.0)
     with pytest.raises(DomainError):
-        DiscrepancyConfig(b0=1.0, b1=2.0, alpha_max=1.0, ratio=1.5)
-    with pytest.raises(DomainError):
-        DiscrepancyConfig(b0=1.0, b1=2.0, alpha_max=-1.0)
+        DiscrepancyConfig(b0=0.0, b1=1.0)
 
 
 LADDER = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
@@ -272,7 +270,7 @@ LADDER_CASES = [
 @pytest.mark.parametrize("kind, cfg", LADDER_CASES)
 def test_discrepancy_ladder_rows_equal_one_row_calls(kind, cfg):
     op, ubar, data = _ladder_problem(kind)
-    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
     rows = discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
     assert any(math.isfinite(alpha) for alpha, _, _ in rows)
     for (alpha, u, residual), f_delta, delta in zip(rows, data, LADDER):
@@ -305,10 +303,10 @@ def filter_counts(monkeypatch):
 def test_discrepancy_ladder_builds_one_filter_per_distinct_trial(kind, cfg, filter_counts):
     built, trials = filter_counts
     op, ubar, data = _ladder_problem(kind)
-    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0, alpha_max=op.op_norm)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
     discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
     assert len(built) == len(set(built)) == len(set(trials))
-    assert len(trials) > len(built)  # rows share the grid alpha_max * ratio^j
+    assert len(trials) > len(built)  # rows share the grid ||A|| * RATIO^j
 
 
 def test_bundled_discrepancy_ladder_counts(filter_counts):
