@@ -222,7 +222,8 @@ def verify_membership(params: LogExampleParams, n: int = 512, identity_n: int = 
     (iii) the log difference quotients of the sampled candidate are Cauchy;
     (iv) the order-derivative identity holds at x = 0.3 .. 0.7.  Returns the
     JSON document that ``loworder-verify`` writes, with ``verdict`` "pass" or
-    "fail".
+    "fail".  Raises DomainError, naming kappa, where the samples or their log
+    quotients overflow.
     """
     if n < 2:
         raise DomainError("need at least two grid cells")
@@ -240,7 +241,13 @@ def verify_membership(params: LogExampleParams, n: int = 512, identity_n: int = 
     fd = (su_plus - su_minus) / (2.0 * FD_H)
     derivative_match_rel = abs(fd - w_at) / max(abs(w_at), 1e-12)
 
-    _, cauchy, _ = log_apply(integration_operator(n), u)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, cauchy, _ = log_apply(integration_operator(n), u)
+    except ValueError:  # samples near the float maximum: a quotient (A^p u - u)/p overflows
+        raise DomainError(
+            f"log(A) u overflows at c = {params.c}, kappa = {params.kappa!r}"
+        ) from None
 
     abel_rel = abel_order_derivative_identity_gap(sample_u_log(params, identity_n), IDENTITY_POINTS)
 

@@ -5,7 +5,8 @@ every convergence statement in this package; their inverses and scaling
 behaviour are what turns noise levels into regularization parameters.
 
 The a posteriori rule is a residual band: pick alpha with
-b0 delta <= ||A u_alpha - f_delta|| <= b1 delta, where b0 exceeds the
+b0 delta <= ||S_alpha f_delta|| <= b1 delta, the norm of the residual
+A u_alpha - f_delta = -S_alpha f_delta, where b0 exceeds the
 scheme's certified bound on ||S_alpha|| (Engl, Hanke & Neubauer 1996,
 ch. 4).  The band is its only setting: the walk starts at ||A||, steps by
 ``RATIO``, bisects to ``BISECT_TOL`` and gives up below ``ALPHA_MIN``.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .grid import GridFunction
-from .operators import DiscreteOperator, _one_row, apply
+from .operators import DiscreteOperator, _one_row
 from .schemes import (
     Regularizer,
     RegularizerConfig,
@@ -145,7 +146,7 @@ def _band_search(
     alpha = alpha_max
     r = residual(alpha)
     # If the residual starts below the band, march alpha upward first: the
-    # residual tends to ||A ubar - f_delta|| > b1 delta as alpha -> infinity.
+    # residual tends to ||f_delta|| > b1 delta as alpha -> infinity.
     guard = 0
     while r < lo_t:
         alpha /= RATIO
@@ -185,19 +186,18 @@ def discrepancy_alphas(
     dcfg: DiscrepancyConfig,
     data: list[GridFunction],
     deltas: list[float],
-    ubar: GridFunction,
 ) -> list[tuple[float, GridFunction, float]]:
     """Residual-band a posteriori choice for each row (f_delta, delta) of a ladder.
 
     Each row's answer is ``(alpha, u, residual)``.  Degenerate branch: if
-    ||A ubar - f_delta|| <= b1 delta the answer is alpha = infinity and
-    u = ubar.  Otherwise walk alpha down a geometric grid until the residual
-    drops to b1 delta, then bisect the bracketing pair in log alpha until the
+    ||f_delta|| <= b1 delta the answer is alpha = infinity and u = 0.
+    Otherwise walk alpha down a geometric grid until the residual drops to
+    b1 delta, then bisect the bracketing pair in log alpha until the
     residual lands in [b0 delta, b1 delta].
 
-    The residual of a trial is ||S_alpha r0|| with r0 = A ubar - f_delta,
-    since A u_alpha - f_delta = S_alpha (A ubar - f_delta) (Engl, Hanke &
-    Neubauer 1996, ch. 4): no element and no A apply per trial.  The grid
+    The residual of a trial is ||S_alpha f_delta||, since
+    A u_alpha - f_delta = -S_alpha f_delta (Engl, Hanke & Neubauer 1996,
+    ch. 4): no u_alpha and no A apply per trial.  The grid
     ||A|| * RATIO^j repeats bit for bit across rows, so each filter is
     built once per distinct trial alpha and serves every row that tries it;
     u is built once per row, at the accepted alpha.
@@ -219,21 +219,19 @@ def discrepancy_alphas(
             filters[a] = regularizer(op, cfg, a)
         return filters[a]
 
-    a_ubar = apply(op, ubar)
     results = []
     for f_delta, delta in zip(data, deltas):
-        r0 = a_ubar - f_delta
-        r_bar = r0.norm()
-        if r_bar <= dcfg.b1 * delta:
-            results.append((math.inf, ubar, r_bar))
+        r_inf = f_delta.norm()
+        if r_inf <= dcfg.b1 * delta:
+            results.append((math.inf, op.zeros(), r_inf))
             continue
         alpha, r = _band_search(
-            lambda a: _one_row(op, filter_at(a).companion, r0).norm(),
+            lambda a: _one_row(op, filter_at(a).companion, f_delta).norm(),
             op.op_norm,
             dcfg.b0 * delta,
             dcfg.b1 * delta,
         )
-        u = _one_row(op, filter_at(alpha).element, f_delta, ubar)
+        u = _one_row(op, filter_at(alpha).apply, f_delta)
         results.append((alpha, u, r))
     return results
 
@@ -244,10 +242,9 @@ def discrepancy_alpha(
     dcfg: DiscrepancyConfig,
     f_delta: GridFunction,
     delta: float,
-    ubar: GridFunction,
 ) -> tuple[float, GridFunction, float]:
     """Residual-band a posteriori choice of the regularization parameter.
 
     The one-row call of ``discrepancy_alphas``: ``(alpha, u, residual)``.
     """
-    return discrepancy_alphas(op, cfg, dcfg, [f_delta], [delta], ubar)[0]
+    return discrepancy_alphas(op, cfg, dcfg, [f_delta], [delta])[0]

@@ -3,17 +3,19 @@
 Two schemes are provided:
 
 * iterated Lavrentiev: m repeated shifted solves
-  (A + alpha I) v_k = alpha v_{k-1} + f, with companion
+  (A + alpha I) v_k = alpha v_{k-1} + f from v_0 = 0, with companion
   S_alpha = alpha^m (A + alpha I)^{-m} and saturation p0 = m;
-* the evolution-equation method: u(t) for u' + A u = f at t = 1/alpha,
-  exactly as e^{-tA} u(0) + A^{-1} (I - e^{-tA}) f (power series of the lag
-  symbol on the Volterra kinds), with companion S_alpha = e^{-tA} and
-  unlimited saturation.
+* the evolution-equation method: u(t) for u' + A u = f, u(0) = 0, at
+  t = 1/alpha, exactly as phi_t(A) f = A^{-1} (I - e^{-tA}) f (power series
+  of the lag symbol on the Volterra kinds), with companion S_alpha = e^{-tA}
+  and unlimited saturation.
 
-``regularizer(op, cfg, alpha)`` builds a scheme's filter once for one alpha
-and applies R_alpha, S_alpha and the regularized element to blocks of
+The regularized element is u_alpha = R_alpha f_delta: there is no initial
+guess, and the residual is A u_alpha - f_delta = -S_alpha f_delta.
+``regularizer(op, cfg, alpha)`` builds a scheme's filter, the two maps
+R_alpha and S_alpha, once for one alpha and applies them to blocks of
 elements, one per row; ``regularize`` is the one-element call
-(``operators._one_row``) for the regularized element.
+(``operators._one_row``) of R_alpha.
 
 The evolution method is exposed for every kind, but is only certified for
 operators with a strong sectorial resolvent condition; fractional
@@ -94,21 +96,16 @@ class RegularizerConfig:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """The maps of one scheme at one alpha, with the filter built once.
+    """The two maps of one scheme at one alpha, with the filter built once.
 
     Each map takes value blocks of shape (k, dim), one element per row, and
-    returns a new block whose row i depends on row i alone:
-    ``element(f, ubar)`` is the regularized element ubar - R_alpha (A ubar - f),
-    ``apply(g)`` is R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u.
-    A block with a sample that is not finite raises ValueError.
+    returns a new block whose row i depends on row i alone: ``apply(g)`` is
+    R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u.  A block
+    with a sample that is not finite raises ValueError.
     """
 
-    _element: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _apply: Callable[[np.ndarray], np.ndarray]
     _companion: Callable[[np.ndarray], np.ndarray]
-
-    def element(self, f: np.ndarray, ubar: np.ndarray) -> np.ndarray:
-        return check_finite(self._element(f, ubar))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         return check_finite(self._apply(g))
@@ -118,16 +115,16 @@ class Regularizer:
 
 
 def _lavrentiev(op: DiscreteOperator, m: int, alpha: float) -> Regularizer:
-    """m steps v <- (A + alpha I)^{-1} (f + alpha v) from v = ubar.
+    """R_alpha g: m steps v <- (A + alpha I)^{-1} (g + alpha v) from v = 0.
 
-    R_alpha g is the element with ubar = 0; S_alpha = (alpha (A + alpha I)^{-1})^m.
+    S_alpha = (alpha (A + alpha I)^{-1})^m.
     """
     solve = shifted_solver(op, alpha)
 
-    def element(f, ubar):
-        v = ubar
+    def apply(g):
+        v = np.zeros_like(g)
         for _ in range(m):
-            v = solve(f + alpha * v)
+            v = solve(g + alpha * v)
         return v
 
     def companion(u):
@@ -136,13 +133,13 @@ def _lavrentiev(op: DiscreteOperator, m: int, alpha: float) -> Regularizer:
             v = alpha * solve(v)
         return v
 
-    return Regularizer(element, lambda g: element(g, np.zeros_like(g)), companion)
+    return Regularizer(apply, companion)
 
 
 def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
-    """u' + A u = f to time t: u(t) = e^{-tA} u(0) + phi_t(A) f, R_alpha = phi_t(A)."""
+    """u' + A u = f, u(0) = 0, to time t: R_alpha = phi_t(A), S_alpha = e^{-tA}."""
     decay, reach = evolution_maps(op, t)
-    return Regularizer(lambda f, ubar: decay(ubar) + reach(f), reach, decay)
+    return Regularizer(reach, decay)
 
 
 def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> Regularizer:
@@ -163,10 +160,9 @@ def regularize(
     cfg: RegularizerConfig,
     alpha: float,
     f_delta: GridFunction,
-    ubar: GridFunction,
 ) -> GridFunction:
-    """The regularized element ubar - R_alpha (A ubar - f_delta)."""
-    return _one_row(op, regularizer(op, cfg, alpha).element, f_delta, ubar)
+    """The regularized element R_alpha f_delta."""
+    return _one_row(op, regularizer(op, cfg, alpha).apply, f_delta)
 
 
 def qualification_checks(

@@ -382,7 +382,7 @@ def alpha_sweep_oracle(
     """Brute-force oracle: (best alpha, smallest true error) over a dense grid."""
     best_a, best_e = math.nan, math.inf
     for a in alphas:
-        u = regularize(problem.op, problem.scheme, float(a), f_delta, problem.ubar)
+        u = regularize(problem.op, problem.scheme, float(a), f_delta)
         e = (u - problem.u_star).norm()
         if e < best_e:
             best_a, best_e = float(a), e

@@ -271,7 +271,7 @@ def test_criterion_08_discrepancy_rate():
     band_ok = True
     for k, row in enumerate(report["rows"]):
         f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
-        degenerate = (apply(problem.op, problem.ubar) - f_delta).norm() <= 8.0 * row["delta"]
+        degenerate = f_delta.norm() <= 8.0 * row["delta"]
         if math.isinf(row["alpha"]):
             band_ok &= degenerate
         else:
@@ -282,7 +282,7 @@ def test_criterion_08_discrepancy_rate():
         and report["summary"]["alpha_lower_ratio_stability"] <= 3.0
     )
     spread_ok = report["summary"]["ratio_spread"] <= 3.0
-    # degenerate branch fires exactly when the initial residual is small
+    # degenerate branch fires exactly when ||f_delta|| is small
     tiny = parse_config(
         _rate_doc({"name": "discrepancy", "b0": 6.0, "b1": 8.0}, [0.09, 0.05, 0.02])
     )

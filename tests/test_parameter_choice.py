@@ -143,24 +143,26 @@ def test_apriori_consistent_with_chi_inverse():
 
 
 def test_discrepancy_degenerate_branch():
+    # ||f_delta|| <= b1 delta: u = 0 already fits the data, alpha = infinity
     op = exp_decay_diagonal(15)
     u_true = op.grid_function(np.linspace(1.0, 0.2, op.dim))
     f = apply(op, u_true)
     dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
-    alpha, u, _ = discrepancy_alpha(op, LAV2, dcfg, f, 1.0, u_true)
+    alpha, u, residual = discrepancy_alpha(op, LAV2, dcfg, f, f.norm() / 8.0)
     assert math.isinf(alpha)
-    assert (u - u_true).norm() == 0.0
+    assert u.norm() == 0.0
+    assert residual == f.norm()
 
 
 def test_discrepancy_scalar_bruteforce():
-    # sigma = 1, u_true = 1, ubar = 0, f_delta = 1 + delta: the residual is
+    # sigma = 1, u_true = 1, f_delta = 1 + delta: the residual is
     # r(alpha) = (alpha/(1+alpha))^2 (1 + delta), solvable in closed form
     # (the walk starts at ||A|| = 1; b0 = 6 clears the certified bound (kappa+1)^2 = 4)
     delta, b0, b1 = 1e-3, 6.0, 8.0
     op = diagonal_operator([1.0, 1.0], "sup")
     f_delta = op.grid_function([1.0 + delta, 1.0 + delta])
     dcfg = DiscrepancyConfig(b0=b0, b1=b1)
-    alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
+    alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta)
     assert b0 * delta <= residual <= b1 * delta
     lo = math.sqrt(b0 * delta / (1.0 + delta))
     hi = math.sqrt(b1 * delta / (1.0 + delta))
@@ -181,7 +183,7 @@ def test_discrepancy_residual_in_band_on_random_instances():
         delta = 10.0 ** float(-rng.uniform(2.0, 5.0))
         f_delta = add_noise(apply(op, u_true), delta, seed=1000 + trial)
         dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
-        alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta, op.zeros())
+        alpha, _, residual = discrepancy_alpha(op, LAV2, dcfg, f_delta, delta)
         if math.isinf(alpha):
             assert residual <= 8.0 * delta
         else:
@@ -192,31 +194,30 @@ def test_discrepancy_requires_saturation_above_one():
     op = exp_decay_diagonal(10)
     dcfg = DiscrepancyConfig(b0=3.0, b1=4.0)
     with pytest.raises(DomainError, match="saturation"):
-        discrepancy_alpha(op, RegularizerConfig("lavrentiev", m=1), dcfg, apply(op, op.ones()), 1e-3, op.zeros())
+        discrepancy_alpha(op, RegularizerConfig("lavrentiev", m=1), dcfg, apply(op, op.ones()), 1e-3)
 
 
 def test_discrepancy_band_constants_checked_against_companion_bound():
     op = exp_decay_diagonal(10)
     dcfg = DiscrepancyConfig(b0=1.5, b1=2.0)  # the certified bound is (kappa+1)^2 = 4
     with pytest.raises(DomainError, match="companion bound"):
-        discrepancy_alpha(op, LAV2, dcfg, apply(op, op.ones()), 1e-3, op.zeros())
+        discrepancy_alpha(op, LAV2, dcfg, apply(op, op.ones()), 1e-3)
 
 
 def test_residual_bracket_inequality():
-    # | ||r_alpha|| - ||S_alpha A (ubar - u_true)|| | <= c0 delta on the walk grid
+    # | ||r_alpha|| - ||S_alpha A u_true|| | <= c0 delta on the walk grid
     op = exp_decay_diagonal(30)
     rng = np.random.Generator(np.random.Philox(key=41))
     u_true = op.grid_function(rng.standard_normal(op.dim))
     delta = 1e-3
     f_delta = add_noise(apply(op, u_true), delta, seed=7)
-    ubar = op.zeros()
     c0 = 1.0  # sharp companion bound in the Hilbert case
     from illposed.schemes import regularize
 
     for alpha in np.logspace(-6, 0, 13):
-        u = regularize(op, LAV2, float(alpha), f_delta, ubar)
+        u = regularize(op, LAV2, float(alpha), f_delta)
         r = (apply(op, u) - f_delta).norm()
-        s = _one_row(op, regularizer(op, LAV2, float(alpha)).companion, apply(op, ubar - u_true))
+        s = _one_row(op, regularizer(op, LAV2, float(alpha)).companion, apply(op, u_true))
         assert abs(r - s.norm()) <= c0 * delta * (1.0 + 1e-9)
 
 
@@ -246,18 +247,18 @@ LADDER = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 
 
 def _ladder_problem(kind: str):
-    """Operator, initial guess and noisy data of each LADDER row."""
+    """Operator and noisy data of each LADDER row."""
     if kind == "abel":
         op = abel_operator(0.5, 64, "l2_scaled")
         x = np.linspace(0.0, 1.0, op.dim)
-        u_true, ubar = op.grid_function(np.sin(np.pi * x)), op.grid_function(0.1 * x)
+        u_true = op.grid_function(np.sin(np.pi * x))
     else:
         op = exp_decay_diagonal(30)
         rng = np.random.Generator(np.random.Philox(key=43))
-        u_true, ubar = op.grid_function(rng.standard_normal(op.dim)), op.zeros()
+        u_true = op.grid_function(rng.standard_normal(op.dim))
     f = apply(op, u_true)
     data = [add_noise(f, d, seed=500 + k) for k, d in enumerate(LADDER)]
-    return op, ubar, data
+    return op, data
 
 
 LADDER_CASES = [
@@ -269,12 +270,12 @@ LADDER_CASES = [
 
 @pytest.mark.parametrize("kind, cfg", LADDER_CASES)
 def test_discrepancy_ladder_rows_equal_one_row_calls(kind, cfg):
-    op, ubar, data = _ladder_problem(kind)
+    op, data = _ladder_problem(kind)
     dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
-    rows = discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
+    rows = discrepancy_alphas(op, cfg, dcfg, data, LADDER)
     assert any(math.isfinite(alpha) for alpha, _, _ in rows)
     for (alpha, u, residual), f_delta, delta in zip(rows, data, LADDER):
-        one_alpha, one_u, one_residual = discrepancy_alpha(op, cfg, dcfg, f_delta, delta, ubar)
+        one_alpha, one_u, one_residual = discrepancy_alpha(op, cfg, dcfg, f_delta, delta)
         assert alpha == one_alpha
         assert np.array_equal(u.values, one_u.values)
         assert residual == one_residual
@@ -293,7 +294,7 @@ def filter_counts(monkeypatch):
             trials.append(alpha)
             return reg.companion(u)
 
-        return Regularizer(reg.element, reg.apply, companion)
+        return Regularizer(reg.apply, companion)
 
     monkeypatch.setattr(parameter_choice, "regularizer", counting)
     return built, trials
@@ -302,9 +303,9 @@ def filter_counts(monkeypatch):
 @pytest.mark.parametrize("kind, cfg", LADDER_CASES)
 def test_discrepancy_ladder_builds_one_filter_per_distinct_trial(kind, cfg, filter_counts):
     built, trials = filter_counts
-    op, ubar, data = _ladder_problem(kind)
+    op, data = _ladder_problem(kind)
     dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
-    discrepancy_alphas(op, cfg, dcfg, data, LADDER, ubar)
+    discrepancy_alphas(op, cfg, dcfg, data, LADDER)
     assert len(built) == len(set(built)) == len(set(trials))
     assert len(trials) > len(built)  # rows share the grid ||A|| * RATIO^j
 

@@ -30,36 +30,24 @@ def scalar_op(s):
 def test_lavrentiev_classical_scalar():
     s, alpha = 0.6, 0.1
     op = scalar_op(s)
-    u = regularize(op, LAV1, alpha, op.grid_function([s, s]), op.zeros())
+    u = regularize(op, LAV1, alpha, op.grid_function([s, s]))
     np.testing.assert_allclose(u.values, s / (s + alpha), rtol=1e-14)
 
 
-def test_lavrentiev_consistent_data_is_fixed_point():
-    op = exp_decay_diagonal(15)
-    ubar = op.grid_function(np.linspace(1.0, 0.2, op.dim))
-    f = apply(op, ubar)
-    for m in (1, 2, 4):
-        for alpha in (1e-4, 0.3, 10.0):
-            u = regularize(op, RegularizerConfig("lavrentiev", m=m), alpha, f, ubar)
-            assert (u - ubar).norm() <= 1e-11 * ubar.norm()
-
-
 def test_lavrentiev_matches_explicit_resolvent_sum():
-    # oracle: u = ubar - R_alpha(A ubar - f) with
+    # oracle: u = R_alpha f with
     # R_alpha = alpha^{-1} sum_{j=1}^m alpha^j (A + alpha I)^{-j}
     n, m, alpha = 128, 2, 0.05
     op = integration_operator(n)
     rng = np.random.Generator(np.random.Philox(key=17))
     f = op.grid_function(rng.standard_normal(op.dim))
-    ubar = op.grid_function(rng.standard_normal(op.dim))
-    got = regularize(op, RegularizerConfig("lavrentiev", m=m), alpha, f, ubar)
-    g = apply(op, ubar) - f
-    r_g = op.zeros()
-    term = g
+    got = regularize(op, RegularizerConfig("lavrentiev", m=m), alpha, f)
+    r_f = op.zeros()
+    term = f
     for _ in range(m):
         term = alpha * shifted_solve(op, alpha, term)
-        r_g = r_g + term
-    expected = ubar - (1.0 / alpha) * r_g
+        r_f = r_f + term
+    expected = (1.0 / alpha) * r_f
     assert (got - expected).norm() <= 1e-10 * max(expected.norm(), 1.0)
 
 
@@ -71,13 +59,12 @@ def test_iterated_steps_equal_repeated_shifted_solves(make):
     op, m, alpha = make(), 3, 0.05
     rng = np.random.Generator(np.random.Philox(key=19))
     f = op.grid_function(rng.standard_normal(op.dim))
-    ubar = op.grid_function(rng.standard_normal(op.dim))
-    v, s = ubar, f
+    v, s = op.zeros(), f
     for _ in range(m):
         v = shifted_solve(op, alpha, f + alpha * v)
         s = alpha * shifted_solve(op, alpha, s)
     cfg = RegularizerConfig("lavrentiev", m=m)
-    assert np.array_equal(regularize(op, cfg, alpha, f, ubar).values, v.values)
+    assert np.array_equal(regularize(op, cfg, alpha, f).values, v.values)
     assert np.array_equal(_one_row(op, regularizer(op, cfg, alpha).companion, f).values, s.values)
 
 
@@ -93,17 +80,16 @@ def test_regularizer_block_rows_equal_single_calls(kind, norm):
     else:
         op = abel_operator(0.5, 48, norm)
     rng = np.random.Generator(np.random.Philox(key=37))
-    f, ubar = rng.standard_normal((2, 4, op.dim))
+    f, u = rng.standard_normal((2, 4, op.dim))
     cfgs = [RegularizerConfig("lavrentiev", m=m) for m in (1, 2, 3)] + [CAUCHY]
     for cfg in cfgs:
         for ratio in (1e-6, 1e-2, 1.0):
             alpha = ratio * op.op_norm
             reg = regularizer(op, cfg, alpha)
-            element, r_f, s_u = reg.element(f, ubar), reg.apply(f), reg.companion(ubar)
+            r_f, s_u = reg.apply(f), reg.companion(u)
             for i in range(f.shape[0]):
-                fi, ui = op.grid_function(f[i]), op.grid_function(ubar[i])
-                assert np.array_equal(element[i], regularize(op, cfg, alpha, fi, ui).values)
-                assert np.array_equal(r_f[i], _one_row(op, reg.apply, fi).values)
+                fi, ui = op.grid_function(f[i]), op.grid_function(u[i])
+                assert np.array_equal(r_f[i], regularize(op, cfg, alpha, fi).values)
                 assert np.array_equal(s_u[i], _one_row(op, reg.companion, ui).values)
 
 
@@ -120,12 +106,12 @@ def test_regularizer_rejects_nonfinite_blocks():
 def test_lavrentiev_rejects_nonpositive_alpha():
     op = scalar_op(1.0)
     with pytest.raises(DomainError):
-        regularize(op, LAV1, 0.0, op.ones(), op.zeros())
+        regularize(op, LAV1, 0.0, op.ones())
 
 
 def test_cauchy_scalar_closed_form_integrator():
     op = integration_operator(32)
-    u = regularize(op, CAUCHY, 1.0, op.ones(), op.zeros())
+    u = regularize(op, CAUCHY, 1.0, op.ones())
     expected = expm_evolve(op, 1.0, op.ones(), op.zeros())
     assert (u - expected).norm() <= 1e-12 * expected.norm()
 
@@ -133,26 +119,16 @@ def test_cauchy_scalar_closed_form_integrator():
 def test_cauchy_exact_diagonal_path():
     s = 0.7
     op = scalar_op(s)
-    u = regularize(op, CAUCHY, 0.5, op.ones(), op.zeros())
+    u = regularize(op, CAUCHY, 0.5, op.ones())
     np.testing.assert_allclose(u.values, (1.0 - math.exp(-2.0 * s)) / s, rtol=1e-13)
 
 
 def test_cauchy_initial_condition():
+    # u(0) = 0: at t = 1/alpha = 1e-6, u(t) = phi_t(A) f is about t f
     op = integration_operator(64)
-    ubar = op.grid_function(np.linspace(0.5, 1.0, op.dim))
     f = op.ones()
-    u = regularize(op, CAUCHY, 1e6, f, ubar)
-    tol = 1e-5 * (f.norm() + apply(op, ubar).norm())
-    assert (u - ubar).norm() <= tol
-
-
-def test_cauchy_stationary_solution():
-    op = exp_decay_diagonal(10)
-    ubar = op.grid_function(np.linspace(1.0, 0.1, op.dim))
-    f = apply(op, ubar)
-    for alpha in (1e-3, 1.0):
-        u = regularize(op, CAUCHY, alpha, f, ubar)
-        assert (u - ubar).norm() <= 1e-11 * ubar.norm()
+    u = regularize(op, CAUCHY, 1e6, f)
+    assert u.norm() <= 1e-5 * f.norm()
 
 
 def test_companion_lavrentiev_scalar():
@@ -191,7 +167,7 @@ def test_cauchy_matches_expm_oracle(kind, norm, n):
         s_ref = expm_evolve(op, 1.0 / alpha, op.zeros(), u)
         assert np.all(np.isfinite(s.values))
         assert (s - s_ref).norm() <= 1e-12 * max(s_ref.norm(), u.norm())
-        v = regularize(op, CAUCHY, alpha, f, op.zeros())
+        v = regularize(op, CAUCHY, alpha, f)
         v_ref = expm_evolve(op, 1.0 / alpha, f, op.zeros())
         assert np.all(np.isfinite(v.values))
         assert (v - v_ref).norm() <= 1e-12 * v_ref.norm()
@@ -205,34 +181,24 @@ def test_companion_large_alpha_approaches_identity():
     assert (v - u).norm() <= 1e-4 * u.norm()
 
 
-def test_regularize_exact_data_exact_guess():
-    op = exp_decay_diagonal(12)
-    u_true = op.grid_function(np.linspace(1.0, 0.1, op.dim))
-    f = apply(op, u_true)
-    for cfg in (LAV1, LAV2, CAUCHY):
-        u = regularize(op, cfg, 0.3, f, u_true)
-        assert (u - u_true).norm() <= 1e-11 * u_true.norm()
-
-
 def test_regularize_scalar_arithmetic():
-    # sigma = 1, u_true = 1, ubar = 0, noisy datum 1.01, alpha = 0.1
+    # sigma = 1, u_true = 1, noisy datum 1.01, alpha = 0.1
     op = scalar_op(1.0)
-    u = regularize(op, LAV1, 0.1, op.grid_function([1.01, 1.01]), op.zeros())
+    u = regularize(op, LAV1, 0.1, op.grid_function([1.01, 1.01]))
     np.testing.assert_allclose(u.values, 1.01 / 1.1, rtol=1e-14)
 
 
 def test_regularize_error_decomposition():
-    # u_alpha - u_true = S_alpha (ubar - u_true) - R_alpha (A u_true - f_delta)
+    # u_alpha - u_true = -S_alpha u_true - R_alpha (A u_true - f_delta)
     op = exp_decay_diagonal(20)
     rng = np.random.Generator(np.random.Philox(key=23))
     u_true = op.grid_function(rng.standard_normal(op.dim))
-    ubar = op.grid_function(rng.standard_normal(op.dim))
     f_delta = apply(op, u_true) + 0.01 * op.grid_function(rng.standard_normal(op.dim))
     for cfg in (LAV2, CAUCHY):
         alpha = 0.05
-        lhs = regularize(op, cfg, alpha, f_delta, ubar) - u_true
+        lhs = regularize(op, cfg, alpha, f_delta) - u_true
         reg = regularizer(op, cfg, alpha)
-        rhs = _one_row(op, reg.companion, ubar - u_true) - _one_row(
+        rhs = -1.0 * _one_row(op, reg.companion, u_true) - _one_row(
             op, reg.apply, apply(op, u_true) - f_delta
         )
         assert (lhs - rhs).norm() <= 1e-11 * max(lhs.norm(), 1.0)
@@ -244,7 +210,7 @@ def test_regularize_alpha_ladder_monotone_on_exact_data():
     f = apply(op, u_true)
     errs = []
     for alpha in (1.0, 0.1, 0.01, 1e-3, 1e-4):
-        u = regularize(op, LAV2, alpha, f, op.zeros())
+        u = regularize(op, LAV2, alpha, f)
         errs.append((u - u_true).norm())
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
@@ -304,16 +270,27 @@ def test_cauchy_qualification_reported_without_verdict():
 
 
 def test_commutation_invariant():
+    # R_alpha and A are functions of one symbol, so R_alpha A u = A R_alpha u
+    # exactly; the computed gap is rounding: each side is a chain of
+    # dim-term products of entries of size about max(||R_alpha A u||, ||u||)
     rng = np.random.Generator(np.random.Philox(key=29))
-    ops = (integration_operator(96), exp_decay_diagonal(20))
-    for op in ops:
-        u = op.grid_function(rng.standard_normal(op.dim))
-        au = apply(op, u)
-        for cfg in (LAV2, CAUCHY):
-            for alpha in (0.01, 0.5):
-                reg = regularizer(op, cfg, alpha)
-                gap = (_one_row(op, reg.apply, au) - apply(op, _one_row(op, reg.apply, u))).norm()
-                assert gap <= 1e-10 * max(au.norm(), 1.0)
+    for norm in ("sup", "l2_scaled"):
+        ops = (
+            exp_decay_diagonal(20, norm),
+            integration_operator(96, norm),
+            abel_operator(0.5, 96, norm),
+        )
+        for op in ops:
+            u = op.grid_function(rng.standard_normal(op.dim))
+            au = apply(op, u)
+            for cfg in (LAV2, CAUCHY):
+                for ratio in (1e-6, 1e-2, 0.5):
+                    reg = regularizer(op, cfg, ratio * op.op_norm)
+                    rau = _one_row(op, reg.apply, au)
+                    gap = (rau - apply(op, _one_row(op, reg.apply, u))).norm()
+                    rounding = np.finfo(float).eps * op.dim * max(rau.norm(), u.norm())
+                    assert rounding <= 1e-10 * max(au.norm(), 1.0)
+                    assert gap <= rounding, (op.kind, norm, cfg.scheme, ratio)
 
 
 def test_growth_invariant():
