@@ -280,6 +280,15 @@ class DiscreteOperator:
         """``estimate_postype_constant`` over ``default_kappa_grid``, cached."""
         return estimate_postype_constant(self, default_kappa_grid(self.op_norm))
 
+    @property
+    def norm_bound(self) -> float:
+        """An upper bound on ||A||: sigma_max, or the lag sum on the Volterra kinds.
+
+        The lag sum is ||A|| in sup and the Schur bound sqrt(||T||_1 ||T||_inf)
+        in l2_scaled, where ``op_norm`` comes from power iteration, from below.
+        """
+        return self.op_norm if self.kind == "diagonal" else float(np.sum(self.weights))
+
     @functools.cached_property
     def inverse_lags(self) -> np.ndarray:
         """The lag series of A^{-1} on nodes 1..n, ``series_reciprocal(weights)``, cached.

@@ -8,8 +8,10 @@ The a posteriori rule is a residual band: pick alpha with
 b0 delta <= ||S_alpha f_delta|| <= b1 delta, the norm of the residual
 A u_alpha - f_delta = -S_alpha f_delta, where b0 exceeds the
 scheme's certified bound on ||S_alpha|| (Engl, Hanke & Neubauer 1996,
-ch. 4).  The band is its only setting: the walk starts at ||A||, steps by
-``RATIO``, bisects to ``BISECT_TOL`` and gives up below ``ALPHA_MIN``.
+ch. 4).  The band is its only setting: the walk steps down the grid
+||A|| * ``RATIO``^j, skips without a trial every alpha where the scheme's
+certified floor on the residual clears b1 delta by ``FLOOR_MARGIN``, bisects
+to ``BISECT_TOL`` and gives up below ``ALPHA_MIN``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ RATIO = 0.5
 BISECT_TOL = 1e-3
 #: the residual-band walk gives up once alpha falls below this
 ALPHA_MIN = 1e-14
+#: the walk skips alpha only where the certified floor exceeds b1 delta by this
+#: relative margin, far above the rounding of the computed floor and residual
+FLOOR_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,25 +141,35 @@ class DiscrepancyConfig:
 
 
 def _band_search(
-    residual, alpha_max: float, lo_t: float, hi_t: float
+    residual, alpha_max: float, lo_t: float, hi_t: float, floor
 ) -> tuple[float, float]:
     """The first (alpha, residual(alpha)) of the walk that lands in [lo_t, hi_t].
 
     Walk alpha down the grid ``alpha_max * RATIO^j`` until the residual
-    drops to ``hi_t``, then bisect the bracketing pair in log alpha.
+    drops to ``hi_t``, then bisect the bracketing pair in log alpha.  Grid
+    points where ``floor(alpha)``, a lower bound on the residual, exceeds
+    ``hi_t`` by ``FLOOR_MARGIN`` are stepped over without a trial; the walk
+    resumes from the last of them as the point above the band.
     """
-    alpha = alpha_max
+    alpha, above = alpha_max, None
+    while floor(alpha) > hi_t * (1.0 + FLOOR_MARGIN):
+        above = alpha
+        alpha *= RATIO
+        if alpha < ALPHA_MIN:
+            raise DomainError("discrepancy band unreachable: above it down to alpha_min")
     r = residual(alpha)
-    # If the residual starts below the band, march alpha upward first: the
-    # residual tends to ||f_delta|| > b1 delta as alpha -> infinity.
+    # If the residual at alpha_max is below the band, march alpha upward
+    # first: the residual tends to ||f_delta|| > b1 delta as alpha -> infinity.
+    # After a skip there is no march, as a skipped alpha lies above the band.
     guard = 0
-    while r < lo_t:
+    while above is None and r < lo_t:
         alpha /= RATIO
         r = residual(alpha)
         guard += 1
         if guard > 200:
             raise DomainError("discrepancy band unreachable: below it after 200 upward steps")
-    # here r >= lo_t, so the first pass below returns or sets ``above``
+    # here r >= lo_t or ``above`` is set, so the first pass below returns,
+    # sets ``above`` or bisects against the last skipped alpha
     while True:
         if r <= hi_t:
             if r >= lo_t:
@@ -191,13 +206,16 @@ def discrepancy_alphas(
 
     Each row's answer is ``(alpha, u, residual)``.  Degenerate branch: if
     ||f_delta|| <= b1 delta the answer is alpha = infinity and u = 0.
-    Otherwise walk alpha down a geometric grid until the residual drops to
-    b1 delta, then bisect the bracketing pair in log alpha until the
+    Otherwise walk alpha down the grid ||A|| * RATIO^j until the residual
+    drops to b1 delta, then bisect the bracketing pair in log alpha until the
     residual lands in [b0 delta, b1 delta].
 
     The residual of a trial is ||S_alpha f_delta||, since
     A u_alpha - f_delta = -S_alpha f_delta (Engl, Hanke & Neubauer 1996,
-    ch. 4): no u_alpha and no A apply per trial.  The grid
+    ch. 4): no u_alpha and no A apply per trial.  A trial is made only once
+    the certified floor ``cfg.residual_floor(alpha, op.norm_bound)`` times
+    ||f_delta|| no longer clears b1 delta; every alpha above that has a
+    residual above the band.  The grid
     ||A|| * RATIO^j repeats bit for bit across rows, so each filter is
     built once per distinct trial alpha and serves every row that tries it;
     u is built once per row, at the accepted alpha.
@@ -208,9 +226,10 @@ def discrepancy_alphas(
         raise DomainError("delta must be positive")
     if not cfg.p0 > 1:
         raise DomainError("the residual-band rule needs saturation above 1 (Lavrentiev m >= 2)")
-    c0 = cfg.qualification_constant(0.0, op.kappa_star)
-    if c0 is not None and not dcfg.b0 > c0:
-        raise DomainError(f"b0 = {dcfg.b0} must strictly exceed the companion bound c0 = {c0}")
+    if cfg.scheme == "lavrentiev":  # the evolution method has no bound, so no kappa* to read
+        c0 = cfg.qualification_constant(0.0, op.kappa_star)
+        if not dcfg.b0 > c0:
+            raise DomainError(f"b0 = {dcfg.b0} must strictly exceed the companion bound c0 = {c0}")
 
     filters: dict[float, Regularizer] = {}
 
@@ -230,6 +249,7 @@ def discrepancy_alphas(
             op.op_norm,
             dcfg.b0 * delta,
             dcfg.b1 * delta,
+            lambda a: cfg.residual_floor(a, op.norm_bound) * r_inf,
         )
         u = _one_row(op, filter_at(alpha).apply, f_delta)
         results.append((alpha, u, r))

@@ -79,6 +79,17 @@ class RegularizerConfig:
             return (kappa_star + 1.0) ** self.m
         return 2.0 * (kappa_star + 1.0) ** (p + 1.0)
 
+    def residual_floor(self, alpha: float, norm_bound: float) -> float:
+        """Certified phi(alpha) with ||S_alpha g|| >= phi(alpha) ||g|| when ||A|| <= norm_bound.
+
+        ||g|| <= ||S_alpha^{-1}|| ||S_alpha g||, and S_alpha^{-1} is
+        (I + A/alpha)^m for iterated Lavrentiev and e^{A/alpha} for the
+        evolution method: phi = (alpha / (alpha + N))^m or exp(-N / alpha).
+        """
+        if self.scheme == "lavrentiev":
+            return (alpha / (alpha + norm_bound)) ** self.m
+        return math.exp(-norm_bound / alpha)
+
     def growth_constant(self, kappa_star: float) -> float | None:
         """Certified bound on alpha ||R_alpha||: m kappa (kappa+1)^{m-1} for Lavrentiev."""
         if self.scheme != "lavrentiev":

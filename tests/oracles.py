@@ -21,6 +21,10 @@ without forming a matrix.  The routes here share none of that code path:
 * ``log_kernel_apply``, the log-kernel transform at every node, one
   ``log_kernel_apply_at`` call per node;
 * ``alpha_sweep_oracle``, the best alpha of a dense grid by the true error;
+* ``unskipped_discrepancy_alphas``, the residual-band walk with a trial at
+  every grid alpha from ||A|| down and a filter built per trial, which the
+  library's walk, which steps over alphas its certified floor rules out,
+  must match bit for bit;
 * ``quadpack_w``, QUADPACK (Piessens et al., 1983) for the low-order
   candidate's w, which checks the library's double-exponential rule;
 * ``graded_w``, the same w by graded composite Gauss-Legendre panels with an
@@ -41,8 +45,15 @@ from illposed.errors import DomainError, QuadratureError
 from illposed.grid import GridFunction
 from illposed.harness import Problem
 from illposed.loworder import LogExampleParams, log_kernel_apply_at, u_log_derivative
-from illposed.operators import DiscreteOperator, apply, fractional_power_exact, shifted_solve
-from illposed.schemes import regularize
+from illposed.operators import (
+    DiscreteOperator,
+    _one_row,
+    apply,
+    fractional_power_exact,
+    shifted_solve,
+)
+from illposed.parameter_choice import ALPHA_MIN, BISECT_TOL, RATIO, DiscrepancyConfig
+from illposed.schemes import RegularizerConfig, regularize, regularizer
 
 
 def dense_matrix(op: DiscreteOperator) -> np.ndarray:
@@ -387,3 +398,59 @@ def alpha_sweep_oracle(
         if e < best_e:
             best_a, best_e = float(a), e
     return best_a, best_e
+
+
+def unskipped_discrepancy_alphas(
+    op: DiscreteOperator,
+    cfg: RegularizerConfig,
+    dcfg: DiscrepancyConfig,
+    data: list[GridFunction],
+    deltas: list[float],
+) -> list[tuple[float, GridFunction, float]]:
+    """The residual-band rule, one ``(alpha, u, residual)`` per row, trying every alpha.
+
+    Each row walks ``||A|| * RATIO^j`` down from its first grid point, with an
+    upward march if that point is below the band, until the residual drops
+    to b1 delta, then bisects the bracketing pair in log alpha.  The same
+    errors as the library end a row that cannot reach the band.
+    """
+    results = []
+    for f_delta, delta in zip(data, deltas):
+        lo_t, hi_t = dcfg.b0 * delta, dcfg.b1 * delta
+        if f_delta.norm() <= hi_t:
+            results.append((math.inf, op.zeros(), f_delta.norm()))
+            continue
+
+        def residual(a):
+            return _one_row(op, regularizer(op, cfg, a).companion, f_delta).norm()
+
+        alpha = op.op_norm
+        r = residual(alpha)
+        steps_up = 0
+        while r < lo_t:
+            alpha /= RATIO
+            r = residual(alpha)
+            steps_up += 1
+            if steps_up > 200:
+                raise DomainError("discrepancy band unreachable: below it after 200 upward steps")
+        above = None
+        while r > hi_t:
+            above = alpha
+            alpha *= RATIO
+            if alpha < ALPHA_MIN:
+                raise DomainError("discrepancy band unreachable: above it down to alpha_min")
+            r = residual(alpha)
+        lo_a, hi_a = alpha, above
+        while not lo_t <= r <= hi_t:
+            if math.log(hi_a / lo_a) <= BISECT_TOL:
+                raise DomainError(
+                    "discrepancy band unreachable: a step across it narrower than bisect_tol"
+                )
+            alpha = math.sqrt(lo_a * hi_a)
+            r = residual(alpha)
+            if r > hi_t:
+                hi_a = alpha
+            else:
+                lo_a = alpha
+        results.append((alpha, regularize(op, cfg, alpha, f_delta), r))
+    return results

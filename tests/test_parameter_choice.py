@@ -7,9 +7,18 @@ from hypothesis import given, strategies as st
 
 import illposed.parameter_choice as parameter_choice
 from illposed.errors import DomainError
-from illposed.harness import add_noise, load_config, run_rate_experiment
-from illposed.operators import _one_row, abel_operator, apply, diagonal_operator, exp_decay_diagonal
+from illposed.grid import grid_norms
+from illposed.harness import add_noise, build_problem, load_config, run_rate_experiment
+from illposed.operators import (
+    _one_row,
+    abel_operator,
+    apply,
+    diagonal_operator,
+    exp_decay_diagonal,
+    integration_operator,
+)
 from illposed.parameter_choice import (
+    FLOOR_MARGIN,
     ChiParams,
     DiscrepancyConfig,
     apriori_alpha,
@@ -19,9 +28,12 @@ from illposed.parameter_choice import (
     discrepancy_alphas,
 )
 from illposed.schemes import Regularizer, RegularizerConfig, regularizer
+from oracles import dense_matrix, unskipped_discrepancy_alphas
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)
+CAUCHY = RegularizerConfig("cauchy")
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+BENCH_CONFIG_DIR = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def test_chi_at_inverse_e():
@@ -157,7 +169,7 @@ def test_discrepancy_degenerate_branch():
 def test_discrepancy_scalar_bruteforce():
     # sigma = 1, u_true = 1, f_delta = 1 + delta: the residual is
     # r(alpha) = (alpha/(1+alpha))^2 (1 + delta), solvable in closed form
-    # (the walk starts at ||A|| = 1; b0 = 6 clears the certified bound (kappa+1)^2 = 4)
+    # (the walk's grid starts at ||A|| = 1; b0 = 6 clears the certified bound (kappa+1)^2 = 4)
     delta, b0, b1 = 1e-3, 6.0, 8.0
     op = diagonal_operator([1.0, 1.0], "sup")
     f_delta = op.grid_function([1.0 + delta, 1.0 + delta])
@@ -231,9 +243,50 @@ def test_residual_bracket_inequality():
     ids=["above_to_alpha_min", "unresolved_step", "below_after_march"],
 )
 def test_band_search_unreachable_exits(residual, exit):
-    # synthetic residuals against the band [1, 2]: each live exit names its cause
-    with pytest.raises(DomainError, match=f"discrepancy band unreachable: {exit}"):
-        parameter_choice._band_search(residual, 1.0, 1.0, 2.0)
+    # synthetic residuals against the band [1, 2]: each live exit names its
+    # cause, with no floor and with half the residual as the certified floor
+    for floor in (lambda a: 0.0, lambda a: 0.5 * residual(a)):
+        with pytest.raises(DomainError, match=f"discrepancy band unreachable: {exit}"):
+            parameter_choice._band_search(residual, 1.0, 1.0, 2.0, floor)
+
+
+def test_band_search_falls_through_right_after_the_skip():
+    # r = 10 a^2 against [1, 2]: the floor 0.9 r clears 2 at a = 1 and 0.5,
+    # the first trial at 0.25 is below the band, and the walk bisects against
+    # 0.5, the last skipped alpha, with no upward march
+    trials = []
+
+    def residual(a):
+        trials.append(a)
+        return 10.0 * a * a
+
+    hit = parameter_choice._band_search(residual, 1.0, 1.0, 2.0, lambda a: 9.0 * a * a)
+    assert trials == [0.25, math.sqrt(0.125)]
+    assert hit == (math.sqrt(0.125), residual(math.sqrt(0.125)))
+    trials.clear()
+    assert parameter_choice._band_search(residual, 1.0, 1.0, 2.0, lambda a: 0.0) == hit
+    assert trials[:3] == [1.0, 0.5, 0.25]
+
+
+def test_band_search_skip_to_alpha_min_makes_no_trial():
+    def residual(a):
+        raise AssertionError("a trial below a floor that clears the band")
+
+    with pytest.raises(DomainError, match="discrepancy band unreachable: above it down to alpha_min"):
+        parameter_choice._band_search(residual, 1.0, 1.0, 2.0, lambda a: 10.0)
+
+
+def test_band_search_skips_nothing_within_the_margin():
+    # a floor inside the rounding margin of hi_t is no certificate: try alpha_max
+    trials = []
+
+    def residual(a):
+        trials.append(a)
+        return 1.5
+
+    floor = 2.0 * (1.0 + 0.5 * FLOOR_MARGIN)
+    assert parameter_choice._band_search(residual, 1.0, 1.0, 2.0, lambda a: floor) == (1.0, 1.5)
+    assert trials == [1.0]
 
 
 def test_discrepancy_config_validation():
@@ -246,8 +299,8 @@ def test_discrepancy_config_validation():
 LADDER = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 
 
-def _ladder_problem(kind: str):
-    """Operator and noisy data of each LADDER row."""
+def _ladder_problem(kind: str, seed: int = 500):
+    """Operator and noisy data of each LADDER row, row k with noise seed ``seed + k``."""
     if kind == "abel":
         op = abel_operator(0.5, 64, "l2_scaled")
         x = np.linspace(0.0, 1.0, op.dim)
@@ -257,15 +310,92 @@ def _ladder_problem(kind: str):
         rng = np.random.Generator(np.random.Philox(key=43))
         u_true = op.grid_function(rng.standard_normal(op.dim))
     f = apply(op, u_true)
-    data = [add_noise(f, d, seed=500 + k) for k, d in enumerate(LADDER)]
+    data = [add_noise(f, d, seed=seed + k) for k, d in enumerate(LADDER)]
     return op, data
 
 
-LADDER_CASES = [
-    (kind, cfg)
-    for kind in ("abel", "diagonal")
-    for cfg in (LAV2, RegularizerConfig("cauchy"))
-]
+LADDER_CASES = [(kind, cfg) for kind in ("abel", "diagonal") for cfg in (LAV2, CAUCHY)]
+
+
+def _same_rows(rows, oracle_rows):
+    for (alpha, u, residual), (o_alpha, o_u, o_residual) in zip(rows, oracle_rows, strict=True):
+        assert alpha == o_alpha
+        assert residual == o_residual
+        assert u.values.tobytes() == o_u.values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [500, 600, 700])
+@pytest.mark.parametrize("kind, cfg", LADDER_CASES)
+def test_discrepancy_ladder_matches_the_unskipped_walk(kind, cfg, seed):
+    op, data = _ladder_problem(kind, seed)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
+    _same_rows(
+        discrepancy_alphas(op, cfg, dcfg, data, LADDER),
+        unskipped_discrepancy_alphas(op, cfg, dcfg, data, LADDER),
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize(
+    "path",
+    [CONFIG_DIR / "diagonal_discrepancy.json", BENCH_CONFIG_DIR / "abel_l2_discrepancy.json"],
+    ids=["diagonal_discrepancy", "abel_l2_discrepancy"],
+)
+def test_discrepancy_config_matches_the_unskipped_walk(path, seed):
+    # the rows of run_rate_experiment: row k draws its noise with seed + k
+    config = load_config(path, seed=seed)
+    problem = build_problem(config)
+    deltas = config.raw["delta_ladder"]
+    data = [add_noise(problem.f_star, d, config.raw["seed"] + k) for k, d in enumerate(deltas)]
+    dcfg = DiscrepancyConfig(b0=config.raw["rule"]["b0"], b1=config.raw["rule"]["b1"])
+    args = (problem.op, problem.scheme, dcfg, data, deltas)
+    _same_rows(discrepancy_alphas(*args), unskipped_discrepancy_alphas(*args))
+
+
+FLOOR_OPERATORS = {
+    "diagonal": lambda norm: exp_decay_diagonal(30, norm),
+    "integration": lambda norm: integration_operator(64, norm),
+    "abel": lambda norm: abel_operator(0.5, 64, norm),
+}
+
+
+@pytest.mark.parametrize("cfg", [RegularizerConfig("lavrentiev", m=m) for m in (1, 2, 3)] + [CAUCHY])
+@pytest.mark.parametrize("norm", ["sup", "l2_scaled"])
+@pytest.mark.parametrize("kind", list(FLOOR_OPERATORS))
+def test_residual_floor_bounds_the_companion_from_below(kind, norm, cfg):
+    # ||S_alpha g|| >= phi(alpha) ||g|| within the walk's rounding margin, for
+    # the norm bound the walk uses; on the diagonal kind e_0 attains the floor.
+    # Below phi ||g|| = 1e-150 the squares in an l2 norm underflow, and the
+    # computed norm of a nonzero element may read 0.
+    op = FLOOR_OPERATORS[kind](norm)
+    rng = np.random.Generator(np.random.Philox(key=47))
+    block = np.vstack([rng.standard_normal((6, op.dim)), np.eye(1, op.dim)])
+    norms = grid_norms(block, norm)
+    checked = 0
+    for alpha in np.logspace(-4, 3, 29) * op.norm_bound:
+        decayed = grid_norms(regularizer(op, cfg, float(alpha)).companion(block), norm)
+        lower = cfg.residual_floor(float(alpha), op.norm_bound) * norms
+        live = lower > 1e-150
+        assert np.all(decayed[live] * (1.0 + FLOOR_MARGIN) >= lower[live])
+        checked += int(live.sum())
+    assert checked > 20 * len(norms)  # only the smallest alphas fall below 1e-150
+    # N bounds ||A|| from above, to the rounding of a dense evaluation, where
+    # the power-iteration op_norm falls short of sigma_max in l2_scaled
+    dense = dense_matrix(op)
+    exact = np.abs(dense).sum(axis=1).max() if norm == "sup" else np.linalg.norm(dense, 2)
+    assert op.norm_bound >= exact * (1.0 - 1e-13)
+
+
+def test_cauchy_discrepancy_leaves_kappa_star_unread():
+    # the evolution method has no certified bound for b0 to clear, so the
+    # kappa* sweep is never run
+    op = abel_operator(0.5, 64, "sup")
+    x = np.linspace(0.0, 1.0, op.dim)
+    f = apply(op, op.grid_function(np.sin(np.pi * x)))
+    data = [add_noise(f, d, seed=500 + k) for k, d in enumerate(LADDER)]
+    rows = discrepancy_alphas(op, CAUCHY, DiscrepancyConfig(b0=6.0, b1=8.0), data, LADDER)
+    assert any(math.isfinite(alpha) for alpha, _, _ in rows)
+    assert "kappa_star" not in op.__dict__
 
 
 @pytest.mark.parametrize("kind, cfg", LADDER_CASES)
@@ -307,11 +437,12 @@ def test_discrepancy_ladder_builds_one_filter_per_distinct_trial(kind, cfg, filt
     dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
     discrepancy_alphas(op, cfg, dcfg, data, LADDER)
     assert len(built) == len(set(built)) == len(set(trials))
-    assert len(trials) > len(built)  # rows share the grid ||A|| * RATIO^j
 
 
 def test_bundled_discrepancy_ladder_counts(filter_counts):
-    # 62 trials on the bundled ladder, 22 distinct alphas, one filter for each
+    # 22 trials on the bundled ladder, 17 distinct alphas, one filter for
+    # each: rows share the grid ||A|| * RATIO^j, so 5 trials reuse a filter
     built, trials = filter_counts
     run_rate_experiment(load_config(CONFIG_DIR / "diagonal_discrepancy.json"))
-    assert (len(trials), len(set(trials)), len(built)) == (62, 22, 22)
+    assert (len(trials), len(set(trials)), len(built)) == (22, 17, 17)
+    assert len(trials) > len(built)
