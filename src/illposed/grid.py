@@ -26,14 +26,20 @@ def grid_norms(block: np.ndarray, kind: str) -> np.ndarray:
 
     The row inner products are a batched vector-vector matmul, which reaches
     the same BLAS ddot as ``np.dot`` for every k, so a row's norm does not
-    depend on the other rows (``np.einsum`` does not keep those bits).
+    depend on the other rows (``np.einsum`` does not keep those bits).  In
+    ``l2_scaled`` each row is first scaled by 2^-e, e the exponent of its
+    largest entry, and the norm scaled back: a power of two is exact, so the
+    squares neither underflow nor overflow, and rows whose squares stay in
+    the normal range keep the bits of the unscaled sum.
     """
     b = np.asarray(block, dtype=float)
     if kind == "sup":
         return np.max(np.abs(b), axis=1)
     if kind == "l2_scaled":
         h = 1.0 / (b.shape[1] - 1)
-        return np.sqrt(h * (b[:, None, :] @ b[:, :, None])[:, 0, 0])
+        e = np.frexp(np.max(np.abs(b), axis=1))[1]
+        s = np.ldexp(b, -e[:, None])
+        return np.ldexp(np.sqrt(h * (s[:, None, :] @ s[:, :, None])[:, 0, 0]), e)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

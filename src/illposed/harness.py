@@ -46,12 +46,12 @@ from .operators import (
     MAX_GRID_CELLS,
     DiscreteOperator,
     _one_row,
-    _postype_ratios,
     abel_operator,
     apply,
-    diagonal_operator,
-    exp_decay_diagonal,
     default_kappa_grid,
+    diagonal_operator,
+    estimate_postype_constant,
+    exp_decay_diagonal,
 )
 from .parameter_choice import (
     DiscrepancyConfig,
@@ -237,7 +237,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("config.delta_ladder: must be strictly decreasing")
     # saturation interplay is checked here so failures carry a field path
-    p0 = float(scheme["m"]) if scheme["name"] == "lavrentiev" else math.inf
+    p0 = build_scheme(scheme).p0
     if not src["p"] < p0:
         raise ConfigError("config.source.p: must stay below the scheme saturation")
     if rule["name"] == "discrepancy":
@@ -511,12 +511,13 @@ def write_report(report: dict, out_dir) -> None:
 def check_axioms(config: ExperimentConfig) -> dict:
     """Run the scheme-axiom suites for the configured operator and scheme.
 
-    Covers the positive-type bound, regularizer growth, decay ratios at
-    several orders, and continuity of S_alpha in alpha.  The axioms do not
-    depend on the source condition, so no ground truth is built.  Each alpha
-    builds its filter once and applies R_alpha to the probe block.  R_alpha
-    commutes with A by construction, both being functions of one symbol, so
-    no commutation defect is reported.
+    Covers the positive-type bound (20 alphas, checked against the certified
+    kappa*), regularizer growth, decay ratios at several orders, and
+    continuity of S_alpha in alpha.  The axioms do not depend on the source
+    condition, so no ground truth is built.  Each alpha builds its filter
+    once and applies R_alpha to the probe block.  R_alpha commutes with A by
+    construction, both being functions of one symbol, so no commutation
+    defect is reported.
     """
     op = build_operator(config.raw["operator"])
     scheme = build_scheme(config.raw["scheme"])
@@ -524,7 +525,7 @@ def check_axioms(config: ExperimentConfig) -> dict:
     rng = np.random.Generator(np.random.Philox(key=config.raw["seed"]))
     probes = rng.standard_normal((3, op.dim))
 
-    postype = float(np.max(_postype_ratios(op, alphas)))
+    postype = estimate_postype_constant(op, alphas)
     nrm = grid_norms(probes, op.norm_kind)
     growth_sup = 0.0
     for a in alphas:
@@ -544,7 +545,7 @@ def check_axioms(config: ExperimentConfig) -> dict:
         "op_norm": op.op_norm,
         "omega": op.omega,
         "postype_grid_max": postype,
-        "postype_ok": bool(postype <= op.kappa_star * (1.0 + 1e-9)),
+        "postype_ok": bool(postype <= op.kappa_star),
         "growth_sup": growth_sup,
         "growth_certified": scheme.growth_constant(op.kappa_star),
         "qualification": qualification_checks(op, scheme, ps, np.logspace(-6, 0, 13) * op.op_norm),

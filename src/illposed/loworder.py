@@ -17,11 +17,13 @@ needed computationally).  Sufficiency asks kappa > 1: then w(x) -> 0 like
 A further consistency check uses the derivative of the fractional-power
 family at order one,
 
-    d/dp (J_p u)|_{p=1} = S u - Gamma'(1) J u = S u + gamma J u,
+    d/dp (J_p u)|_{p=1} = J log J u = S u - Gamma'(1) J u = S u + gamma J u,
 
-with gamma the Euler-Mascheroni constant (Gamma'(1) = -gamma).
+with gamma the Euler-Mascheroni constant (Gamma'(1) = -gamma).  On the grid
+the left side is the exact A log A of the discrete integration operator,
+``operators.a_log_a_map``.
 
-``verify_membership`` runs the four diagnostics and returns the JSON
+``verify_membership`` runs the three diagnostics and returns the JSON
 document that ``loworder-verify`` writes: the decay curve of w, each
 diagnostic's value and flag, and the verdict "pass" or "fail".
 """
@@ -35,8 +37,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .grid import GridFunction
-from .operator_log import log_apply
-from .operators import MAX_GRID_CELLS, integration_operator, power_map
+from .operators import MAX_GRID_CELLS, a_log_a_map, integration_operator
 
 EULER_GAMMA = 0.5772156649015329  # gamma = -Gamma'(1), 16 digits
 #: verify_membership's diagnostic points: w at x = 2^-k for these k, the
@@ -191,39 +192,36 @@ def log_kernel_derivative(params: LogExampleParams, x_points, rel_tol: float = 1
     return total
 
 
-def abel_order_derivative_identity_gap(u: GridFunction, x_points, eps: float = 1e-3) -> float:
+def abel_order_derivative_identity_gap(u: GridFunction, x_points) -> float:
     """Max relative gap between d/dp (J^p u)|_{p=1} and S u + gamma J u at the points.
 
-    The derivative is a centered difference of the exact fractional powers
-    of the discrete integration operator, a convolution with their lag
-    weights evaluated only at the requested nodes.
+    The derivative is J log J u, a convolution with the lags of
+    ``a_log_a_map`` evaluated only at the requested nodes.  Each point is
+    numpy's pairwise sum of its products, not a BLAS dot, so its bits do not
+    depend on the BLAS kernel; J u is summed only up to the last point.
     """
     n = u.n
     h = 1.0 / n
-    op = integration_operator(n)
-    lag = (power_map(op, 1.0 + eps).symbol - power_map(op, 1.0 - eps).symbol) / (2.0 * eps)
-    ju = np.zeros(n + 1)
-    ju[1:] = h * np.cumsum(u.values[1:])
+    lag = a_log_a_map(integration_operator(n)).symbol
     # sorted distinct nodes; np.unique would import numpy.ma
     idx = np.array(sorted(set(np.clip(np.round(np.asarray(x_points) * n).astype(int), 1, n))))
-    deriv = np.array([np.dot(lag[:j], u.values[j:0:-1]) for j in idx])
+    ju = h * np.cumsum(u.values[1 : idx[-1] + 1])  # ju[j - 1] = (J u)(x_j)
+    deriv = np.array([np.sum(lag[:j] * u.values[j:0:-1]) for j in idx])
     target = np.array([log_kernel_apply_at(u, j * h) for j in idx])
-    target += EULER_GAMMA * ju[idx]
+    target += EULER_GAMMA * ju[idx - 1]
     gaps = np.abs(deriv - target)
     scale = np.maximum(np.abs(target), 1e-12)
     return float(np.max(gaps / scale))
 
 
 def verify_membership(params: LogExampleParams, n: int = 512, identity_n: int = 4096) -> dict:
-    """Run the four membership diagnostics and aggregate a verdict.
+    """Run the three membership diagnostics and aggregate a verdict.
 
     (i) w(2^-k), k = 4..20, decreasing in magnitude toward zero; (ii) the
     centered difference of S u at x = 1/2 (step 1e-4) matches w there;
-    (iii) the log difference quotients of the sampled candidate are Cauchy;
-    (iv) the order-derivative identity holds at x = 0.3 .. 0.7.  Returns the
+    (iii) the order-derivative identity holds at x = 0.3 .. 0.7.  Returns the
     JSON document that ``loworder-verify`` writes, with ``verdict`` "pass" or
-    "fail".  Raises DomainError, naming kappa, where the samples or their log
-    quotients overflow.
+    "fail".  Raises DomainError, naming kappa, where the samples overflow.
     """
     if n < 2:
         raise DomainError("need at least two grid cells")
@@ -241,18 +239,10 @@ def verify_membership(params: LogExampleParams, n: int = 512, identity_n: int = 
     fd = (su_plus - su_minus) / (2.0 * FD_H)
     derivative_match_rel = abs(fd - w_at) / max(abs(w_at), 1e-12)
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, cauchy, _ = log_apply(integration_operator(n), u)
-    except ValueError:  # samples near the float maximum: a quotient (A^p u - u)/p overflows
-        raise DomainError(
-            f"log(A) u overflows at c = {params.c}, kappa = {params.kappa!r}"
-        ) from None
-
     abel_rel = abel_order_derivative_identity_gap(sample_u_log(params, identity_n), IDENTITY_POINTS)
 
     match_ok, abel_ok = derivative_match_rel <= 1e-3, abel_rel <= 1e-3
-    verdict = w_decreasing and match_ok and cauchy and abel_ok
+    verdict = w_decreasing and match_ok and abel_ok
     return {
         "c": params.c,
         "kappa": params.kappa,
@@ -262,6 +252,5 @@ def verify_membership(params: LogExampleParams, n: int = 512, identity_n: int = 
         "derivative_match_ok": match_ok,
         "abel_identity_rel": abel_rel,
         "abel_identity_ok": abel_ok,
-        "log_quotients_cauchy": cauchy,
         "verdict": "pass" if verdict else "fail",
     }

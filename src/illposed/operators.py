@@ -19,9 +19,10 @@ strictly lower-triangular matrix whose resolvent blows up once alpha falls
 below the grid spacing.
 
 Every function of A the package uses is a ``SymbolMap`` built here: A,
-(A + alpha I)^{-1}, A^p, (lambda I - log A)^{-nu}, e^{-tA} and phi_t(A).  On
-the Volterra kinds each is a truncated power series of the lag symbol, from
-this module's series algebra (``_mul`` and the ``series_*`` functions).
+(A + alpha I)^{-1}, A^p, A log A, (lambda I - log A)^{-nu}, e^{-tA} and
+phi_t(A).  On the Volterra kinds each is a truncated power series of the lag
+symbol, from this module's series algebra (``_mul`` and the ``series_*``
+functions), or its closed form on the integration kind.
 
 Fractional powers have two library routes.  ``power_map`` is the exact
 matrix power, with ``fractional_power_exact`` its one-element call: in the
@@ -47,11 +48,10 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .grid import GridFunction, NORM_KINDS
 
-DEFAULT_KAPPA_GRID_POINTS = 60
 #: largest grid of a config or of ``loworder-verify``: four times the largest
 #: size-ladder grid (16384); every array is O(n), the series products O(n^2)
 MAX_GRID_CELLS = 2**16
-#: default estimation window for the positive-type constant, relative to ||A||
+#: alpha window of a positive-type measurement, relative to ||A||
 KAPPA_GRID_WINDOW = (1e-8, 1e4)
 
 
@@ -259,8 +259,8 @@ class DiscreteOperator:
     weights (Volterra kinds) or the singular values (diagonal kind); every
     Volterra operation is a convolution with a series built from the lags,
     so no matrix is stored and memory is O(n).  ``kappa_star`` is the
-    positive-type constant and ``inverse_lags`` the lag series of A^{-1},
-    both computed on first read; ``omega`` is log ||A||.
+    positive-type constant from its certificate, ``inverse_lags`` the lag
+    series of A^{-1}, computed on first read, and ``omega`` is log ||A||.
     """
 
     kind: str
@@ -275,10 +275,14 @@ class DiscreteOperator:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @functools.cached_property
+    @property
     def kappa_star(self) -> float:
-        """``estimate_postype_constant`` over ``default_kappa_grid``, cached."""
-        return estimate_postype_constant(self, default_kappa_grid(self.op_norm))
+        """The certified bound on sup_alpha alpha ||(A + alpha I)^{-1}||.
+
+        2 on the sup-norm Volterra kinds (Kaluza), 1 on ``l2_scaled`` (Fejer)
+        and on the diagonal kind; ``_postype_ratios`` gives the arguments.
+        """
+        return 2.0 if self.is_volterra and self.norm_kind == "sup" else 1.0
 
     @property
     def norm_bound(self) -> float:
@@ -331,9 +335,8 @@ class DiscreteOperator:
     def scaled(self, a: float) -> "DiscreteOperator":
         """The operator a*A.
 
-        The positive-type constant is scale invariant (the scaled operator
-        estimates its own on first read), the norm scales by a and omega
-        shifts by log(a).
+        The positive-type constant is scale invariant (scaling keeps the lags
+        log-convex), the norm scales by a and omega shifts by log(a).
         """
         if a <= 0:
             raise DomainError("scale factor must be positive")
@@ -397,6 +400,20 @@ def power_map(op: DiscreteOperator, p: float) -> SymbolMap:
 def fractional_power_exact(op: DiscreteOperator, p: float, u: GridFunction) -> GridFunction:
     """A^p u by the exact power of the discrete operator (semigroup in p)."""
     return _one_row(op, power_map(op, p), u)
+
+
+def a_log_a_map(op: DiscreteOperator) -> SymbolMap:
+    """A log A = d/dp A^p at p = 1 (Haase 2006, sec. 3.5), on the integration kind.
+
+    The symbol w0 / (1 - z) has the logarithm log w0 - log(1 - z), so the
+    product has the lags w0 (log w0 + H_k), H_k the k-th harmonic number.
+    Lag 0 gives w0, as ``power_map`` reads it; node 0 maps to 0.
+    """
+    if op.kind != "integration":
+        raise DomainError(f"A log A has a closed form on the integration kind, not {op.kind!r}")
+    w0 = float(op.weights[0])
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, op.n))))
+    return SymbolMap(w0 * (math.log(w0) + harmonic), volterra=True)
 
 
 def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
@@ -514,17 +531,20 @@ def _shifted_reciprocals(lags: np.ndarray, alphas: np.ndarray):
 def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:
     """alpha * ||(A + alpha I)^{-1}|| for each alpha, in the operator's norm.
 
+    These are the measured side of ``kappa_star``, whose certificates follow.
     Sup norm: the inverse is lower Toeplitz, so its largest absolute row sum
     is the l1 norm of its first column, the reciprocal series b of the
     shifted lags (``_shifted_reciprocals``), and node 0 contributes exactly
-    alpha * (1/alpha) = 1.  Both bundled lag families are log-convex, so
-    b_m <= 0 for m >= 1 (Kaluza, Math. Z. 28, 1928); their sums diverge, so
-    the partial sums of b stay nonnegative, sum |b_m| <= 2 b_0 and the ratio
-    stays below 2.  Scaled l2 norm: positive, nonincreasing, convex lags make
+    alpha * (1/alpha) = 1.  The lags of ``product_integration_weights``, the
+    constant h and (m+1)^a - m^a for 0 < a < 1, are positive and log-convex,
+    and a shift of lag 0 keeps them so; then b_m <= 0 for m >= 1 (Kaluza,
+    Math. Z. 28, 1928), and as the lag sums diverge, the partial sums of b
+    stay nonnegative, sum |b_m| <= 2 b_0 and the ratio stays below 2: the
+    certificate 2.  Scaled l2 norm: positive, nonincreasing, convex lags make
     T + T^T positive semidefinite (Fejer; Zygmund, Trigonometric Series I,
     ch. V), so A is accretive and the ratio is at most 1, with equality at
-    node 0.  Both bundled lag families, the constant h and (m+1)^a - m^a for
-    0 < a <= 1, satisfy this.
+    node 0: the certificate 1.  Diagonal kind: alpha / (sigma_min + alpha),
+    below its alpha -> infinity limit 1.
     """
     if op.kind == "diagonal":
         return alphas / (float(np.min(op.weights)) + alphas)
@@ -535,12 +555,12 @@ def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:
 
 
 def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
-    """Positive-type constant over an alpha grid.
+    """Positive-type constant measured over an alpha grid, at most ``op.kappa_star``.
 
     Returns the maximum of alpha * ||(A + alpha I)^{-1}|| over the grid,
     together with the alpha -> infinity limit of that quantity, which equals
     1 for every bounded operator and is therefore always part of the
-    supremum being estimated.
+    supremum being measured.
     """
     grid = np.asarray(list(alpha_grid), dtype=float)
     if grid.size == 0:
@@ -550,7 +570,8 @@ def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
     return max(1.0, float(np.max(_postype_ratios(op, grid))))
 
 
-def default_kappa_grid(op_norm: float, points: int = DEFAULT_KAPPA_GRID_POINTS) -> np.ndarray:
+def default_kappa_grid(op_norm: float, points: int) -> np.ndarray:
+    """``points`` alphas, log-spaced over ``KAPPA_GRID_WINDOW`` times ||A||."""
     lo, hi = KAPPA_GRID_WINDOW
     return np.logspace(np.log10(lo * op_norm), np.log10(hi * op_norm), points)
 

@@ -18,6 +18,8 @@ without forming a matrix.  The routes here share none of that code path:
   reversed view of the coefficients, which the library's reversed buffer
   must match bit for bit;
 * ``diagonal_log_values``, the closed form log sigma_k;
+* ``log_apply``, log(A) u as the Richardson-extrapolated limit of the
+  difference quotients (A^p u - u)/p along ``P_SCHEDULE``;
 * ``log_kernel_apply``, the log-kernel transform at every node, one
   ``log_kernel_apply_at`` call per node;
 * ``alpha_sweep_oracle``, the best alpha of a dense grid by the true error;
@@ -42,7 +44,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm, toeplitz
 
 from illposed.errors import DomainError, QuadratureError
-from illposed.grid import GridFunction
+from illposed.grid import GridFunction, grid_norms
 from illposed.harness import Problem
 from illposed.loworder import LogExampleParams, log_kernel_apply_at, u_log_derivative
 from illposed.operators import (
@@ -374,6 +376,34 @@ def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:
     if op.kind != "diagonal":
         raise DomainError("closed-form logarithm exists only for the diagonal kind")
     return np.log(op.weights)
+
+
+#: the schedule p -> 0 of ``log_apply``'s difference quotients: 2^-3 .. 2^-12
+P_SCHEDULE = tuple(2.0**-k for k in range(3, 13))
+
+
+def log_apply(op: DiscreteOperator, u: GridFunction) -> tuple[GridFunction, bool, np.ndarray]:
+    """log(A) u as the limit of the difference quotients (A^p u - u)/p, p -> 0.
+
+    Haase (2006), sec. 3.5: (A^p - I)/p -> log A.  Returns
+    ``(extrapolation, cauchy, distances)``: the Richardson extrapolation over
+    the two smallest schedule entries, whether the distances
+    ||d_{k+1} - d_k|| of successive quotients keep shrinking by at least a
+    factor 1.5 over the tail of the schedule, and those distances.  On a
+    grid log A is bounded, so the quotients converge wherever A^p u does not
+    vanish; at node 0 of a Volterra kind the quotient is -u(0)/p.
+    """
+    quotients = [(fractional_power_exact(op, p, u) - u) * (1.0 / p) for p in P_SCHEDULE]
+    dists = grid_norms(np.diff([q.values for q in quotients], axis=0), u.norm_kind)
+    floor = 1e-13 * max(1.0, u.norm())
+    if dists[-1] <= floor:
+        cauchy = True
+    else:
+        tail = dists[-3:]
+        cauchy = bool(tail[0] >= 1.5 * tail[1] and tail[1] >= 1.5 * tail[2])
+    r = P_SCHEDULE[-2] / P_SCHEDULE[-1]
+    extrap = (r * quotients[-1] - quotients[-2]) * (1.0 / (r - 1.0))
+    return extrap, cauchy, dists
 
 
 def log_kernel_apply(u: GridFunction) -> GridFunction:

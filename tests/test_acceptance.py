@@ -59,7 +59,7 @@ def test_criterion_01_positive_type_bound():
     details = []
     ok = True
     for op in (integration_operator(256), abel_operator(0.5, 256), exp_decay_diagonal(50)):
-        grid = default_kappa_grid(op.op_norm)
+        grid = default_kappa_grid(op.op_norm, 60)
         worst = float(np.max(_postype_ratios(op, grid)))
         good = worst <= op.kappa_star * (1.0 + 1e-9)
         ok &= good

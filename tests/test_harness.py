@@ -266,17 +266,26 @@ def test_cli_reports_bad_field_in_one_line(tmp_path):
             ["loworder-verify", "--c", "0.5", "--kappa", "1e308"],
             "(-log(c x))^-kappa overflows at c = 0.5, kappa = 1e+308",
         ),
-        # finite samples near the float maximum: the log quotients overflow
-        (
-            ["loworder-verify", "--c", "0.5", "--kappa", "1933"],
-            "log(A) u overflows at c = 0.5, kappa = 1933.0",
-        ),
     ):
         out = subprocess.run(
             [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
         )
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == f"illposed: {message}\n"
+
+
+@pytest.mark.parametrize("kappa", ["1933", "1936"])
+def test_loworder_verify_runs_quietly_near_the_overflow(kappa, tmp_path):
+    # samples near the float maximum at x = 1 lie past the identity points:
+    # no diagnostic sums them, so no overflow warning reaches stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["loworder-verify", "--c", "0.5", "--kappa", kappa, "--out", str(tmp_path / "low.json")]
+    out = subprocess.run(
+        [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+    assert json.loads((tmp_path / "low.json").read_text())["verdict"] == "fail"
 
 
 def _bundled_doc(name, path, value):
@@ -994,27 +1003,3 @@ def test_apriori_residual_matches_exact_rational_evaluation():
     # node 0, where A vanishes, keeps f_delta's own value
     exact = max([abs(Fraction(float(f_delta[0])))] + [abs(v) for v in y])
     assert math.isclose(row["residual"], float(exact), rel_tol=1e-13, abs_tol=0.0)
-
-
-def test_kappa_star_is_computed_on_first_read(tmp_path, monkeypatch):
-    # a priori runs and loworder-verify never read kappa*; check-axioms does, once
-    import illposed.operators as operators
-
-    calls = []
-    estimate = operators.estimate_postype_constant
-
-    def counting(op, alpha_grid):
-        calls.append(op.kind)
-        return estimate(op, alpha_grid)
-
-    monkeypatch.setattr(operators, "estimate_postype_constant", counting)
-    config = str(CONFIG_DIR / "integration_apriori.json")
-    commands = [
-        (["loworder-verify", "--c", "0.5", "--kappa", "2", "--out", str(tmp_path / "low.json")], 0),
-        (["run", "--config", config, "--out", str(tmp_path / "run")], 0),
-        (["check-axioms", "--config", config, "--out", str(tmp_path / "ax.json")], 1),
-    ]
-    for argv, expected in commands:
-        calls.clear()
-        assert cli_main(argv) == 0
-        assert len(calls) == expected, argv[0]

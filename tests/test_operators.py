@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 from illposed.errors import DimensionMismatchError, DomainError
 from illposed.grid import NORM_KINDS, GridFunction, grid_norms
 from illposed.operators import (
+    _mul,
     _postype_ratios,
     _power_iteration_norm,
     _shifted_reciprocals,
+    a_log_a_map,
     abel_operator,
     apply,
     default_kappa_grid,
@@ -21,11 +23,16 @@ from illposed.operators import (
     estimate_postype_constant,
     exp_decay_diagonal,
     integration_operator,
+    power_map,
     product_integration_weights,
+    series_log,
     series_reciprocal,
     shifted_solve,
 )
 from oracles import dense_matrix
+
+#: alphas per positive-type measurement in these tests
+GRID_POINTS = 60
 
 VOLTERRA_KINDS = {
     "integration": lambda n, norm: integration_operator(n, norm),
@@ -123,7 +130,7 @@ def test_postype_constant_integration_stable_under_refinement():
     vals = {}
     for n in (256, 512):
         op = integration_operator(n)
-        vals[n] = op.kappa_star
+        vals[n] = estimate_postype_constant(op, default_kappa_grid(op.op_norm, GRID_POINTS))
     assert abs(vals[512] - vals[256]) <= 0.05 * vals[256]
 
 
@@ -139,15 +146,15 @@ def test_postype_vector_bound_on_grid():
 @pytest.mark.parametrize("kind", sorted(VOLTERRA_KINDS))
 def test_sup_postype_ratio_matches_dense_inverse(kind):
     # the FFT Newton reciprocals against the max row sum of the dense
-    # inverse, node 0 included, on the grid that defines kappa*
+    # inverse, node 0 included; their maximum stays below the certificate
     op = VOLTERRA_KINDS[kind](128, "sup")
-    grid = default_kappa_grid(op.op_norm)
+    grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     dense = []
     for alpha, ratio in zip(grid, _postype_ratios(op, grid)):
         inv = np.linalg.inv(dense_matrix(op) + alpha * np.eye(op.dim))
         dense.append(alpha * np.abs(inv).sum(axis=1).max())
         assert math.isclose(ratio, dense[-1], rel_tol=1e-12)
-    assert math.isclose(op.kappa_star, max(dense), rel_tol=1e-12)
+    assert max(dense) < op.kappa_star == 2.0
 
 
 @pytest.mark.parametrize("n", [512, 16384])
@@ -157,7 +164,7 @@ def test_sup_postype_ratio_integration_closed_form(n):
     # alpha sum_{m<n} |b_m| = alpha (2 - r^{n-1}) / (h + alpha); r^{n-1} goes
     # through log1p, since r ** (n - 1) would scale the rounding of r by n
     op = integration_operator(n)
-    grid = default_kappa_grid(op.op_norm)
+    grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     h = 1.0 / n
     r_pow = np.exp((n - 1) * np.log1p(-h / (h + grid)))
     closed = np.maximum(1.0, grid * (2.0 - r_pow) / (h + grid))
@@ -168,7 +175,7 @@ def test_sup_postype_ratio_integration_closed_form(n):
 def test_sup_postype_ratio_matches_series_reciprocal(order):
     # one direct Newton reciprocal (np.convolve) per alpha at n = 4096
     op = abel_operator(order, 4096)
-    grid = default_kappa_grid(op.op_norm)
+    grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     direct = []
     for alpha in grid:
         shifted = op.weights.copy()
@@ -183,28 +190,84 @@ def test_sup_reciprocals_keep_kaluza_signs(order, n):
     # log-convex lags: every reciprocal coefficient past b_0 is <= 0 (Kaluza,
     # Math. Z. 28, 1928), so alpha sum |b| = alpha (2 b_0 - sum b) < 2
     op = abel_operator(order, n)
-    grid = default_kappa_grid(op.op_norm)
+    grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     blocks = list(_shifted_reciprocals(op.weights, grid))
     b = np.concatenate(blocks)
     assert b.shape == (grid.size, n)
     assert max(block.size for block in blocks) <= 2**14
     assert np.all(b[:, 1:] <= 1e-14 * np.abs(b).max(axis=1, keepdims=True))
     assert np.all(grid * np.abs(b).sum(axis=1) < 2.0)
-    assert op.kappa_star < 2.0
+    assert op.kappa_star == 2.0
 
 
 def test_sup_postype_constant_memory_stays_below_one_megabyte():
     # row blocks of at most 2^15 floats, not one n x 60 array (3.9 MB here)
     op = integration_operator(4096)
-    grid = default_kappa_grid(op.op_norm)
+    grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     tracemalloc.start()
     try:
         kappa = estimate_postype_constant(op, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kappa == op.kappa_star
+    assert kappa < op.kappa_star
     assert peak < 1_000_000
+
+
+CERTIFIED_KINDS = {
+    "integration": lambda n, norm: integration_operator(n, norm),
+    "abel-0.1": lambda n, norm: abel_operator(0.1, n, norm),
+    "abel-0.5": lambda n, norm: abel_operator(0.5, n, norm),
+    "abel-0.9": lambda n, norm: abel_operator(0.9, n, norm),
+    "diagonal": lambda n, norm: diagonal_operator(1.0 / np.arange(1.0, n + 1.0), norm),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CERTIFIED_KINDS))
+@pytest.mark.parametrize("norm", NORM_KINDS)
+@pytest.mark.parametrize("n", [256, 4096])
+def test_measured_postype_constant_stays_below_certificate(kind, norm, n):
+    op = CERTIFIED_KINDS[kind](n, norm)
+    measured = estimate_postype_constant(op, default_kappa_grid(op.op_norm, GRID_POINTS))
+    assert measured <= op.kappa_star == (2.0 if op.is_volterra and norm == "sup" else 1.0)
+    assert op.scaled(0.37).kappa_star == op.kappa_star
+
+
+@pytest.mark.parametrize("order", [0.1, 0.25, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n", [64, 256, 4096])
+def test_lags_are_positive_and_log_convex(order, n):
+    # the hypothesis of kappa*'s sup-norm certificate (Kaluza)
+    a = abel_operator(order, n).weights
+    assert np.all(a > 0.0)
+    assert np.all(a[1:-1] ** 2 <= a[:-2] * a[2:])
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_a_log_a_closed_form_matches_series_log(n, scale):
+    op = integration_operator(n).scaled(scale)
+    lags = a_log_a_map(op).symbol
+    series = _mul(op.weights, series_log(op.weights), n)
+    assert np.max(np.abs(lags - series)) <= 1e-14 * np.max(np.abs(lags))
+
+
+def test_a_log_a_is_the_order_derivative_of_the_power():
+    # the centered difference of A^p at p = 1 errs by O(eps^2): halving eps
+    # quarters the gap
+    op = integration_operator(4096)
+    lags = a_log_a_map(op).symbol
+    gaps = []
+    for eps in (1e-3, 5e-4):
+        centered = (power_map(op, 1.0 + eps).symbol - power_map(op, 1.0 - eps).symbol) / (2 * eps)
+        gaps.append(np.max(np.abs(centered - lags)) / np.max(np.abs(lags)))
+    assert gaps[0] <= 20 * 1e-3**2
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+def test_a_log_a_has_its_closed_form_on_integration_only():
+    for op in (abel_operator(0.5, 64), exp_decay_diagonal(10)):
+        with pytest.raises(DomainError, match="integration kind"):
+            a_log_a_map(op)
 
 
 @pytest.mark.parametrize("order", [0.1, 0.25, 0.5, 0.75, 1.0])
@@ -216,7 +279,7 @@ def test_l2_postype_certificate_holds_on_dense(order, n):
     op = integration_operator(n, "l2_scaled") if order == 1.0 else abel_operator(order, n, "l2_scaled")
     block = dense_matrix(op)[1:, 1:]
     assert np.linalg.eigvalsh(block + block.T).min() >= 0.0
-    grid = default_kappa_grid(op.op_norm)
+    grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     for alpha, ratio in zip(grid, _postype_ratios(op, grid)):
         inv = np.linalg.inv(block + alpha * np.eye(n))
         assert alpha * np.linalg.norm(inv, 2) <= 1.0 + 1e-12
@@ -326,6 +389,15 @@ def test_grid_norms_rows_equal_grid_norm(kind):
             else:
                 want = np.array([np.sqrt(1.0 / (n - 1) * np.dot(row, row)) for row in block])
             assert np.array_equal(grid_norms(block, kind), want), (n, rows)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e170, 1e300])
+def test_l2_grid_norm_neither_underflows_nor_overflows(scale):
+    # the squares of these rows leave the float range; the norm does not
+    block = np.full((2, 10), scale)
+    block[1, ::2] = 0.0
+    want = scale * np.sqrt(np.array([10.0, 5.0]) / 9.0)
+    np.testing.assert_allclose(grid_norms(block, "l2_scaled"), want, rtol=1e-15, atol=0.0)
 
 
 def test_operator_rescaling():

@@ -364,38 +364,21 @@ FLOOR_OPERATORS = {
 @pytest.mark.parametrize("kind", list(FLOOR_OPERATORS))
 def test_residual_floor_bounds_the_companion_from_below(kind, norm, cfg):
     # ||S_alpha g|| >= phi(alpha) ||g|| within the walk's rounding margin, for
-    # the norm bound the walk uses; on the diagonal kind e_0 attains the floor.
-    # Below phi ||g|| = 1e-150 the squares in an l2 norm underflow, and the
-    # computed norm of a nonzero element may read 0.
+    # the norm bound the walk uses, at every alpha; on the diagonal kind e_0
+    # attains the floor.
     op = FLOOR_OPERATORS[kind](norm)
     rng = np.random.Generator(np.random.Philox(key=47))
     block = np.vstack([rng.standard_normal((6, op.dim)), np.eye(1, op.dim)])
     norms = grid_norms(block, norm)
-    checked = 0
     for alpha in np.logspace(-4, 3, 29) * op.norm_bound:
         decayed = grid_norms(regularizer(op, cfg, float(alpha)).companion(block), norm)
         lower = cfg.residual_floor(float(alpha), op.norm_bound) * norms
-        live = lower > 1e-150
-        assert np.all(decayed[live] * (1.0 + FLOOR_MARGIN) >= lower[live])
-        checked += int(live.sum())
-    assert checked > 20 * len(norms)  # only the smallest alphas fall below 1e-150
+        assert np.all(decayed * (1.0 + FLOOR_MARGIN) >= lower)
     # N bounds ||A|| from above, to the rounding of a dense evaluation, where
     # the power-iteration op_norm falls short of sigma_max in l2_scaled
     dense = dense_matrix(op)
     exact = np.abs(dense).sum(axis=1).max() if norm == "sup" else np.linalg.norm(dense, 2)
     assert op.norm_bound >= exact * (1.0 - 1e-13)
-
-
-def test_cauchy_discrepancy_leaves_kappa_star_unread():
-    # the evolution method has no certified bound for b0 to clear, so the
-    # kappa* sweep is never run
-    op = abel_operator(0.5, 64, "sup")
-    x = np.linspace(0.0, 1.0, op.dim)
-    f = apply(op, op.grid_function(np.sin(np.pi * x)))
-    data = [add_noise(f, d, seed=500 + k) for k, d in enumerate(LADDER)]
-    rows = discrepancy_alphas(op, CAUCHY, DiscrepancyConfig(b0=6.0, b1=8.0), data, LADDER)
-    assert any(math.isfinite(alpha) for alpha, _, _ in rows)
-    assert "kappa_star" not in op.__dict__
 
 
 @pytest.mark.parametrize("kind, cfg", LADDER_CASES)
