@@ -56,14 +56,14 @@ from .operators import (
 from .parameter_choice import (
     DiscrepancyConfig,
     apriori_alpha,
-    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     discrepancy_alpha,
     discrepancy_alphas,
 )
 from .schemes import (
     RegularizerConfig,
     qualification_checks,
-    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     regularize,
     regularizer,
 )

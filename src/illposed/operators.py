@@ -24,17 +24,16 @@ phi_t(A).  On the Volterra kinds each is a truncated power series of the lag
 symbol, from this module's series algebra (``_mul`` and the ``series_*``
 functions), or its closed form on the integration kind.
 
-Fractional powers have two library routes.  ``power_map`` is the exact
+Fractional powers have one library route.  ``power_map`` is the exact
 matrix power, with ``fractional_power_exact`` its one-element call: in the
 algebra of lower-triangular Toeplitz matrices on the Volterra kinds, so an
 exact semigroup in p that coincides with the limit of the Balakrishnan
-resolvent integral, and sigma_k^p on the diagonal kind.
-``product_integration_map`` discretizes the continuum fractional integral of
-order p * base_order; exact on constants, it is the continuum-consistent
-reference for grid refinement and agrees with the matrix power only up to
-discretization error.  The tests check the exact route against a third, the
-resolvent integral (sin(pi q)/pi) int_0^infty s^{q-1} (A + sI)^{-1} A u ds by
-a trapezoid rule in tau = log s, kept in ``tests/oracles.py``.
+resolvent integral, and sigma_k^p on the diagonal kind.  The tests check it
+against two oracles in ``tests/oracles.py``: the resolvent integral
+(sin(pi q)/pi) int_0^infty s^{q-1} (A + sI)^{-1} A u ds by a trapezoid rule
+in tau = log s, and the product-integration rule of the continuum
+fractional integral of order p * base_order, which is exact on constants and
+agrees with the matrix power only up to discretization error.
 """
 
 from __future__ import annotations
@@ -414,42 +413,6 @@ def a_log_a_map(op: DiscreteOperator) -> SymbolMap:
     w0 = float(op.weights[0])
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, op.n))))
     return SymbolMap(w0 * (math.log(w0) + harmonic), volterra=True)
-
-
-def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
-    """The product-integration rule of the order p * base_order integral.
-
-    Exact on constants; the continuum-consistent reference family.  For the
-    diagonal kind this coincides with the exact power.
-    """
-    if not op.is_volterra or p <= 0:
-        return power_map(op, p)
-    return SymbolMap(product_integration_weights(op.order * p, op.n), volterra=True)
-
-
-def check_interpolation_inequality(
-    op: DiscreteOperator, p: float, q: float, u: GridFunction
-) -> dict:
-    """Check ||A^p u|| <= c ||A^q u||^{p/q} ||u||^{1-p/q} on a single element.
-
-    Returns a dict of ``lhs``, ``rhs``, ``constant_used``, ``ratio`` =
-    lhs / rhs and ``holds``.  For q = 1 the certified constant
-    2 (kappa_star + 1) is used and ``holds`` is a verdict; for other q only
-    the empirical ratio is reported.
-    """
-    if not 0.0 < p < q:
-        raise DomainError("need 0 < p < q")
-    lhs = fractional_power_exact(op, p, u).norm()
-    aq = fractional_power_exact(op, q, u).norm()
-    rhs = aq ** (p / q) * u.norm() ** (1.0 - p / q)
-    if q == 1.0:
-        c = 2.0 * (op.kappa_star + 1.0)
-        holds = lhs <= c * rhs + 1e-14
-    else:
-        c = None
-        holds = None
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
-    return {"lhs": lhs, "rhs": rhs, "constant_used": c, "ratio": ratio, "holds": holds}
 
 
 def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> SymbolMap:

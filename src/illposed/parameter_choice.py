@@ -1,8 +1,4 @@
-"""Rate functions, the a priori rule, and the residual-band a posteriori rule.
-
-The functions chi_{q, +-mu}(t) = t^q (log(1/t))^{+-mu} on (0, 1) calibrate
-every convergence statement in this package; their inverses and scaling
-behaviour are what turns noise levels into regularization parameters.
+"""The a priori rule and the residual-band a posteriori rule.
 
 The a posteriori rule is a residual band: pick alpha with
 b0 delta <= ||S_alpha f_delta|| <= b1 delta, the norm of the residual
@@ -25,7 +21,7 @@ from .operators import DiscreteOperator, _one_row
 from .schemes import (
     Regularizer,
     RegularizerConfig,
-    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     regularize,
     regularizer,
 )
@@ -39,70 +35,6 @@ ALPHA_MIN = 1e-14
 #: the walk skips alpha only where the certified floor exceeds b1 delta by this
 #: relative margin, far above the rounding of the computed floor and residual
 FLOOR_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class ChiParams:
-    """Parameters of chi_{q, sign*mu}(t) = t^q (log(1/t))^{sign*mu}."""
-
-    q: float
-    mu: float
-    sign: str = "-"
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise DomainError("q must be nonnegative")
-        if self.mu <= 0:
-            raise DomainError("mu must be positive")
-        if self.sign not in ("+", "-"):
-            raise DomainError("sign must be '+' or '-'")
-
-
-def chi(params: ChiParams, t: float) -> float:
-    if not 0.0 < t < 1.0:
-        raise DomainError("chi is defined on 0 < t < 1")
-    ell = math.log(1.0 / t)
-    expo = params.mu if params.sign == "+" else -params.mu
-    return t**params.q * ell**expo
-
-
-def chi_inverse(q: float, mu: float, s: float) -> float:
-    """Invert chi_{q,-mu} on its branch t <= exp(-mu/q).
-
-    In ell = log(1/t) the equation reads q ell + mu log ell = log(1/s),
-    solved by a safeguarded Newton iteration started from the known
-    asymptotic inverse; the result satisfies |chi(t) - s| <= 1e-10 s.
-    """
-    if q <= 0 or mu <= 0:
-        raise DomainError("need q > 0 and mu > 0")
-    if s <= 0:
-        raise DomainError("need s > 0")
-    ell_cap = mu / q  # t_cap = exp(-mu/q)
-    s_cap = math.exp(-mu) * ell_cap**-mu  # chi_{q,-mu}(t_cap)
-    if s > s_cap * (1.0 + 1e-12):
-        raise DomainError("s outside the range of the monotone branch")
-    target = math.log(1.0 / s)
-
-    def phi(ell: float) -> float:
-        return q * ell + mu * math.log(ell) - target
-
-    ls = math.log(1.0 / s)
-    ell = max(ell_cap, (ls - mu * math.log(max(ls / q, 1.5))) / q, 1e-12)
-    for _ in range(200):
-        f = phi(ell)
-        df = q + mu / ell
-        step = f / df
-        new = ell - step
-        if new < ell_cap:
-            new = 0.5 * (ell + ell_cap)
-        ell = new
-        t = math.exp(-ell)
-        if 0.0 < t < 1.0 and abs(chi(ChiParams(q, mu, "-"), t) - s) <= 1e-11 * s:
-            return t
-    t = math.exp(-ell)
-    if abs(chi(ChiParams(q, mu, "-"), t) - s) <= 1e-10 * s:
-        return t
-    raise DomainError("chi inverse iteration failed to converge")
 
 
 def apriori_alpha(delta: float, p: float, nu: int, c0: float = 1.0) -> float:

@@ -37,10 +37,10 @@ from .operators import (
     DiscreteOperator,
     _one_row,
     evolution_maps,
-    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     fractional_power_exact,
     power_map,
-    # never called here: kept only for test_tracer_names_resolve until ROADMAP item 1, step B
+    # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     shifted_solve,
     shifted_solver,
 )

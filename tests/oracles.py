@@ -1,4 +1,4 @@
-"""Independent reference implementations for the symbol calculus.
+"""Independent reference implementations for the symbol calculus and parameter choice.
 
 The library computes A u, A^p, (A + alpha I)^{-1} f, e^{-tA} and
 (lambda I - log A)^{-nu} exactly, as functions of the operator's symbol,
@@ -11,6 +11,11 @@ without forming a matrix.  The routes here share none of that code path:
 * ``fractional_power_balakrishnan`` (with ``BalakrishnanQuadrature`` and
   ``QuadratureBoundsWarning``), the resolvent integral for A^p by a
   trapezoid rule in tau = log s;
+* ``product_integration_map``, the product-integration rule of the order
+  p * base_order fractional integral, which is exact on constants and
+  agrees with the exact power only up to discretization error;
+* ``check_interpolation_inequality``, the moment inequality
+  ||A^p u|| <= c ||A^q u||^{p/q} ||u||^{1-p/q} on one element;
 * ``series_power_recurrence`` and ``series_log_recurrence``, the
   logarithmic-derivative recurrences for a^p and log a of a power series,
   one dot product per coefficient;
@@ -22,6 +27,9 @@ without forming a matrix.  The routes here share none of that code path:
   difference quotients (A^p u - u)/p along ``P_SCHEDULE``;
 * ``log_kernel_apply``, the log-kernel transform at every node, one
   ``log_kernel_apply_at`` call per node;
+* ``ChiParams``, ``chi`` and ``chi_inverse``, the rate functions
+  chi_{q, +-mu}(t) = t^q (log(1/t))^{+-mu} and a Newton inverse of
+  chi_{q,-mu}, against which the closed form of ``apriori_alpha`` is read;
 * ``alpha_sweep_oracle``, the best alpha of a dense grid by the true error;
 * ``unskipped_discrepancy_alphas``, the residual-band walk with a trial at
   every grid alpha from ||A|| down and a filter built per trial, which the
@@ -49,9 +57,12 @@ from illposed.harness import Problem
 from illposed.loworder import LogExampleParams, log_kernel_apply_at, u_log_derivative
 from illposed.operators import (
     DiscreteOperator,
+    SymbolMap,
     _one_row,
     apply,
     fractional_power_exact,
+    power_map,
+    product_integration_weights,
     shifted_solve,
 )
 from illposed.parameter_choice import ALPHA_MIN, BISECT_TOL, RATIO, DiscrepancyConfig
@@ -313,6 +324,42 @@ def fractional_power_balakrishnan(
     return result
 
 
+def product_integration_map(op: DiscreteOperator, p: float) -> SymbolMap:
+    """The product-integration rule of the order p * base_order integral.
+
+    Exact on constants; the continuum-consistent reference family.  For the
+    diagonal kind this coincides with the exact power.
+    """
+    if not op.is_volterra or p <= 0:
+        return power_map(op, p)
+    return SymbolMap(product_integration_weights(op.order * p, op.n), volterra=True)
+
+
+def check_interpolation_inequality(
+    op: DiscreteOperator, p: float, q: float, u: GridFunction
+) -> dict:
+    """Check ||A^p u|| <= c ||A^q u||^{p/q} ||u||^{1-p/q} on a single element.
+
+    Returns a dict of ``lhs``, ``rhs``, ``constant_used``, ``ratio`` =
+    lhs / rhs and ``holds``.  For q = 1 the certified constant
+    2 (kappa_star + 1) is used and ``holds`` is a verdict; for other q only
+    the empirical ratio is reported.
+    """
+    if not 0.0 < p < q:
+        raise DomainError("need 0 < p < q")
+    lhs = fractional_power_exact(op, p, u).norm()
+    aq = fractional_power_exact(op, q, u).norm()
+    rhs = aq ** (p / q) * u.norm() ** (1.0 - p / q)
+    if q == 1.0:
+        c = 2.0 * (op.kappa_star + 1.0)
+        holds = lhs <= c * rhs + 1e-14
+    else:
+        c = None
+        holds = None
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
+    return {"lhs": lhs, "rhs": rhs, "constant_used": c, "ratio": ratio, "holds": holds}
+
+
 def series_power_recurrence(coeffs: np.ndarray, p: float) -> np.ndarray:
     """Coefficients of (sum_m a_m z^m)^p mod z^n, a_0 > 0.
 
@@ -415,6 +462,70 @@ def log_kernel_apply(u: GridFunction) -> GridFunction:
     for j in range(1, n + 1):
         out[j] = log_kernel_apply_at(u, j / n)
     return u.with_values(out)
+
+
+@dataclass(frozen=True)
+class ChiParams:
+    """Parameters of chi_{q, sign*mu}(t) = t^q (log(1/t))^{sign*mu}."""
+
+    q: float
+    mu: float
+    sign: str = "-"
+
+    def __post_init__(self):
+        if self.q < 0:
+            raise DomainError("q must be nonnegative")
+        if self.mu <= 0:
+            raise DomainError("mu must be positive")
+        if self.sign not in ("+", "-"):
+            raise DomainError("sign must be '+' or '-'")
+
+
+def chi(params: ChiParams, t: float) -> float:
+    if not 0.0 < t < 1.0:
+        raise DomainError("chi is defined on 0 < t < 1")
+    ell = math.log(1.0 / t)
+    expo = params.mu if params.sign == "+" else -params.mu
+    return t**params.q * ell**expo
+
+
+def chi_inverse(q: float, mu: float, s: float) -> float:
+    """Invert chi_{q,-mu} on its branch t <= exp(-mu/q).
+
+    In ell = log(1/t) the equation reads q ell + mu log ell = log(1/s),
+    solved by a safeguarded Newton iteration started from the known
+    asymptotic inverse; the result satisfies |chi(t) - s| <= 1e-10 s.
+    """
+    if q <= 0 or mu <= 0:
+        raise DomainError("need q > 0 and mu > 0")
+    if s <= 0:
+        raise DomainError("need s > 0")
+    ell_cap = mu / q  # t_cap = exp(-mu/q)
+    s_cap = math.exp(-mu) * ell_cap**-mu  # chi_{q,-mu}(t_cap)
+    if s > s_cap * (1.0 + 1e-12):
+        raise DomainError("s outside the range of the monotone branch")
+    target = math.log(1.0 / s)
+
+    def phi(ell: float) -> float:
+        return q * ell + mu * math.log(ell) - target
+
+    ls = math.log(1.0 / s)
+    ell = max(ell_cap, (ls - mu * math.log(max(ls / q, 1.5))) / q, 1e-12)
+    for _ in range(200):
+        f = phi(ell)
+        df = q + mu / ell
+        step = f / df
+        new = ell - step
+        if new < ell_cap:
+            new = 0.5 * (ell + ell_cap)
+        ell = new
+        t = math.exp(-ell)
+        if 0.0 < t < 1.0 and abs(chi(ChiParams(q, mu, "-"), t) - s) <= 1e-11 * s:
+            return t
+    t = math.exp(-ell)
+    if abs(chi(ChiParams(q, mu, "-"), t) - s) <= 1e-10 * s:
+        return t
+    raise DomainError("chi inverse iteration failed to converge")
 
 
 def alpha_sweep_oracle(

@@ -26,21 +26,23 @@ from illposed.operators import (
     _postype_ratios,
     abel_operator,
     apply,
-    check_interpolation_inequality,
     default_kappa_grid,
     exp_decay_diagonal,
     fractional_power_exact,
     integration_operator,
-    product_integration_map,
 )
-from illposed.parameter_choice import ChiParams, chi, chi_inverse
 from illposed.schemes import RegularizerConfig, regularizer
 
 from oracles import (
     BalakrishnanQuadrature,
+    ChiParams,
     alpha_sweep_oracle,
+    check_interpolation_inequality,
+    chi,
+    chi_inverse,
     fractional_power_balakrishnan,
     graded_w,
+    product_integration_map,
 )
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)

@@ -12,7 +12,6 @@ from illposed.operators import (
     _one_row,
     abel_operator,
     apply,
-    check_interpolation_inequality,
     diagonal_operator,
     exp_decay_diagonal,
     fractional_power_exact,
@@ -20,7 +19,6 @@ from illposed.operators import (
     log_resolvent_power_map,
     operator_map,
     power_map,
-    product_integration_map,
     product_integration_weights,
     series_exp,
     series_log,
@@ -33,7 +31,9 @@ from illposed.schemes import RegularizerConfig, regularizer
 from oracles import (
     BalakrishnanQuadrature,
     QuadratureBoundsWarning,
+    check_interpolation_inequality,
     fractional_power_balakrishnan,
+    product_integration_map,
     series_exp_reversed_view,
     series_log_recurrence,
     series_power_recurrence,
@@ -174,7 +174,7 @@ def test_quadrature_validation():
 
 
 def _builder_maps(op):
-    """Every SymbolMap builder of the library at one or two parameters each."""
+    """Every SymbolMap builder of the library and of the oracles, at one or two parameters each."""
     alpha = 1e-2 * op.op_norm
     cauchy = regularizer(op, RegularizerConfig("cauchy"), alpha)
     return {

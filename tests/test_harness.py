@@ -391,6 +391,58 @@ def test_tracer_names_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
 
 
+def test_every_src_definition_is_loaded_in_src(monkeypatch):
+    # src holds what a command runs: each top-level function or class is
+    # loaded, as a Name or an Attribute, somewhere in src outside its own
+    # definition; an import alias is no load.  The names bench/tracing.py
+    # patches are exempt, resolved to the function they name; so are dunders
+    # such as cli.__getattr__, which the interpreter calls (PEP 562)
+    import ast
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_tracing", tracing)
+    spec.loader.exec_module(tracing)
+    pinned = set()
+    for mod_name, attr, _ in tracing.SPANS + tracing.COUNTERS:
+        fn = getattr(importlib.import_module(mod_name), attr)
+        pinned.add((fn.__module__, fn.__name__))
+
+    package = Path(__file__).resolve().parents[1] / "src" / "illposed"
+    trees = {
+        f"illposed.{path.stem}": ast.parse(path.read_text(encoding="utf-8"))
+        for path in package.glob("*.py")
+    }
+
+    def loads_outside(skip):
+        names = set()
+        stack = list(trees.values())
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+        return names
+
+    unloaded = sorted(
+        f"{mod_name}.{node.name}"
+        for mod_name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and (mod_name, node.name) not in pinned
+        and node.name not in loads_outside(node)
+    )
+    assert unloaded == []
+
+
 def test_cli_calls_go_through_module_attributes(tmp_path, monkeypatch):
     # bench/tracing.py times check-axioms and loworder-verify by wrapping
     # illposed.cli.<name>; a command that bypassed the module attribute would

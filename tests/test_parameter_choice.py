@@ -19,16 +19,13 @@ from illposed.operators import (
 )
 from illposed.parameter_choice import (
     FLOOR_MARGIN,
-    ChiParams,
     DiscrepancyConfig,
     apriori_alpha,
-    chi,
-    chi_inverse,
     discrepancy_alpha,
     discrepancy_alphas,
 )
 from illposed.schemes import Regularizer, RegularizerConfig, regularizer
-from oracles import dense_matrix, unskipped_discrepancy_alphas
+from oracles import ChiParams, chi, chi_inverse, dense_matrix, unskipped_discrepancy_alphas
 
 LAV2 = RegularizerConfig("lavrentiev", m=2)
 CAUCHY = RegularizerConfig("cauchy")
