@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import _W_FUNCTIONS, NORM_KINDS, GridFunction, grid_norms
-from .operator_log import SourceCondition, make_mixed_smooth_element
+from .operator_log import make_mixed_smooth_element
 from .operators import (
     MAX_GRID_CELLS,
     DiscreteOperator,
@@ -331,7 +331,8 @@ def build_scheme(spec: dict) -> RegularizerConfig:
 @dataclass(frozen=True)
 class Problem:
     op: DiscreteOperator
-    sc: SourceCondition
+    w: GridFunction
+    lam: float
     u_star: GridFunction
     f_star: GridFunction
     scheme: RegularizerConfig
@@ -340,23 +341,22 @@ class Problem:
 def build_problem(config: ExperimentConfig) -> Problem:
     """Assemble operator, ground truth and exact data from a config.
 
-    u_star = -A^p (lam - log A)^{-nu} w, so the solution itself satisfies
-    the mixed source condition exactly at the grid level; f_star = A u_star.
+    u_star = -A^p (lam - log A)^{-nu} w, lam = omega + lambda_offset, meets the
+    mixed source condition exactly at the grid level; f_star = A u_star.  A
+    u_star that underflows to 0 in every entry is a ``ConfigError`` on
+    ``config.source``: each row would measure the noise alone.
     """
     op = build_operator(config.raw["operator"])
     src = config.raw["source"]
     scheme = build_scheme(config.raw["scheme"])
     w = build_source_element(op, src["w"])
-    sc = SourceCondition(
-        p=float(src["p"]),
-        nu=int(src["nu"]),
-        lam=op.omega + float(src["lambda_offset"]),
-        w=w,
-    )
-    mixed = make_mixed_smooth_element(op, sc)
+    lam = op.omega + float(src["lambda_offset"])
+    mixed = make_mixed_smooth_element(op, float(src["p"]), int(src["nu"]), lam, w)
+    if not np.any(mixed.values):
+        raise ConfigError("config.source: ground truth A^p (lambda - log A)^{-nu} w underflows to 0")
     u_star = op.zeros() - mixed
     f_star = apply(op, u_star)
-    return Problem(op=op, sc=sc, u_star=u_star, f_star=f_star, scheme=scheme)
+    return Problem(op=op, w=w, lam=lam, u_star=u_star, f_star=f_star, scheme=scheme)
 
 
 def add_noise(f: GridFunction, delta: float, seed: int) -> GridFunction:
@@ -440,7 +440,7 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     op, scheme = problem.op, problem.scheme
     src = config.raw["source"]
     p, nu = float(src["p"]), int(src["nu"])
-    d_w = max(problem.sc.w.norm(), 1.0)
+    d_w = max(problem.w.norm(), 1.0)
     rule = config.raw["rule"]
     deltas = [float(d) for d in config.raw["delta_ladder"]]
     seed = config.raw["seed"]

@@ -212,19 +212,18 @@ class SymbolMap:
         return out
 
 
-def _one_row(op: DiscreteOperator, block_map, *elements: GridFunction) -> GridFunction:
-    """A block map of ``op`` applied to single elements as one-row blocks.
+def _one_row(op: DiscreteOperator, block_map, u: GridFunction) -> GridFunction:
+    """A block map of ``op`` applied to one element as a one-row block.
 
-    Each element must match the operator's dimension and norm kind; the
+    The element must match the operator's dimension and norm kind; the
     result has the bits of the same row in a larger block.
     """
-    for u in elements:
-        if u.dim != op.dim or u.norm_kind != op.norm_kind:
-            raise DimensionMismatchError(
-                f"operator ({op.dim}, {op.norm_kind!r}) applied to grid function "
-                f"({u.dim}, {u.norm_kind!r})"
-            )
-    return elements[0].with_values(block_map(*(u.values[None] for u in elements))[0])
+    if u.dim != op.dim or u.norm_kind != op.norm_kind:
+        raise DimensionMismatchError(
+            f"operator ({op.dim}, {op.norm_kind!r}) applied to grid function "
+            f"({u.dim}, {u.norm_kind!r})"
+        )
+    return u.with_values(block_map(u.values[None])[0])
 
 
 def _power_iteration_norm(lags: np.ndarray, tol: float = 1e-8, maxit: int = 2000) -> float:

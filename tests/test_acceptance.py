@@ -5,11 +5,9 @@ headline numbers (run with ``pytest -s`` to see them).  Every tolerance is
 pinned here; nothing is deferred to later calibration.
 """
 
-import json
 import math
 
 import numpy as np
-import pytest
 
 from illposed.harness import add_noise, build_problem, parse_config, run_rate_experiment
 from illposed.loworder import (
@@ -20,7 +18,7 @@ from illposed.loworder import (
     sample_u_log,
     verify_membership,
 )
-from illposed.operator_log import SourceCondition, make_mixed_smooth_element
+from illposed.operator_log import make_mixed_smooth_element
 from illposed.operators import (
     _one_row,
     _postype_ratios,
@@ -186,7 +184,7 @@ def test_criterion_05_log_decay_bound():
     details = []
     ok = True
     for p, nu in ((0.0, 1), (0.0, 2), (0.5, 1)):
-        u = make_mixed_smooth_element(op, SourceCondition(p=p, nu=nu, lam=lam, w=w))
+        u = make_mixed_smooth_element(op, p, nu, lam, w)
         decayed = [_one_row(op, regularizer(op, LAV2, a).companion, u).norm() for a in alphas]
         ratios = np.array([d / (a**p * math.log(1.0 / a) ** -nu) for d, a in zip(decayed, alphas)])
         spread = ratios.max() / np.median(ratios)
@@ -249,7 +247,7 @@ def test_criterion_07_mixed_interpolation_bound():
         vals[depth:] = rng.standard_normal(op.dim - depth)
         w = op.grid_function(vals)
         w = (1.0 / w.norm()) * w  # unit source element: D_w = 1
-        u = make_mixed_smooth_element(op, SourceCondition(p=p, nu=nu, lam=lam, w=w))
+        u = make_mixed_smooth_element(op, p, nu, lam, w)
         a_norm = apply(op, u).norm()
         assert a_norm <= 1e-2
         ratios.append(u.norm() / (a_norm ** (p / (p + 1.0)) * math.log(1.0 / a_norm) ** (-nu / (p + 1.0))))

@@ -274,6 +274,30 @@ def test_cli_reports_bad_field_in_one_line(tmp_path):
         assert out.stderr == f"illposed: {message}\n"
 
 
+def test_run_rejects_a_ground_truth_that_underflows_to_zero(tmp_path):
+    # every row would measure the noise alone, and the ratio spread passes:
+    # A^400 of the Cauchy scheme (no saturation) on sup abel, and e_745
+    # damped by sigma_745 = e^-745 on 746 modes
+    abel = json.loads((CONFIG_DIR / "abel_cauchy_rate.json").read_text(encoding="utf-8"))
+    abel["source"]["p"] = 400.0
+    diagonal = json.loads((CONFIG_DIR / "diagonal_apriori.json").read_text(encoding="utf-8"))
+    diagonal["operator"]["modes"] = 746
+    diagonal["source"].update(p=1.0, w={"kind": "unit", "index": 745})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for name, doc in (("abel", abel), ("diagonal", diagonal)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / name)]
+        out = subprocess.run(
+            [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("illposed: config.source: ")
+        assert out.stderr.count("\n") == 1
+        assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("kappa", ["1933", "1936"])
 def test_loworder_verify_runs_quietly_near_the_overflow(kappa, tmp_path):
     # samples near the float maximum at x = 1 lie past the identity points:
@@ -394,27 +418,35 @@ def test_tracer_names_resolve(monkeypatch):
 def test_every_src_definition_is_loaded_in_src(monkeypatch):
     # src holds what a command runs: each top-level function or class is
     # loaded, as a Name or an Attribute, somewhere in src outside its own
-    # definition; an import alias is no load.  The names bench/tracing.py
-    # patches are exempt, resolved to the function they name; so are dunders
-    # such as cli.__getattr__, which the interpreter calls (PEP 562)
+    # definition; an import alias is no load.  And no file of src or tests
+    # imports a name it never loads.  The names bench/tracing.py patches are
+    # exempt, resolved by getattr: a definition by the function the name
+    # resolves to, an import by the module attribute it binds.  So are
+    # dunders such as cli.__getattr__, which the interpreter calls (PEP 562)
     import ast
     import importlib
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    root = Path(__file__).resolve().parents[1]
+    path = root / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_tracing", tracing)
     spec.loader.exec_module(tracing)
     pinned = set()
+    patched = set()
     for mod_name, attr, _ in tracing.SPANS + tracing.COUNTERS:
         fn = getattr(importlib.import_module(mod_name), attr)
         pinned.add((fn.__module__, fn.__name__))
+        patched.add((mod_name, attr))
 
-    package = Path(__file__).resolve().parents[1] / "src" / "illposed"
     trees = {
         f"illposed.{path.stem}": ast.parse(path.read_text(encoding="utf-8"))
-        for path in package.glob("*.py")
+        for path in (root / "src" / "illposed").glob("*.py")
+    }
+    test_trees = {
+        f"tests.{path.stem}": ast.parse(path.read_text(encoding="utf-8"))
+        for path in (root / "tests").glob("*.py")
     }
 
     def loads_outside(skip):
@@ -441,6 +473,23 @@ def test_every_src_definition_is_loaded_in_src(monkeypatch):
         and node.name not in loads_outside(node)
     )
     assert unloaded == []
+
+    unused_imports = []
+    for mod_name, tree in {**trees, **test_trees}.items():
+        names = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names and (mod_name, bound) not in patched:
+                        unused_imports.append(f"{mod_name}: {alias.name}")
+    assert unused_imports == []
 
 
 def test_cli_calls_go_through_module_attributes(tmp_path, monkeypatch):
@@ -556,9 +605,18 @@ def test_cli_package_error_is_one_line(tmp_path):
             "nonincreasing numbers",
         ),
         (unit_w, "config.source.w.index: must be an integer in [0, 39], got 999"),
+        # (lambda - log A)^{-nu} underflows on abel before the a priori
+        # alpha overflows; on two modes with sigma_0 = e^0 it cannot vanish
         (
             abel_cauchy_doc(nu=10**6),
-            "a priori alpha at delta = 0.1 is not a positive finite number (p = 0.5, nu = 1000000)",
+            "config.source: ground truth A^p (lambda - log A)^{-nu} w underflows to 0",
+        ),
+        (
+            make_doc(
+                operator={"kind": "diagonal", "modes": 2, "sigma_rule": "exp_decay", "norm": "l2_scaled"},
+                source=dict(BASE_DOC["source"], nu=500),
+            ),
+            "a priori alpha at delta = 0.01 is not a positive finite number (p = 0.0, nu = 500)",
         ),
         (
             abel_cauchy_doc(p=1000000.5),
@@ -674,7 +732,7 @@ def test_operator_rescale_preprocessing():
     doc["operator"] = {"kind": "integration", "n": 64, "norm": "sup", "rescale_to_half_norm": True}
     doc["source"] = dict(doc["source"], lambda_offset=-op.omega, w={"kind": "function", "name": "parabola"})
     problem = build_problem(parse_config(doc))
-    lam = problem.sc.lam
+    lam = problem.lam
     assert abs(lam) <= 1e-12 and lam > problem.op.omega
 
 
@@ -689,10 +747,12 @@ def test_build_problem_unit_coordinate_closed_form():
 
 
 def test_build_problem_initial_error_is_mixed_smooth():
-    problem = build_problem(parse_config(make_doc()))
+    config = parse_config(make_doc())
+    problem = build_problem(config)
     from illposed.operator_log import make_mixed_smooth_element
 
-    mixed = make_mixed_smooth_element(problem.op, problem.sc)
+    src = config.raw["source"]
+    mixed = make_mixed_smooth_element(problem.op, src["p"], src["nu"], problem.lam, problem.w)
     assert ((problem.op.zeros() - problem.u_star) - mixed).norm() <= 1e-14
 
 
@@ -882,9 +942,9 @@ def test_check_axioms_builds_no_ground_truth(monkeypatch):
     calls = []
     build = harness.make_mixed_smooth_element
 
-    def counting(op, sc):
+    def counting(op, p, nu, lam, w):
         calls.append(op.kind)
-        return build(op, sc)
+        return build(op, p, nu, lam, w)
 
     monkeypatch.setattr(harness, "make_mixed_smooth_element", counting)
     config = load_config(CONFIG_DIR / "integration_apriori.json")

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from illposed.errors import DomainError
+from illposed.errors import DimensionMismatchError, DomainError
 from illposed.loworder import LogExampleParams, sample_u_log
-from illposed.operator_log import SourceCondition, make_mixed_smooth_element
+from illposed.operator_log import make_mixed_smooth_element
 from illposed.operators import (
     SymbolMap,
     _one_row,
     abel_operator,
-    apply,
     diagonal_operator,
     exp_decay_diagonal,
     integration_operator,
@@ -119,8 +118,7 @@ def test_laplace_quadrature_validation():
 
 def test_make_mixed_zero_w():
     op = exp_decay_diagonal(10)
-    sc = SourceCondition(p=0.5, nu=1, lam=op.omega + 1.0, w=op.zeros())
-    u = make_mixed_smooth_element(op, sc)
+    u = make_mixed_smooth_element(op, 0.5, 1, op.omega + 1.0, op.zeros())
     assert u.norm() == 0.0
 
 
@@ -128,8 +126,7 @@ def test_make_mixed_unit_coordinate_closed_form():
     op = exp_decay_diagonal(12)
     lam = op.omega + 1.0  # omega = 0, log sigma_k = -k
     k = 3
-    sc = SourceCondition(p=0.0, nu=1, lam=lam, w=op.unit(k))
-    u = make_mixed_smooth_element(op, sc)
+    u = make_mixed_smooth_element(op, 0.0, 1, lam, op.unit(k))
     expected = np.zeros(12)
     expected[k] = 1.0 / (lam + k)
     np.testing.assert_allclose(u.values, expected, rtol=1e-13)
@@ -139,8 +136,7 @@ def test_make_mixed_integration_diagnostics():
     from scipy.linalg import solve_triangular
 
     op = integration_operator(256)
-    sc = SourceCondition(p=0.5, nu=1, lam=op.omega + 1.0, w=op.ones())
-    u = make_mixed_smooth_element(op, sc)
+    u = make_mixed_smooth_element(op, 0.5, 1, op.omega + 1.0, op.ones())
     # ||A^{-1/2} u|| is finite: solve the exact half-power system
     half = np.zeros((op.dim, op.dim))
     lags = power_map(op, 0.5).symbol
@@ -195,9 +191,10 @@ def test_rescaling_covariance_on_diagonal():
 def test_source_condition_validation():
     op = exp_decay_diagonal(10)
     with pytest.raises(DomainError):
-        SourceCondition(p=-0.1, nu=1, lam=1.0, w=op.ones())
+        make_mixed_smooth_element(op, -0.1, 1, 1.0, op.ones())
     with pytest.raises(DomainError):
-        SourceCondition(p=0.0, nu=0, lam=1.0, w=op.ones())
-    sc = SourceCondition(p=0.0, nu=1, lam=op.omega - 0.5, w=op.ones())
+        make_mixed_smooth_element(op, 0.0, 0, 1.0, op.ones())
     with pytest.raises(DomainError):
-        sc.validate_against(op)
+        make_mixed_smooth_element(op, 0.0, 1, op.omega - 0.5, op.ones())
+    with pytest.raises(DimensionMismatchError):
+        make_mixed_smooth_element(op, 0.0, 1, op.omega + 1.0, exp_decay_diagonal(11).ones())
