@@ -343,8 +343,9 @@ def build_problem(config: ExperimentConfig) -> Problem:
 
     u_star = -A^p (lam - log A)^{-nu} w, lam = omega + lambda_offset, meets the
     mixed source condition exactly at the grid level; f_star = A u_star.  A
-    u_star that underflows to 0 in every entry is a ``ConfigError`` on
-    ``config.source``: each row would measure the noise alone.
+    u_star whose norm underflows below the least normal float is a
+    ``ConfigError`` on ``config.source``: each row would measure the noise
+    alone.
     """
     op = build_operator(config.raw["operator"])
     src = config.raw["source"]
@@ -352,7 +353,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
     w = build_source_element(op, src["w"])
     lam = op.omega + float(src["lambda_offset"])
     mixed = make_mixed_smooth_element(op, float(src["p"]), int(src["nu"]), lam, w)
-    if not np.any(mixed.values):
+    if not mixed.norm() >= sys.float_info.min:
         raise ConfigError("config.source: ground truth A^p (lambda - log A)^{-nu} w underflows to 0")
     u_star = op.zeros() - mixed
     f_star = apply(op, u_star)
@@ -374,9 +375,16 @@ def add_noise(f: GridFunction, delta: float, seed: int) -> GridFunction:
 
 
 def error_bound(delta: float, p: float, nu: int, d_w: float) -> float:
-    """D_w * delta^{p/(p+1)} * log^{-nu/(p+1)}(1/delta)."""
+    """D_w * delta^{p/(p+1)} * log^{-nu/(p+1)}(1/delta), a positive normal float."""
     ell = math.log(1.0 / delta)
-    return d_w * delta ** (p / (p + 1.0)) * ell ** (-nu / (p + 1.0))
+    try:
+        bound = d_w * delta ** (p / (p + 1.0)) * ell ** (-nu / (p + 1.0))
+    except OverflowError:
+        bound = math.inf
+    if not sys.float_info.min <= bound < math.inf:
+        flow = "overflows" if bound == math.inf else "underflows"
+        raise DomainError(f"rate bound at delta = {delta} {flow} (p = {p}, nu = {nu})")
+    return bound
 
 
 def _median(values: np.ndarray) -> float:
@@ -463,10 +471,7 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         bound = error_bound(delta, p, nu, d_w)
         rows.append(dict(zip(CSV_COLUMNS, (delta, alpha, error, residual, bound, error / bound))))
         if math.isfinite(alpha):
-            ell = math.log(1.0 / delta)
-            alpha_lower_ratios.append(
-                alpha / (delta ** (1.0 / (p + 1.0)) * ell ** (nu / (p + 1.0)))
-            )
+            alpha_lower_ratios.append(alpha / apriori_alpha(delta, p, nu))
     summary = fit_rate(rows, p, nu, float(config.raw["spread_tolerance"]))
     summary["rule"] = rule["name"]
     summary["generator"] = GENERATOR_NAME

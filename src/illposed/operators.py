@@ -427,7 +427,9 @@ def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> Symbol
     if lam <= op.omega:
         raise DomainError("shift below spectral bound")
     if op.kind == "diagonal":
-        return SymbolMap((lam - np.log(op.weights)) ** nu, volterra=False, quotient=True)
+        with np.errstate(over="ignore"):  # an infinite divisor gives the underflowed quotient 0
+            divisor = (lam - np.log(op.weights)) ** nu
+        return SymbolMap(divisor, volterra=False, quotient=True)
     shifted = -series_log(op.weights)
     shifted[0] += lam
     return SymbolMap(series_power(shifted, -float(nu)), volterra=True)

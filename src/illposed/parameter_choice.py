@@ -4,14 +4,16 @@ The a posteriori rule is a residual band: pick alpha with
 b0 delta <= ||S_alpha f_delta|| <= b1 delta, the norm of the residual
 A u_alpha - f_delta = -S_alpha f_delta, where b0 exceeds the
 scheme's certified bound on ||S_alpha|| (Engl, Hanke & Neubauer 1996,
-ch. 4).  The band is its only setting: the walk steps down the grid
+ch. 4).  The band is its only setting: the walk descends the grid
 ||A|| * ``RATIO``^j, skips without a trial every alpha where the scheme's
-certified floor on the residual clears b1 delta by ``FLOOR_MARGIN``, bisects
-to ``BISECT_TOL`` and gives up below ``ALPHA_MIN``.
+certified floor on the residual clears b1 delta by ``FLOOR_MARGIN``, marches
+up from ||A|| if the first trial is below the band, bisects the bracket to
+``BISECT_TOL`` and gives up below ``ALPHA_MIN``.  It tries no alpha twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,6 @@ from .errors import DomainError
 from .grid import GridFunction
 from .operators import DiscreteOperator, _one_row
 from .schemes import (
-    Regularizer,
     RegularizerConfig,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     regularize,
@@ -77,54 +78,37 @@ def _band_search(
 ) -> tuple[float, float]:
     """The first (alpha, residual(alpha)) of the walk that lands in [lo_t, hi_t].
 
-    Walk alpha down the grid ``alpha_max * RATIO^j`` until the residual
-    drops to ``hi_t``, then bisect the bracketing pair in log alpha.  Grid
-    points where ``floor(alpha)``, a lower bound on the residual, exceeds
-    ``hi_t`` by ``FLOOR_MARGIN`` are stepped over without a trial; the walk
-    resumes from the last of them as the point above the band.
+    Descend the grid ``alpha_max * RATIO^j`` to the first trial at most
+    ``hi_t``, stepping over without a trial every point where
+    ``floor(alpha)``, a lower bound on the residual, exceeds ``hi_t`` by
+    ``FLOOR_MARGIN``.  Below the band, that trial and the last point above
+    bracket it; if no point was above, alpha marches up by ``1/RATIO`` until
+    one is, as the residual tends to ||f_delta|| > b1 delta with alpha.  The
+    bracket is bisected in log alpha.  No alpha is tried twice.
     """
-    alpha, above = alpha_max, None
-    while floor(alpha) > hi_t * (1.0 + FLOOR_MARGIN):
+    alpha, above, steps_up = alpha_max, None, 0
+    # the floor never decreases as alpha grows, so no point after a trial is skipped
+    while floor(alpha) > hi_t * (1.0 + FLOOR_MARGIN) or (r := residual(alpha)) > hi_t:
         above = alpha
         alpha *= RATIO
         if alpha < ALPHA_MIN:
             raise DomainError("discrepancy band unreachable: above it down to alpha_min")
-    r = residual(alpha)
-    # If the residual at alpha_max is below the band, march alpha upward
-    # first: the residual tends to ||f_delta|| > b1 delta as alpha -> infinity.
-    # After a skip there is no march, as a skipped alpha lies above the band.
-    guard = 0
-    while above is None and r < lo_t:
-        alpha /= RATIO
-        r = residual(alpha)
-        guard += 1
-        if guard > 200:
-            raise DomainError("discrepancy band unreachable: below it after 200 upward steps")
-    # here r >= lo_t or ``above`` is set, so the first pass below returns,
-    # sets ``above`` or bisects against the last skipped alpha
-    while True:
-        if r <= hi_t:
-            if r >= lo_t:
-                return alpha, r
-            break  # fell through the band; bisect against the last point above
-        above = alpha
-        alpha *= RATIO
-        if alpha < ALPHA_MIN:
-            raise DomainError("discrepancy band unreachable: above it down to alpha_min")
-        r = residual(alpha)
-    lo_a, hi_a = alpha, above
-    for _ in range(200):
-        if math.log(hi_a / lo_a) <= BISECT_TOL:
-            break
-        mid = math.sqrt(lo_a * hi_a)
-        r_mid = residual(mid)
-        if lo_t <= r_mid <= hi_t:
-            return mid, r_mid
-        if r_mid > hi_t:
-            hi_a = mid
+    while not lo_t <= r <= hi_t:
+        if r > hi_t:
+            above = alpha
         else:
-            lo_a = mid
-    raise DomainError("discrepancy band unreachable: a step across it narrower than bisect_tol")
+            below = alpha
+        if above is None:
+            if steps_up == 200:
+                raise DomainError("discrepancy band unreachable: below it after 200 upward steps")
+            steps_up += 1
+            alpha = below / RATIO
+        elif math.log(above / below) > BISECT_TOL:
+            alpha = math.sqrt(below * above)
+        else:
+            raise DomainError("discrepancy band unreachable: a step across it narrower than bisect_tol")
+        r = residual(alpha)
+    return alpha, r
 
 
 def discrepancy_alphas(
@@ -138,19 +122,19 @@ def discrepancy_alphas(
 
     Each row's answer is ``(alpha, u, residual)``.  Degenerate branch: if
     ||f_delta|| <= b1 delta the answer is alpha = infinity and u = 0.
-    Otherwise walk alpha down the grid ||A|| * RATIO^j until the residual
-    drops to b1 delta, then bisect the bracketing pair in log alpha until the
-    residual lands in [b0 delta, b1 delta].
+    Otherwise ``_band_search`` walks the grid ||A|| * RATIO^j until the
+    residual lands in [b0 delta, b1 delta] or a pair brackets the band, which
+    it then bisects in log alpha.
 
     The residual of a trial is ||S_alpha f_delta||, since
     A u_alpha - f_delta = -S_alpha f_delta (Engl, Hanke & Neubauer 1996,
     ch. 4): no u_alpha and no A apply per trial.  A trial is made only once
     the certified floor ``cfg.residual_floor(alpha, op.norm_bound)`` times
     ||f_delta|| no longer clears b1 delta; every alpha above that has a
-    residual above the band.  The grid
-    ||A|| * RATIO^j repeats bit for bit across rows, so each filter is
-    built once per distinct trial alpha and serves every row that tries it;
-    u is built once per row, at the accepted alpha.
+    residual above the band.  The grid ||A|| * RATIO^j repeats bit for bit
+    across rows, so each filter is built once per distinct trial alpha and
+    serves every row that tries it; u is built once per row, at the accepted
+    alpha.
     """
     if len(data) != len(deltas):
         raise DomainError("need one delta per data element")
@@ -163,13 +147,8 @@ def discrepancy_alphas(
         if not dcfg.b0 > c0:
             raise DomainError(f"b0 = {dcfg.b0} must strictly exceed the companion bound c0 = {c0}")
 
-    filters: dict[float, Regularizer] = {}
-
-    def filter_at(a: float) -> Regularizer:
-        if a not in filters:
-            filters[a] = regularizer(op, cfg, a)
-        return filters[a]
-
+    filter_at = functools.cache(functools.partial(regularizer, op, cfg))
+    norm_bound = op.norm_bound
     results = []
     for f_delta, delta in zip(data, deltas):
         r_inf = f_delta.norm()
@@ -181,7 +160,7 @@ def discrepancy_alphas(
             op.op_norm,
             dcfg.b0 * delta,
             dcfg.b1 * delta,
-            lambda a: cfg.residual_floor(a, op.norm_bound) * r_inf,
+            lambda a: cfg.residual_floor(a, norm_bound) * r_inf,
         )
         u = _one_row(op, filter_at(alpha).apply, f_delta)
         results.append((alpha, u, r))

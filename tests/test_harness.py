@@ -277,15 +277,18 @@ def test_cli_reports_bad_field_in_one_line(tmp_path):
 def test_run_rejects_a_ground_truth_that_underflows_to_zero(tmp_path):
     # every row would measure the noise alone, and the ratio spread passes:
     # A^400 of the Cauchy scheme (no saturation) on sup abel, and e_745
-    # damped by sigma_745 = e^-745 on 746 modes
+    # damped by sigma_745 = e^-745 on 746 modes; at n = 128 the abel ground
+    # truth is not all 0 but subnormal, ||u_star|| = 3.7e-316
     abel = json.loads((CONFIG_DIR / "abel_cauchy_rate.json").read_text(encoding="utf-8"))
     abel["source"]["p"] = 400.0
+    subnormal = json.loads(json.dumps(abel))
+    subnormal["operator"]["n"] = 128
     diagonal = json.loads((CONFIG_DIR / "diagonal_apriori.json").read_text(encoding="utf-8"))
     diagonal["operator"]["modes"] = 746
     diagonal["source"].update(p=1.0, w={"kind": "unit", "index": 745})
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    for name, doc in (("abel", abel), ("diagonal", diagonal)):
+    for name, doc in (("abel", abel), ("subnormal", subnormal), ("diagonal", diagonal)):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / name)]
@@ -590,8 +593,19 @@ def abel_cauchy_doc(**source):
     return doc
 
 
+def config_doc(name, **sections):
+    """A bundled config with some of its sections updated."""
+    doc = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    for key, value in sections.items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    return doc
+
+
 def test_cli_package_error_is_one_line(tmp_path):
-    # no traceback: one line on stderr, exit status 2
+    # no traceback and no output directory: one line on stderr, exit status 2
     unit_w = make_doc()
     unit_w["source"]["w"] = {"kind": "unit", "index": 999}
     cases = [
@@ -622,6 +636,34 @@ def test_cli_package_error_is_one_line(tmp_path):
             abel_cauchy_doc(p=1000000.5),
             "series power at p = 1000000.5 is not finite (a_0^p or the series overflows)",
         ),
+        # (lambda - log sigma)^nu overflows in the ground truth, with no numpy warning
+        (
+            config_doc("diagonal_apriori.json", operator={"modes": 40}, source={"nu": 10**6}),
+            "a priori alpha at delta = 0.01 is not a positive finite number (p = 0.0, nu = 1000000)",
+        ),
+        # the rate bound log(1/delta)^{-nu/(p+1)} underflows, or overflows
+        # where delta > 1/e; the a priori alpha at 1e-300 is a finite 1e34
+        (
+            config_doc("diagonal_discrepancy.json", source={"nu": 500}),
+            "rate bound at delta = 0.0001 underflows (p = 0.0, nu = 500)",
+        ),
+        (
+            config_doc(
+                "integration_apriori.json",
+                source={"p": 1.0, "nu": 130},
+                delta_ladder=[1e-300, 1e-301, 1e-302],
+            ),
+            "rate bound at delta = 1e-300 underflows (p = 1.0, nu = 130)",
+        ),
+        (
+            config_doc(
+                "diagonal_discrepancy.json",
+                source={"nu": 1000},
+                delta0=0.95,
+                delta_ladder=[0.9, 0.8, 0.7],
+            ),
+            "rate bound at delta = 0.9 overflows (p = 0.0, nu = 1000)",
+        ),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -635,6 +677,7 @@ def test_cli_package_error_is_one_line(tmp_path):
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"illposed: {message}\n"
+        assert not (tmp_path / "out").exists()
     for grid_n in ("0", "-3"):
         argv = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--grid-n", grid_n]
         out = subprocess.run(

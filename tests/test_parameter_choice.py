@@ -378,6 +378,15 @@ def test_residual_floor_bounds_the_companion_from_below(kind, norm, cfg):
     assert op.norm_bound >= exact * (1.0 - 1e-13)
 
 
+@pytest.mark.parametrize("cfg", [RegularizerConfig("lavrentiev", m=m) for m in (1, 2, 8)] + [CAUCHY])
+def test_residual_floor_is_nondecreasing_in_alpha(cfg):
+    # why the walk's descent skips no grid point below its first trial
+    alphas = np.logspace(-14, 4, 400)
+    for norm_bound in (1e-3, 1.0, 1e3):
+        floors = [cfg.residual_floor(float(alpha), norm_bound) for alpha in alphas]
+        assert all(lower <= upper for lower, upper in zip(floors, floors[1:]))
+
+
 @pytest.mark.parametrize("kind, cfg", LADDER_CASES)
 def test_discrepancy_ladder_rows_equal_one_row_calls(kind, cfg):
     op, data = _ladder_problem(kind)
@@ -426,3 +435,43 @@ def test_bundled_discrepancy_ladder_counts(filter_counts):
     run_rate_experiment(load_config(CONFIG_DIR / "diagonal_discrepancy.json"))
     assert (len(trials), len(set(trials)), len(built)) == (22, 17, 17)
     assert len(trials) > len(built)
+
+
+def test_band_search_tries_no_alpha_twice(monkeypatch):
+    # r = 0.9 a^3 against [1, 2]: the trial at alpha_max = 1 is below the
+    # band, the march's first step lands above it at 2, and [1, 2] is the
+    # bracket, with no second trial at 1
+    trials = []
+
+    def residual(a):
+        trials.append(a)
+        return 0.9 * a**3
+
+    hit = parameter_choice._band_search(residual, 1.0, 1.0, 2.0, lambda a: 0.0)
+    assert trials == [1.0, 2.0, math.sqrt(2.0), math.sqrt(math.sqrt(2.0))]
+    assert hit == (1.189207115002721, 1.513613547456686)
+    # each row of the test ladders and of the bundled discrepancy configs
+    rows = []
+    band_search = parameter_choice._band_search
+
+    def recording(residual, *args):
+        tried = []
+        rows.append(tried)
+        return band_search(lambda a: tried.append(a) or residual(a), *args)
+
+    monkeypatch.setattr(parameter_choice, "_band_search", recording)
+    dcfg = DiscrepancyConfig(b0=6.0, b1=8.0)
+    for kind, cfg in LADDER_CASES:
+        op, data = _ladder_problem(kind)
+        discrepancy_alphas(op, cfg, dcfg, data, LADDER)
+    bundled = [
+        (CONFIG_DIR / "diagonal_discrepancy.json", (22, 17)),
+        (BENCH_CONFIG_DIR / "abel_l2_discrepancy.json", (14, 14)),
+    ]
+    for path, counts in bundled:
+        for seed in (None, 1, 2):
+            first = len(rows)
+            run_rate_experiment(load_config(path, seed=seed))
+            alphas = [alpha for tried in rows[first:] for alpha in tried]
+            assert (len(alphas), len(set(alphas))) == counts
+    assert all(len(tried) == len(set(tried)) for tried in rows)
