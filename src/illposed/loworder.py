@@ -9,9 +9,10 @@ convolution representation
     w(x) = int_0^x log(x - xi) u'(xi) dxi,
     u'(xi) = kappa (-log(c xi))^{-kappa-1} / xi,
 
-which this module evaluates directly by double-exponential quadrature in
-numpy alone (the proof-device approximants with cutting functions are not
-needed computationally).  Sufficiency asks kappa > 1: then w(x) -> 0 like
+which depends on x only through L = log(1/(c x)): this module evaluates
+w = log(x) L^{-kappa} + R(L) by one tanh-sinh rule for R(L) in numpy alone
+(the proof-device approximants with cutting functions are not needed
+computationally).  Sufficiency asks kappa > 1: then w(x) -> 0 like
 (log(1/x))^{1-kappa}, a decay that is logarithmic and therefore *slow*.
 
 A further consistency check uses the derivative of the fractional-power
@@ -67,6 +68,10 @@ class LogExampleParams:
             raise DomainError(f"kappa must be a finite positive number, got {self.kappa!r}")
 
 
+def _overflow_error(params: LogExampleParams) -> DomainError:
+    return DomainError(f"(-log(c x))^-kappa overflows at c = {params.c}, kappa = {params.kappa!r}")
+
+
 def sample_u_log(params: LogExampleParams, n: int) -> GridFunction:
     """Samples of the candidate on the uniform grid; u(0) = 0 by the second branch."""
     x = np.linspace(0.0, 1.0, n + 1)
@@ -76,16 +81,8 @@ def sample_u_log(params: LogExampleParams, n: int) -> GridFunction:
     with np.errstate(over="ignore"):
         vals[1:] = arg**-params.kappa
     if not np.all(np.isfinite(vals)):
-        raise DomainError(
-            f"(-log(c x))^-kappa overflows at c = {params.c}, kappa = {params.kappa!r}"
-        )
+        raise _overflow_error(params)
     return GridFunction(vals, "sup")
-
-
-def u_log_derivative(params: LogExampleParams, xi: np.ndarray) -> np.ndarray:
-    """u'(xi) = kappa (-log(c xi))^{-kappa-1} / xi on (0, 1]."""
-    arg = -np.log(params.c * xi)
-    return params.kappa * arg ** (-params.kappa - 1.0) / xi
 
 
 def _log_moments(t1, t2):
@@ -134,55 +131,61 @@ def log_kernel_apply_at(u: GridFunction, x: float) -> float:
 def log_kernel_derivative(params: LogExampleParams, x_points, rel_tol: float = 1e-6) -> np.ndarray:
     """w(x) = int_0^x log(x - xi) u'(xi) dxi at the requested points.
 
-    Double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974), all points
-    in one pass.  Left piece, xi in (0, x/2]: with ell = log(1/(c xi)) =
-    ell0 + r, log(x - xi) = log x + log1p(-e^{-r}/2).  The log x part
-    integrates to log(x) ell0^{-kappa} exactly; the rest decays like e^{-r}
-    and takes the exp-sinh map r = exp(pi/2 sinh tau).  Right piece,
-    t = x - xi in [0, x/2]: the tanh-sinh map t = (x/2) / (1 + e^{-pi sinh tau}),
-    free of cancellation near the log singularity t = 0.  The trapezoid rule
-    on tau in [-4, 4] halves h from 1 down to 2^-7; a point stops once a
-    halving changes its sum by at most 1e-13 relative, after at least three
-    halvings, and that last change is its error estimate.  A point whose
-    estimate exceeds ``rel_tol * |w|`` raises QuadratureError (the first such
-    point is named).
+    w = log(x) L^{-kappa} + R(L), R(L) = kappa int_0^1 log(1 - s)/s
+    (L - log s)^{-kappa-1} ds, with L = -log c - log x (c x, which underflows
+    for subnormal x, is never formed).  R takes the tanh-sinh map
+    s = 1 / (1 + e^{-pi sinh tau}) (Takahasi & Mori, Publ. RIMS 9, 1974), all
+    points in one pass: the trapezoid rule on tau in [-4, 4] halves h from 1
+    down to 2^-7, and a point stops once a halving changes its sum by at most
+    1e-13 relative, after at least three halvings; that change is its error
+    estimate.  A point whose sum is not finite or whose estimate exceeds
+    ``rel_tol * |w|`` raises QuadratureError (the first such point is
+    named); a head L^{-kappa} that overflows raises DomainError.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    if np.any(xs <= 0) or np.any(xs > 1):
+    if not np.all((xs > 0) & (xs <= 1)):
         raise DomainError("evaluation points must lie in (0, 1]")
-    c, kap = params.c, params.kappa
-    # ell0 and the exact part log(x) ell0^{-kappa} through libm's scalar log
-    # and pow: numpy's vectorized loops may round them an ulp apart
-    ell0 = np.array(list(map(math.log, (2.0 / (c * xs)).tolist())))
+    kap = params.kappa
+    # L and the head log(x) L^{-kappa} through libm's scalar log and pow:
+    # numpy's vectorized loops may round them an ulp apart
     log_x = np.array(list(map(math.log, xs.tolist())))
-    head = log_x * np.array(list(map(math.pow, ell0.tolist(), [-kap] * xs.size)))
+    ell = -math.log(params.c) - log_x
 
     def rule_sums(tau: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Sum of the mapped integrand over the nodes tau, one row per point."""
-        phi = 0.5 * math.pi * np.sinh(tau)
-        dphi = 0.5 * math.pi * np.cosh(tau)
-        r = np.exp(phi)
-        x = xs[rows, None]
-        left = np.log1p(-0.5 * np.exp(-r)) * kap * (ell0[rows, None] + r) ** (-kap - 1.0) * r * dphi
-        t = 0.5 * x / (1.0 + np.exp(-2.0 * phi))
-        dt = 0.5 * x * dphi / (1.0 + np.cosh(2.0 * phi))
-        return np.sum(left + np.log(t) * u_log_derivative(params, x - t) * dt, axis=1)
+        """Sum of the mapped integrand over the nodes tau, one row per point.
 
-    h = 1.0
-    rule = rule_sums(np.arange(-4.0, 4.5), np.arange(xs.size))
-    err = np.empty(xs.size)
-    active = np.ones(xs.size, dtype=bool)
-    for halving in range(1, 8):
-        h /= 2.0
-        rows = np.flatnonzero(active)
-        refined = 0.5 * rule[rows] + h * rule_sums(np.arange(-4.0 + h, 4.0, 2.0 * h), rows)
-        err[rows], rule[rows] = np.abs(refined - rule[rows]), refined
-        if halving >= 3:
-            active[rows] = ~(err[rows] <= 1e-13 * np.abs(refined))
-            if not active.any():
-                break
-    total = head + rule
-    failed = np.flatnonzero(err > rel_tol * np.maximum(np.abs(total), 1e-12))
+        The map gives s and 1 - s each without cancellation: log s is
+        log1p(-(1 - s)) where s > 1/2, and log(1 - s) is log1p(-s) elsewhere.
+        """
+        phi = 0.5 * math.pi * np.sinh(tau)
+        s, sc = 1.0 / (1.0 + np.exp(-2.0 * phi)), 1.0 / (1.0 + np.exp(2.0 * phi))
+        upper = s > 0.5
+        log_s = np.where(upper, np.log1p(-sc), np.log(s))
+        ds = 0.5 * math.pi * np.cosh(tau) / (1.0 + np.cosh(2.0 * phi))
+        weight = np.where(upper, np.log(sc), np.log1p(-s)) / s * ds
+        return kap * np.sum(weight * (ell[rows, None] - log_s) ** (-kap - 1.0), axis=1)
+
+    with np.errstate(all="ignore"):
+        try:
+            head = log_x * np.array([math.pow(v, -kap) for v in ell.tolist()])
+        except OverflowError:
+            raise _overflow_error(params) from None
+        h = 1.0
+        rule = rule_sums(np.arange(-4.0, 4.5), np.arange(xs.size))
+        err = np.empty(xs.size)
+        active = np.ones(xs.size, dtype=bool)
+        for halving in range(1, 8):
+            h /= 2.0
+            rows = np.flatnonzero(active)
+            refined = 0.5 * rule[rows] + h * rule_sums(np.arange(-4.0 + h, 4.0, 2.0 * h), rows)
+            err[rows], rule[rows] = np.abs(refined - rule[rows]), refined
+            if halving >= 3:
+                active[rows] = ~(err[rows] <= 1e-13 * np.abs(refined))
+                if not active.any():
+                    break
+        total = head + rule
+        ok = np.isfinite(total) & (err <= rel_tol * np.maximum(np.abs(total), 1e-12))
+        failed = np.flatnonzero(~ok)
     if failed.size:
         i = failed[0]
         raise QuadratureError(
@@ -227,13 +230,14 @@ def verify_membership(params: LogExampleParams, n: int = 512, identity_n: int = 
         raise DomainError("need at least two grid cells")
     if n > MAX_GRID_CELLS:
         raise DomainError(f"need at most {MAX_GRID_CELLS} grid cells, got {n}")
+    # a candidate that overflows on the grid fails here, before any diagnostic
+    u = sample_u_log(params, n)
     xs = np.array([2.0**-k for k in DECAY_POWERS])
     # the decay points and FD_X in one pass; each point stops as it would alone
     w_all = log_kernel_derivative(params, np.append(xs, FD_X))
     w_vals, w_at = w_all[:-1], float(w_all[-1])
     w_decreasing = bool(np.all(np.diff(np.abs(w_vals)) < 0.0))
 
-    u = sample_u_log(params, n)
     su_plus = log_kernel_apply_at(u, FD_X + FD_H)
     su_minus = log_kernel_apply_at(u, FD_X - FD_H)
     fd = (su_plus - su_minus) / (2.0 * FD_H)

@@ -154,8 +154,9 @@ def series_exp(g: np.ndarray) -> np.ndarray:
     Functions of Matrices, ch. 10).  The scaling bounds every term of the
     recurrence by e, so its cancellation error stays near rounding whatever
     the size of g.  This is the one loop over coefficients left in the series
-    arithmetic: a Newton or FFT core moves the last bits, which the
-    finite-difference goldens magnify far past their tolerance.
+    arithmetic.  A Newton or FFT core would move the last bits, which no
+    golden magnifies (``check_axioms`` forms its continuity change as a
+    direct difference); it replaces the loop once a benchmark shows a gain.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -435,27 +436,30 @@ def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> Symbol
     return SymbolMap(series_power(shifted, -float(nu)), volterra=True)
 
 
-def evolution_maps(op: DiscreteOperator, t: float) -> tuple[SymbolMap, SymbolMap]:
-    """(e^{-tA}, phi_t(A)) with phi_t(z) = (1 - e^{-tz})/z.
+def decay_maps(op: DiscreteOperator, t: float) -> tuple[SymbolMap, SymbolMap]:
+    """(e^{-tA}, I - e^{-tA}): entrywise on the singular values, or lag series.
 
-    Diagonal kind: both functions entrywise on the singular values.
-    Volterra kinds: both as truncated power series of the lag symbol, phi_t
-    as (1 - e^{-tA}) A^{-1}; node 0 (where A vanishes) gets 1 and t.
+    The gap's coefficient 0 comes from expm1; node 0 (where A vanishes) gets
+    1 and 0.
     """
     if op.kind == "diagonal":
         s = op.weights
-        decay = SymbolMap(np.exp(-s * t), volterra=False)
-        # (1 - e^{-st})/s, stable for small st
-        reach = SymbolMap(-np.expm1(-s * t) / s, volterra=False)
-    else:
-        lags = op.weights
-        series = series_exp(-t * lags)
-        gap = -series
-        gap[0] = -math.expm1(-t * lags[0])  # 1 - e^{-t a_0} without cancellation
-        decay = SymbolMap(series, volterra=True, node0=1.0)
-        phi = _mul(gap, op.inverse_lags, lags.size)
-        reach = SymbolMap(phi, volterra=True, node0=t)
-    return decay, reach
+        return SymbolMap(np.exp(-s * t), volterra=False), SymbolMap(-np.expm1(-s * t), volterra=False)
+    series = series_exp(-t * op.weights)
+    gap = -series
+    gap[0] = -math.expm1(-t * op.weights[0])  # 1 - e^{-t a_0} without cancellation
+    return SymbolMap(series, volterra=True, node0=1.0), SymbolMap(gap, volterra=True)
+
+
+def evolution_maps(op: DiscreteOperator, t: float) -> tuple[SymbolMap, SymbolMap]:
+    """(e^{-tA}, phi_t(A)), phi_t(z) = (1 - e^{-tz})/z the gap of ``decay_maps`` over z.
+
+    Volterra kinds: the gap times the lag series of A^{-1}; node 0 gets t.
+    """
+    decay, gap = decay_maps(op, t)
+    if op.kind == "diagonal":
+        return decay, SymbolMap(gap.symbol / op.weights, volterra=False)
+    return decay, SymbolMap(_mul(gap.symbol, op.inverse_lags, op.n), volterra=True, node0=t)
 
 
 #: cap in floats on each work array of ``_shifted_reciprocals`` (unless n > 2^14)

@@ -36,9 +36,11 @@ from .grid import _W_FUNCTIONS, GridFunction, check_finite, grid_norms
 from .operators import (
     DiscreteOperator,
     _one_row,
+    decay_maps,
     evolution_maps,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     fractional_power_exact,
+    operator_map,
     power_map,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     shifted_solve,
@@ -164,6 +166,29 @@ def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> R
     if cfg.scheme == "lavrentiev":
         return _lavrentiev(op, cfg.m, alpha)
     return _evolution(op, 1.0 / alpha)
+
+
+def companion_difference(op: DiscreteOperator, cfg: RegularizerConfig, a0: float, a1: float):
+    """S_{a1} - S_{a0} as one block map that subtracts no two companions.
+
+    Iterated Lavrentiev, X = a1 (A + a1 I)^{-1} and Y = a0 (A + a0 I)^{-1}:
+    X^m - Y^m = (X - Y) sum_j X^j Y^{m-1-j}, X - Y = (a1 - a0) A (A + a1 I)^{-1}
+    (A + a0 I)^{-1}.  Evolution method, at the t = 1/a of ``regularizer``:
+    e^{-t1 A} (I - e^{-(t0 - t1) A}), where t0 - t1 is exact for a1 near a0.
+    """
+    if cfg.scheme == "cauchy":
+        decay, gap = decay_maps(op, 1.0 / a1)[0], decay_maps(op, 1.0 / a0 - 1.0 / a1)[1]
+        return lambda u: check_finite(decay(gap(u)))
+    solve0, solve1 = shifted_solver(op, a0), shifted_solver(op, a1)
+
+    def step(u):
+        power, total = u, u  # total <- X total + Y^k u sums X^j Y^{k-j} u, j = 0..k
+        for _ in range(cfg.m - 1):
+            power = a0 * solve0(power)
+            total = a1 * solve1(total) + power
+        return check_finite((a1 - a0) * operator_map(op)(solve0(solve1(total))))
+
+    return step
 
 
 def regularize(

@@ -35,8 +35,10 @@ without forming a matrix.  The routes here share none of that code path:
   every grid alpha from ||A|| down and a filter built per trial, which the
   library's walk, which steps over alphas its certified floor rules out,
   must match bit for bit;
+* ``u_log_derivative``, the low-order candidate's u'(xi) on (0, 1];
 * ``quadpack_w``, QUADPACK (Piessens et al., 1983) for the low-order
-  candidate's w, which checks the library's double-exponential rule;
+  candidate's w in xi, split at x/2, which checks the library's tanh-sinh
+  rule in L = log(1/(c x));
 * ``graded_w``, the same w by graded composite Gauss-Legendre panels with an
   analytic first cell, one point at a time.
 """
@@ -54,7 +56,7 @@ from scipy.linalg import expm, toeplitz
 from illposed.errors import DomainError, QuadratureError
 from illposed.grid import GridFunction, grid_norms
 from illposed.harness import Problem
-from illposed.loworder import LogExampleParams, log_kernel_apply_at, u_log_derivative
+from illposed.loworder import LogExampleParams, log_kernel_apply_at
 from illposed.operators import (
     DiscreteOperator,
     SymbolMap,
@@ -156,6 +158,12 @@ def laplace_log_resolvent_power(
         aq = fractional_power_exact(op, float(q), w)
         acc += wt * q ** (nu - 1) * math.exp(-lam * q) / fac * aq.values
     return w.with_values(acc)
+
+
+def u_log_derivative(params: LogExampleParams, xi: np.ndarray) -> np.ndarray:
+    """u'(xi) = kappa (-log(c xi))^{-kappa-1} / xi on (0, 1]."""
+    arg = -np.log(params.c * xi)
+    return params.kappa * arg ** (-params.kappa - 1.0) / xi
 
 
 def quadpack_w(params: LogExampleParams, x: float) -> float:

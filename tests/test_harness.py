@@ -266,6 +266,16 @@ def test_cli_reports_bad_field_in_one_line(tmp_path):
             ["loworder-verify", "--c", "0.5", "--kappa", "1e308"],
             "(-log(c x))^-kappa overflows at c = 0.5, kappa = 1e+308",
         ),
+        # the remainder of w overflows at x = 1/2 before the head does: the
+        # grid's samples are checked first, and no numpy warning escapes
+        (
+            ["loworder-verify", "--c", "0.99", "--kappa", "2000"],
+            "(-log(c x))^-kappa overflows at c = 0.99, kappa = 2000.0",
+        ),
+        (
+            ["loworder-verify", "--c", "0.99", "--kappa", "3000"],
+            "(-log(c x))^-kappa overflows at c = 0.99, kappa = 3000.0",
+        ),
     ):
         out = subprocess.run(
             [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
@@ -998,13 +1008,15 @@ def test_check_axioms_builds_no_ground_truth(monkeypatch):
 
 
 def test_check_axioms_one_filter_per_alpha(monkeypatch):
-    # growth: one filter and one probe-block apply per alpha of
-    # the 20; continuity builds two more filters, at 0.1 ||A|| and next to it
+    # growth: one filter and one probe-block apply per alpha of the 20;
+    # continuity builds one more filter, at 0.1 ||A||, and one difference map
+    # from there to the alpha next to it
     import illposed.harness as harness
     from illposed.schemes import Regularizer
 
-    calls = {"build": 0, "apply": 0}
+    calls = {"build": 0, "apply": 0, "difference": 0}
     build, apply_block = harness.regularizer, Regularizer.apply
+    difference = harness.companion_difference
 
     def counting_build(op, cfg, alpha):
         calls["build"] += 1
@@ -1014,10 +1026,15 @@ def test_check_axioms_one_filter_per_alpha(monkeypatch):
         calls["apply"] += 1
         return apply_block(self, g)
 
+    def counting_difference(op, cfg, a0, a1):
+        calls["difference"] += 1
+        return difference(op, cfg, a0, a1)
+
     monkeypatch.setattr(harness, "regularizer", counting_build)
     monkeypatch.setattr(Regularizer, "apply", counting_apply)
+    monkeypatch.setattr(harness, "companion_difference", counting_difference)
     check_axioms(load_config(CONFIG_DIR / "integration_apriori.json"))
-    assert calls == {"build": 22, "apply": 20}
+    assert calls == {"build": 21, "apply": 20, "difference": 1}
 
 
 def test_check_axioms_ignores_source(tmp_path):

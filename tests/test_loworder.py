@@ -162,7 +162,8 @@ MEMBERSHIP_XS = [2.0**-k for k in range(4, 21)] + [0.5, 2.0**-143, 2.0**-400]
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
 def test_w_all_points_equal_one_point_calls(c, kappa):
     # one pass over all points stops each where it would stop alone: same
-    # bits, and at rel_tol = 1e-15 the same first failing point and message
+    # bits, and at rel_tol = 1e-16, which some points miss at every (c,
+    # kappa), the same first failing point and message
     params = LogExampleParams(c=c, kappa=kappa)
     together = log_kernel_derivative(params, MEMBERSHIP_XS)
     alone = [log_kernel_derivative(params, [x])[0] for x in MEMBERSHIP_XS]
@@ -170,26 +171,59 @@ def test_w_all_points_equal_one_point_calls(c, kappa):
     messages = []
     for x in MEMBERSHIP_XS:
         try:
-            log_kernel_derivative(params, [x], rel_tol=1e-15)
+            log_kernel_derivative(params, [x], rel_tol=1e-16)
         except QuadratureError as exc:
             messages.append(str(exc))
-    if not messages:
-        log_kernel_derivative(params, MEMBERSHIP_XS, rel_tol=1e-15)
-        return
+    assert messages
     with pytest.raises(QuadratureError) as info:
-        log_kernel_derivative(params, MEMBERSHIP_XS, rel_tol=1e-15)
+        log_kernel_derivative(params, MEMBERSHIP_XS, rel_tol=1e-16)
     assert str(info.value) == messages[0]
     frozen = {
-        (0.5, 2.0): "w(0.5) quadrature error 7.42e-14 exceeds tolerance 1.00e-15 * |-9.519125e-01|",
-        (0.9, 2.0): "w(0.5) quadrature error 6.13e-14 exceeds tolerance 1.00e-15 * |-3.479421e+00|",
+        (0.1, 0.5): "w(0.0625) quadrature error 6.80e-16 exceeds tolerance 1.00e-16 * |-1.291460e+00|",
+        (0.1, 2.0): "w(0.0625) quadrature error 1.14e-15 exceeds tolerance 1.00e-16 * |-1.261124e-01|",
+        (0.5, 0.5): "w(0.0625) quadrature error 3.00e-15 exceeds tolerance 1.00e-16 * |-1.590732e+00|",
+        (0.5, 2.0): "w(0.0625) quadrature error 3.68e-16 exceeds tolerance 1.00e-16 * |-2.833333e-01|",
+        (0.9, 0.5): "w(0.0625) quadrature error 1.53e-15 exceeds tolerance 1.00e-16 * |-1.763819e+00|",
+        (0.9, 2.0): "w(0.03125) quadrature error 1.37e-15 exceeds tolerance 1.00e-16 * |-3.201685e-01|",
     }
     assert messages[0] == frozen[(c, kappa)]
 
 
 def test_w_adaptive_enforces_rel_tol():
-    # at x = 1 the last halving moves the sum by 5.9e-14, 1.7e-14 of |w| = 3.4
-    with pytest.raises(QuadratureError):
-        log_kernel_derivative(PARAMS, [1.0], rel_tol=1e-15)
+    # at x = 2^-4 the last halving moves the sum by 3.68e-16, 1.3e-15 of |w|
+    with pytest.raises(QuadratureError) as info:
+        log_kernel_derivative(PARAMS, [2.0**-4], rel_tol=1e-16)
+    assert str(info.value) == (
+        "w(0.0625) quadrature error 3.68e-16 exceeds tolerance 1.00e-16 * |-2.833333e-01|"
+    )
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.01, 2.0])
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.99])
+def test_w_within_remainder_bound_far_below_the_decay_window(c, kappa):
+    # w = log(x) L^{-kappa} + R(L) with |R(L)| <= kappa (pi^2/6) L^{-kappa-1},
+    # L = log(1/(c x)), down to the least subnormal; pytest turns a numpy
+    # warning into an error
+    params = LogExampleParams(c=c, kappa=kappa)
+    xs = [2.0**-143, 2.0**-400, 2.0**-1000, 2.0**-1074]
+    w = log_kernel_derivative(params, xs)
+    assert np.all(np.isfinite(w))
+    for x, wx in zip(xs, w):
+        ell = -math.log(c) - math.log(x)
+        assert abs(wx - math.log(x) * ell**-kappa) <= kappa * (math.pi**2 / 6.0) * ell ** (-kappa - 1.0)
+
+
+def test_w_non_finite_sum_raises_naming_the_point():
+    # at c = 0.99, kappa = 2000 the head 0.703^-2000 at x = 1/2 is finite,
+    # but R(L) ~ kappa L^{-kappa-1} overflows
+    params = LogExampleParams(c=0.99, kappa=2000.0)
+    with pytest.raises(QuadratureError, match=r"^w\(0\.5\) quadrature error "):
+        log_kernel_derivative(params, [0.5])
+
+
+def test_w_head_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows at c = 0.99, kappa = 3000.0"):
+        log_kernel_derivative(LogExampleParams(c=0.99, kappa=3000.0), [0.5])
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):
@@ -244,8 +278,9 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_w_domain_checks():
-    with pytest.raises(DomainError):
-        log_kernel_derivative(PARAMS, [0.0])
+    for x in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            log_kernel_derivative(PARAMS, [0.5, x])
 
 
 def test_abel_order_derivative_identity():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,12 +15,19 @@ from illposed.operators import (
     integration_operator,
     shifted_solve,
 )
-from illposed.schemes import RegularizerConfig, qualification_checks, regularize, regularizer
+from illposed.schemes import (
+    RegularizerConfig,
+    companion_difference,
+    qualification_checks,
+    regularize,
+    regularizer,
+)
 
 from oracles import expm_evolve
 
 LAV1 = RegularizerConfig("lavrentiev", m=1)
 LAV2 = RegularizerConfig("lavrentiev", m=2)
+LAV3 = RegularizerConfig("lavrentiev", m=3)
 CAUCHY = RegularizerConfig("cauchy")
 
 
@@ -320,6 +328,51 @@ def test_continuity_in_alpha():
             s0 = _one_row(op, regularizer(op, cfg, alpha).companion, u)
             s1 = _one_row(op, regularizer(op, cfg, alpha * (1.0 + 1e-6)).companion, u)
             assert (s1 - s0).norm() <= 1e-4 * max(s0.norm(), 1e-300)
+
+
+@pytest.mark.parametrize("cfg", [LAV1, LAV2, LAV3, CAUCHY], ids=["lav1", "lav2", "lav3", "cauchy"])
+def test_companion_difference_matches_decimal_arithmetic_on_the_diagonal(cfg):
+    # S_{a1} - S_{a0} at relative step 1e-6, where subtracting the two
+    # companions loses six digits, against 50-digit decimal arithmetic on each
+    # singular value: (a1/(s + a1))^m - (a0/(s + a0))^m, or
+    # e^{-t1 s} - e^{-t0 s} at the float t = 1.0/a that the evolution method
+    # uses, within a few eps times the condition number: m, or 1 + t s, since
+    # exp(-t s) carries the rounding of the product t s
+    op = exp_decay_diagonal(25)
+    u = np.linspace(1.0, 0.2, op.dim)
+    for a0 in (1e-3, 0.1):
+        a1 = a0 * (1.0 + 1e-6)
+        got = companion_difference(op, cfg, a0, a1)(u[None])[0]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d0, d1 = Decimal(a0), Decimal(a1)
+            t0, t1 = Decimal(1.0 / a0), Decimal(1.0 / a1)
+            want = []
+            for s, v in zip(map(Decimal, op.weights.tolist()), map(Decimal, u.tolist())):
+                if cfg.scheme == "cauchy":
+                    diff = (-t1 * s).exp() - (-t0 * s).exp()
+                else:
+                    diff = (d1 / (s + d1)) ** cfg.m - (d0 / (s + d0)) ** cfg.m
+                want.append(float(diff * v))
+        cond = 1.0 + op.weights / a0 if cfg.scheme == "cauchy" else float(cfg.m)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 8.0 * eps * cond * np.abs(want))
+
+
+@pytest.mark.parametrize("cfg", [LAV1, LAV2, LAV3, CAUCHY], ids=["lav1", "lav2", "lav3", "cauchy"])
+def test_companion_difference_is_the_difference_of_companions(cfg):
+    # on every kind, with a0 < a1 and a0 > a1; a subtraction of the two
+    # companions keeps about 16 + log10(step) digits of their difference
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for op in (exp_decay_diagonal(25), integration_operator(64), abel_operator(0.5, 64)):
+        u = op.grid_function(rng.standard_normal(op.dim))
+        a0 = 0.1 * op.op_norm
+        for step, rtol in ((1.0, 1e-12), (-0.5, 1e-12), (1e-6, 1e-8)):
+            a1 = a0 * (1.0 + step)
+            s0 = _one_row(op, regularizer(op, cfg, a0).companion, u)
+            s1 = _one_row(op, regularizer(op, cfg, a1).companion, u)
+            got = _one_row(op, companion_difference(op, cfg, a0, a1), u)
+            assert (got - (s1 - s0)).norm() <= rtol * got.norm()
 
 
 def test_range_chain_decay_ordering():
