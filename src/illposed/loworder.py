@@ -76,8 +76,9 @@ def sample_u_log(params: LogExampleParams, n: int) -> GridFunction:
     """Samples of the candidate on the uniform grid; u(0) = 0 by the second branch."""
     x = np.linspace(0.0, 1.0, n + 1)
     vals = np.zeros(n + 1)
-    arg = -np.log(params.c * x[1:])
-    assert np.all(arg > 0.0), "c < 1 and x <= 1 guarantee c*x < 1"
+    # L = -log c - log x, as in log_kernel_derivative: c x underflows for small c
+    arg = -math.log(params.c) - np.log(x[1:])
+    assert np.all(arg > 0.0), "c < 1 and x <= 1 guarantee L > 0"
     with np.errstate(over="ignore"):
         vals[1:] = arg**-params.kappa
     if not np.all(np.isfinite(vals)):

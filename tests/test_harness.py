@@ -311,13 +311,21 @@ def test_run_rejects_a_ground_truth_that_underflows_to_zero(tmp_path):
         assert not (tmp_path / name).exists()
 
 
-@pytest.mark.parametrize("kappa", ["1933", "1936"])
-def test_loworder_verify_runs_quietly_near_the_overflow(kappa, tmp_path):
+@pytest.mark.parametrize(
+    "c, kappa",
+    [
+        pytest.param("0.5", "1933", id="1933"),
+        pytest.param("0.5", "1936", id="1936"),
+        # c x underflows to 0 on the grid; L = -log c - log x does not
+        pytest.param("1e-320", "2", id="c1e-320"),
+    ],
+)
+def test_loworder_verify_runs_quietly_near_the_overflow(c, kappa, tmp_path):
     # samples near the float maximum at x = 1 lie past the identity points:
     # no diagnostic sums them, so no overflow warning reaches stderr
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    argv = ["loworder-verify", "--c", "0.5", "--kappa", kappa, "--out", str(tmp_path / "low.json")]
+    argv = ["loworder-verify", "--c", c, "--kappa", kappa, "--out", str(tmp_path / "low.json")]
     out = subprocess.run(
         [sys.executable, "-m", "illposed.cli", *argv], capture_output=True, text=True, env=env
     )
