@@ -71,8 +71,9 @@ def product_integration_weights(order: float, n: int) -> np.ndarray:
 def _mul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Coefficients 0..k-1 of the product of two power series.
 
-    Every series product of the package goes through here, so each keeps the
-    bits of this one ``np.convolve`` call.
+    Every series product of the package goes through here, the reciprocals
+    of the sup positive-type measurement included, so each keeps the bits
+    (and the BLAS ``ddot`` kernel) of this one ``np.convolve`` call.
     """
     return np.convolve(a[:k], b[:k])[:k]
 
@@ -365,8 +366,8 @@ def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
     f_0 / alpha.  Diagonal kind: division by sigma_k + alpha.  Schemes that
     solve m times with one alpha build this once.
     """
-    if alpha <= 0:
-        raise DomainError("shift alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("shift alpha must be positive and finite")
     if op.is_volterra:
         shifted = op.weights.copy()
         shifted[0] += alpha
@@ -462,47 +463,14 @@ def evolution_maps(op: DiscreteOperator, t: float) -> tuple[SymbolMap, SymbolMap
     return decay, SymbolMap(_mul(gap.symbol, op.inverse_lags, op.n), volterra=True, node0=t)
 
 
-#: cap in floats on each work array of ``_shifted_reciprocals`` (unless n > 2^14)
-_RATIO_BLOCK_FLOATS = 2**15
-
-
-def _shifted_reciprocals(lags: np.ndarray, alphas: np.ndarray):
-    """Yield the reciprocal series 1 / (lags + alpha e_0), one row per alpha.
-
-    The rows come in blocks of max(1, 2^15 // 2n) alphas, so no series block
-    or spectrum exceeds 2^15 floats.  Each block is built by Newton doubling
-    b <- b + b (1 - a b) (Brent & Kung, J. ACM 25, 1978) with FFT products
-    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Once b
-    is right mod z^h, 1 - a b vanishes below z^h, so the step to length
-    k <= 2h takes two cyclic products of length k: coefficients h..k-1 of
-    lags * b, which the shift alpha e_0 does not reach (one transform of the
-    lags serves every alpha), then b times them.
-    """
-    n = lags.size
-    steps = []
-    h = 1
-    while h < n:
-        k = min(2 * h, n)
-        steps.append((h, k, np.fft.rfft(lags[:k])))
-        h = k
-    rows = max(1, _RATIO_BLOCK_FLOATS // (2 * n))
-    for start in range(0, alphas.size, rows):
-        b = np.empty((min(rows, alphas.size - start), n))
-        b[:, 0] = 1.0 / (lags[0] + alphas[start : start + rows])
-        for h, k, lags_hat in steps:
-            b_hat = np.fft.rfft(b[:, :h], k)
-            b_hat *= np.fft.rfft(np.fft.irfft(lags_hat * b_hat, k)[:, h:], k)
-            b[:, h:k] = -np.fft.irfft(b_hat, k)[:, : k - h]
-        yield b
-
-
 def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:
     """alpha * ||(A + alpha I)^{-1}|| for each alpha, in the operator's norm.
 
     These are the measured side of ``kappa_star``, whose certificates follow.
     Sup norm: the inverse is lower Toeplitz, so its largest absolute row sum
-    is the l1 norm of its first column, the reciprocal series b of the
-    shifted lags (``_shifted_reciprocals``), and node 0 contributes exactly
+    is the l1 norm of its first column, the reciprocal series b of the shifted
+    lags, which ``shifted_solver`` builds as for every Lavrentiev filter
+    (O(n^2) time and O(n) memory per alpha), and node 0 contributes exactly
     alpha * (1/alpha) = 1.  The lags of ``product_integration_weights``, the
     constant h and (m+1)^a - m^a for 0 < a < 1, are positive and log-convex,
     and a shift of lag 0 keeps them so; then b_m <= 0 for m >= 1 (Kaluza,
@@ -518,8 +486,8 @@ def _postype_ratios(op: DiscreteOperator, alphas: np.ndarray) -> np.ndarray:
         return alphas / (float(np.min(op.weights)) + alphas)
     if op.norm_kind == "l2_scaled":
         return np.ones_like(alphas)
-    sums = [np.abs(b).sum(axis=1) for b in _shifted_reciprocals(op.weights, alphas)]
-    return np.maximum(1.0, alphas * np.concatenate(sums))
+    sums = np.array([np.abs(shifted_solver(op, a).symbol).sum() for a in alphas])
+    return np.maximum(1.0, alphas * sums)
 
 
 def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
@@ -533,8 +501,8 @@ def estimate_postype_constant(op: DiscreteOperator, alpha_grid) -> float:
     grid = np.asarray(list(alpha_grid), dtype=float)
     if grid.size == 0:
         raise DomainError("alpha grid must be nonempty")
-    if np.any(grid <= 0):
-        raise DomainError("alpha grid entries must be positive")
+    if not np.all((grid > 0) & (grid < math.inf)):
+        raise DomainError("alpha grid entries must be positive and finite")
     return max(1.0, float(np.max(_postype_ratios(op, grid))))
 
 

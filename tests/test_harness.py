@@ -714,7 +714,8 @@ def test_explicit_sigma_runs():
 
 def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
     # start-up is most of a bundled command's time: scipy is a test-only
-    # dependency, and np.median and np.unique would import numpy.ma
+    # dependency, np.median and np.unique would import numpy.ma, and every
+    # series product goes through np.convolve, so none needs numpy.fft
     src = str(Path(__file__).resolve().parents[1] / "src")
     commands = [
         [cmd, "--config", str(path), "--out", str(tmp_path / f"{cmd}-{path.stem}")]
@@ -732,7 +733,7 @@ def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "parts = [m.split('.') for m in sys.modules]\n"
-        "print(sorted(p for p in parts if p[0] == 'scipy' or p[:2] == ['numpy', 'ma']))\n"
+        "print(sorted(p for p in parts if p[0] == 'scipy' or p[:2] in (['numpy', 'ma'], ['numpy', 'fft'])))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

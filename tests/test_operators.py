@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import solve_triangular, toeplitz
 
 from illposed.errors import DimensionMismatchError, DomainError
 from illposed.grid import NORM_KINDS, GridFunction, grid_norms
@@ -14,7 +15,6 @@ from illposed.operators import (
     _mul,
     _postype_ratios,
     _power_iteration_norm,
-    _shifted_reciprocals,
     a_log_a_map,
     abel_operator,
     apply,
@@ -26,8 +26,8 @@ from illposed.operators import (
     power_map,
     product_integration_weights,
     series_log,
-    series_reciprocal,
     shifted_solve,
+    shifted_solver,
 )
 from oracles import dense_matrix
 
@@ -145,8 +145,8 @@ def test_postype_vector_bound_on_grid():
 
 @pytest.mark.parametrize("kind", sorted(VOLTERRA_KINDS))
 def test_sup_postype_ratio_matches_dense_inverse(kind):
-    # the FFT Newton reciprocals against the max row sum of the dense
-    # inverse, node 0 included; their maximum stays below the certificate
+    # the Newton reciprocals against the max row sum of the dense inverse,
+    # node 0 included; their maximum stays below the certificate
     op = VOLTERRA_KINDS[kind](128, "sup")
     grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     dense = []
@@ -172,16 +172,18 @@ def test_sup_postype_ratio_integration_closed_form(n):
 
 
 @pytest.mark.parametrize("order", [0.25, 0.5, 1.0])
-def test_sup_postype_ratio_matches_series_reciprocal(order):
-    # one direct Newton reciprocal (np.convolve) per alpha at n = 4096
-    op = abel_operator(order, 4096)
+def test_sup_postype_ratio_matches_dense_triangular_solve(order):
+    # oracle: the first column of the dense shifted lower-Toeplitz matrix,
+    # by one LAPACK triangular solve per alpha at n = 1024
+    op = abel_operator(order, 1024)
     grid = default_kappa_grid(op.op_norm, GRID_POINTS)
-    direct = []
-    for alpha in grid:
-        shifted = op.weights.copy()
-        shifted[0] += alpha
-        direct.append(max(1.0, alpha * np.abs(series_reciprocal(shifted)).sum()))
-    np.testing.assert_allclose(_postype_ratios(op, grid), direct, rtol=1e-12, atol=0.0)
+    lower = toeplitz(op.weights, np.zeros(op.n))
+    e0 = np.eye(1, op.n)[0]
+    dense = [
+        max(1.0, alpha * np.abs(solve_triangular(lower + alpha * np.eye(op.n), e0, lower=True)).sum())
+        for alpha in grid
+    ]
+    np.testing.assert_allclose(_postype_ratios(op, grid), dense, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("order", [0.25, 0.5, 1.0])
@@ -191,17 +193,16 @@ def test_sup_reciprocals_keep_kaluza_signs(order, n):
     # Math. Z. 28, 1928), so alpha sum |b| = alpha (2 b_0 - sum b) < 2
     op = abel_operator(order, n)
     grid = default_kappa_grid(op.op_norm, GRID_POINTS)
-    blocks = list(_shifted_reciprocals(op.weights, grid))
-    b = np.concatenate(blocks)
+    b = np.array([shifted_solver(op, alpha).symbol for alpha in grid])
     assert b.shape == (grid.size, n)
-    assert max(block.size for block in blocks) <= 2**14
     assert np.all(b[:, 1:] <= 1e-14 * np.abs(b).max(axis=1, keepdims=True))
     assert np.all(grid * np.abs(b).sum(axis=1) < 2.0)
     assert op.kappa_star == 2.0
 
 
 def test_sup_postype_constant_memory_stays_below_one_megabyte():
-    # row blocks of at most 2^15 floats, not one n x 60 array (3.9 MB here)
+    # one reciprocal series of n floats per alpha, O(n), not one n x 60
+    # array (3.9 MB here)
     op = integration_operator(4096)
     grid = default_kappa_grid(op.op_norm, GRID_POINTS)
     tracemalloc.start()
@@ -302,11 +303,14 @@ def test_power_iteration_raises_at_maxit():
 
 
 def test_postype_estimator_rejects_bad_grids():
-    op = diagonal_operator([1.0, 0.5], "sup")
-    with pytest.raises(DomainError):
-        estimate_postype_constant(op, [])
-    with pytest.raises(DomainError):
-        estimate_postype_constant(op, [1.0, -2.0])
+    # max(1.0, nan) is 1.0: a non-finite alpha must be refused before it
+    # can read as kappa = 1
+    for op in (diagonal_operator([1.0, 0.5], "sup"), integration_operator(16)):
+        for bad in ([], [1.0, -2.0], [math.nan], [1.0, math.nan], [math.inf]):
+            with pytest.raises(DomainError):
+                estimate_postype_constant(op, bad)
+        with pytest.raises(DomainError):
+            shifted_solver(op, math.nan)
 
 
 def test_solve_then_apply_roundtrip():
