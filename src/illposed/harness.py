@@ -363,8 +363,8 @@ def build_problem(config: ExperimentConfig) -> Problem:
 
 def add_noise(f: GridFunction, delta: float, seed: int) -> GridFunction:
     """f + delta * z/||z|| with z drawn from Philox(seed): exact noise norm."""
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError("delta must be nonnegative and finite")
     if delta == 0.0:
         return f
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

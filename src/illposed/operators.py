@@ -18,11 +18,13 @@ unconditionally stable in alpha; attributing to the left endpoint produces a
 strictly lower-triangular matrix whose resolvent blows up once alpha falls
 below the grid spacing.
 
-Every function of A the package uses is a ``SymbolMap`` built here: A,
-(A + alpha I)^{-1}, A^p, A log A, (lambda I - log A)^{-nu}, e^{-tA} and
-phi_t(A).  On the Volterra kinds each is a truncated power series of the lag
-symbol, from this module's series algebra (``_mul`` and the ``series_*``
-functions), or its closed form on the integration kind.
+Every function f(A) the package uses is a ``SymbolMap`` built here, f at
+the operator's symbol: (A + alpha I)^{-1}, A^p (A itself is p = 1), A log A,
+(lambda I - log A)^{-nu}, e^{-tA} and phi_t(A).  On the diagonal kind it is
+f at each singular value, applied by multiplication.  On the Volterra kinds
+it is a truncated power series of the lag symbol, from this module's series
+algebra (``_mul`` and the ``series_*`` functions), or its closed form on the
+integration kind.
 
 Fractional powers have one library route.  ``power_map`` is the exact
 matrix power, with ``fractional_power_exact`` its one-element call: in the
@@ -191,9 +193,7 @@ class SymbolMap:
     or the lag series of f(a(z)) for the lag symbol a(z), applied as the
     lower-triangular Toeplitz matrix on nodes 1..n (Volterra kinds,
     ``volterra`` true).  Node 0, where the Volterra operators vanish, is
-    scaled by ``node0`` = f(0).  With ``quotient`` the entrywise values and
-    ``node0`` hold 1/f and divide, so a shifted solve rounds as a division;
-    the lag series is always f's own.
+    scaled by ``node0`` = f(0).
 
     Calling the map maps each row of a (k, dim) block; each Volterra row is
     its own ``_mul``, so a row's bits do not depend on the other rows.
@@ -202,13 +202,12 @@ class SymbolMap:
     symbol: np.ndarray
     volterra: bool
     node0: float = 0.0
-    quotient: bool = False
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
         if not self.volterra:
-            return block / self.symbol if self.quotient else self.symbol * block
+            return self.symbol * block
         out = np.empty(block.shape)
-        out[:, 0] = block[:, 0] / self.node0 if self.quotient else self.node0 * block[:, 0]
+        out[:, 0] = self.node0 * block[:, 0]
         for row, values in zip(out, block):
             row[1:] = _mul(self.symbol, values[1:], self.symbol.size)
         return out
@@ -268,7 +267,6 @@ class DiscreteOperator:
     order: float
     weights: np.ndarray
     op_norm: float
-    omega: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -292,6 +290,11 @@ class DiscreteOperator:
         in l2_scaled, where ``op_norm`` comes from power iteration, from below.
         """
         return self.op_norm if self.kind == "diagonal" else float(np.sum(self.weights))
+
+    @property
+    def omega(self) -> float:
+        """log ||A||, the spectral bound of log A."""
+        return math.log(self.op_norm)
 
     @functools.cached_property
     def inverse_lags(self) -> np.ndarray:
@@ -336,26 +339,16 @@ class DiscreteOperator:
         """The operator a*A.
 
         The positive-type constant is scale invariant (scaling keeps the lags
-        log-convex), the norm scales by a and omega shifts by log(a).
+        log-convex) and the norm scales by a.
         """
         if a <= 0:
             raise DomainError("scale factor must be positive")
-        return replace(
-            self,
-            weights=self.weights * a,
-            op_norm=self.op_norm * a,
-            omega=self.omega + math.log(a),
-        )
-
-
-def operator_map(op: DiscreteOperator) -> SymbolMap:
-    """A itself: the lags, or the singular values entrywise."""
-    return SymbolMap(op.weights, volterra=op.is_volterra)
+        return replace(self, weights=self.weights * a, op_norm=self.op_norm * a)
 
 
 def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
-    """Forward application A u."""
-    return _one_row(op, operator_map(op), u)
+    """Forward application A u, the power A^1."""
+    return _one_row(op, power_map(op, 1.0), u)
 
 
 def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
@@ -363,16 +356,16 @@ def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
 
     Volterra kinds: the reciprocal series of the shifted lags (the inverse of
     a lower-triangular Toeplitz matrix is again lower Toeplitz); node 0 gets
-    f_0 / alpha.  Diagonal kind: division by sigma_k + alpha.  Schemes that
-    solve m times with one alpha build this once.
+    1/alpha.  Diagonal kind: 1/(sigma_k + alpha).  Schemes that solve m times
+    with one alpha build this once.
     """
     if not 0.0 < alpha < math.inf:
         raise DomainError("shift alpha must be positive and finite")
     if op.is_volterra:
         shifted = op.weights.copy()
         shifted[0] += alpha
-        return SymbolMap(series_reciprocal(shifted), volterra=True, node0=alpha, quotient=True)
-    return SymbolMap(op.weights + alpha, volterra=False, quotient=True)
+        return SymbolMap(series_reciprocal(shifted), volterra=True, node0=1.0 / alpha)
+    return SymbolMap(1.0 / (op.weights + alpha), volterra=False)
 
 
 def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
@@ -419,9 +412,10 @@ def a_log_a_map(op: DiscreteOperator) -> SymbolMap:
 def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> SymbolMap:
     """(lambda I - log A)^{-nu}.
 
-    Diagonal kind: division by (lambda - log sigma_k)^nu.  Volterra kinds:
-    the power series (lambda - log a(z))^{-nu} of the lag symbol a(z); node
-    0, where A vanishes, maps to 0.  The tests check both against the Laplace
+    Diagonal kind: (lambda - log sigma_k)^{-nu}, which may underflow to 0 but
+    raises DomainError where it is not finite.  Volterra kinds: the power
+    series (lambda - log a(z))^{-nu} of the lag symbol a(z); node 0, where A
+    vanishes, maps to 0.  The tests check both against the Laplace
     representation (1/(nu-1)!) * int_0^infty q^{nu-1} e^{-lambda q} A^q w dq.
     """
     if nu < 1 or int(nu) != nu:
@@ -429,9 +423,11 @@ def log_resolvent_power_map(op: DiscreteOperator, lam: float, nu: int) -> Symbol
     if lam <= op.omega:
         raise DomainError("shift below spectral bound")
     if op.kind == "diagonal":
-        with np.errstate(over="ignore"):  # an infinite divisor gives the underflowed quotient 0
-            divisor = (lam - np.log(op.weights)) ** nu
-        return SymbolMap(divisor, volterra=False, quotient=True)
+        with np.errstate(over="ignore"):
+            values = (lam - np.log(op.weights)) ** -float(nu)
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"(lambda - log A)^{{-nu}} at nu = {nu} is not finite")
+        return SymbolMap(values, volterra=False)
     shifted = -series_log(op.weights)
     shifted[0] += lam
     return SymbolMap(series_power(shifted, -float(nu)), volterra=True)
@@ -519,14 +515,7 @@ def _finish(kind, norm_kind, order, weights) -> DiscreteOperator:
         op_norm = float(np.sum(weights))  # the last row carries every (positive) lag
     else:
         op_norm = _power_iteration_norm(weights)
-    return DiscreteOperator(
-        kind=kind,
-        norm_kind=norm_kind,
-        order=order,
-        weights=weights,
-        op_norm=op_norm,
-        omega=math.log(op_norm),
-    )
+    return DiscreteOperator(kind=kind, norm_kind=norm_kind, order=order, weights=weights, op_norm=op_norm)
 
 
 def integration_operator(n: int, norm_kind: str = "sup") -> DiscreteOperator:

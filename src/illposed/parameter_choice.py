@@ -69,8 +69,8 @@ class DiscrepancyConfig:
     b1: float
 
     def __post_init__(self):
-        if self.b1 < self.b0 or self.b0 <= 0:
-            raise DomainError("need b1 >= b0 > 0")
+        if not 0.0 < self.b0 <= self.b1 < math.inf:
+            raise DomainError("need b1 >= b0 > 0, both finite")
 
 
 def _band_search(

@@ -40,7 +40,6 @@ from .operators import (
     evolution_maps,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     fractional_power_exact,
-    operator_map,
     power_map,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     shifted_solve,
@@ -161,8 +160,8 @@ def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> R
     Iterated Lavrentiev inverts the shifted symbol once and applies it m
     times; the evolution method builds e^{-tA} and phi_t(A) at t = 1/alpha.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     if cfg.scheme == "lavrentiev":
         return _lavrentiev(op, cfg.m, alpha)
     return _evolution(op, 1.0 / alpha)
@@ -176,6 +175,8 @@ def companion_difference(op: DiscreteOperator, cfg: RegularizerConfig, a0: float
     (A + a0 I)^{-1}.  Evolution method, at the t = 1/a of ``regularizer``:
     e^{-t1 A} (I - e^{-(t0 - t1) A}), where t0 - t1 is exact for a1 near a0.
     """
+    if not (0.0 < a0 < math.inf and 0.0 < a1 < math.inf):
+        raise DomainError("alphas must be positive and finite")
     if cfg.scheme == "cauchy":
         decay, gap = decay_maps(op, 1.0 / a1)[0], decay_maps(op, 1.0 / a0 - 1.0 / a1)[1]
         return lambda u: check_finite(decay(gap(u)))
@@ -186,7 +187,7 @@ def companion_difference(op: DiscreteOperator, cfg: RegularizerConfig, a0: float
         for _ in range(cfg.m - 1):
             power = a0 * solve0(power)
             total = a1 * solve1(total) + power
-        return check_finite((a1 - a0) * operator_map(op)(solve0(solve1(total))))
+        return check_finite((a1 - a0) * power_map(op, 1.0)(solve0(solve1(total))))
 
     return step
 
@@ -232,8 +233,8 @@ def qualification_checks(
         if cfg.scheme == "cauchy" and math.isinf(p):
             raise DomainError("finite p required")
     grid = np.asarray(list(alpha_grid), dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise DomainError("alpha grid must be nonempty and positive")
+    if grid.size == 0 or not np.all((grid > 0) & (grid < math.inf)):
+        raise DomainError("alpha grid must be nonempty, positive and finite")
     # probes: the unit vectors and ones (diagonal kind), or the four _W_FUNCTIONS
     if op.kind == "diagonal":
         block = np.vstack([np.eye(op.dim), np.ones(op.dim)])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from illposed.operators import (
     fractional_power_exact,
     integration_operator,
     log_resolvent_power_map,
-    operator_map,
     power_map,
     product_integration_weights,
     series_exp,
@@ -178,7 +178,7 @@ def _builder_maps(op):
     alpha = 1e-2 * op.op_norm
     cauchy = regularizer(op, RegularizerConfig("cauchy"), alpha)
     return {
-        "A": operator_map(op),
+        "A": power_map(op, 1.0),
         "shifted": shifted_solver(op, alpha),
         "power 0": power_map(op, 0.0),
         "power 0.5": power_map(op, 0.5),
@@ -190,23 +190,48 @@ def _builder_maps(op):
     }
 
 
-def test_quotient_maps_divide():
-    # the shifted inverse and the diagonal log-resolvent power divide by the
-    # shifted symbol, as a direct solve rounds; a reciprocal times f differs
-    # in the last bit
+def test_symbol_maps_multiply():
+    # every map multiplies by f at the symbol: the shifted inverse by
+    # 1/(sigma + alpha), node 0 of a Volterra kind (where A vanishes) by
+    # f(0) = 1/alpha, and the diagonal log-resolvent power by
+    # (lambda - log sigma)^{-nu}; the shifted solve and node 0 round within
+    # 2^-52 of the exact quotient of the stored floats
     op = exp_decay_diagonal(40)
     f = _random_element(op, 5)
     block = np.random.Generator(np.random.Philox(key=6)).standard_normal((40, 33))
     volterra = integration_operator(32)
+
+    def within_one_eps(got, numerators, denominators):
+        for g, num, den in zip(got, numerators, denominators):
+            exact = Fraction(float(num)) / Fraction(den)
+            assert abs(Fraction(float(g)) - exact) <= abs(exact) * Fraction(1, 2**52)
+
     for alpha in (1e-9, 1e-3, 0.7):
         got = shifted_solve(op, alpha, f).values
-        assert np.array_equal(got, f.values / (op.weights + alpha))
-        # node 0 of a Volterra kind, where A vanishes: f_0 / alpha
-        assert np.array_equal(shifted_solver(volterra, alpha)(block)[:, 0], block[:, 0] / alpha)
+        assert np.array_equal(got, f.values * (1.0 / (op.weights + alpha)))
+        within_one_eps(got, f.values, [Fraction(s) + Fraction(alpha) for s in op.weights])
+        node0 = shifted_solver(volterra, alpha)(block)[:, 0]
+        assert np.array_equal(node0, block[:, 0] * (1.0 / alpha))
+        within_one_eps(node0, block[:, 0], [alpha] * block.shape[0])
     lam = op.omega + 1.0
     for nu in (1, 2, 3):
         got = _one_row(op, log_resolvent_power_map(op, lam, nu), f).values
-        assert np.array_equal(got, f.values / (lam - np.log(op.weights)) ** nu)
+        assert np.array_equal(got, f.values * (lam - np.log(op.weights)) ** -float(nu))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        exp_decay_diagonal(33),
+        integration_operator(32),
+        abel_operator(0.5, 32),
+        integration_operator(32).scaled(0.37),
+    ],
+    ids=["diagonal", "integration", "abel-1/2", "scaled-integration"],
+)
+def test_first_power_is_the_operator(op):
+    # A = A^1: its symbol is the stored weights, bit for bit
+    assert np.array_equal(power_map(op, 1.0).symbol, op.weights)
 
 
 @pytest.mark.parametrize(

@@ -370,7 +370,7 @@ def _bundled_doc(name, path, value):
 )
 def test_cli_config_error_names_its_field(name, path, value, message, tmp_path, capsys):
     # each field is checked at parse time, so both commands name it; the
-    # numerics' own checks ("need b1 >= b0 > 0", "p must be nonnegative")
+    # numerics' own checks ("need b1 >= b0 > 0, both finite", "p must be nonnegative")
     # name none, and check-axioms never builds the source
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_bundled_doc(name, path, value)), encoding="utf-8")
@@ -654,10 +654,15 @@ def test_cli_package_error_is_one_line(tmp_path):
             abel_cauchy_doc(p=1000000.5),
             "series power at p = 1000000.5 is not finite (a_0^p or the series overflows)",
         ),
-        # (lambda - log sigma)^nu overflows in the ground truth, with no numpy warning
+        # (lambda - log sigma)^{-nu} underflows to 0 in the ground truth, with no numpy warning
         (
             config_doc("diagonal_apriori.json", operator={"modes": 40}, source={"nu": 10**6}),
             "a priori alpha at delta = 0.01 is not a positive finite number (p = 0.0, nu = 1000000)",
+        ),
+        # lambda - log sigma_0 = 0.5, so (lambda - log A)^{-nu} overflows in the ground truth
+        (
+            config_doc("diagonal_apriori.json", source={"nu": 2000, "lambda_offset": 0.5}),
+            "(lambda - log A)^{-nu} at nu = 2000 is not finite",
         ),
         # the rate bound log(1/delta)^{-nu/(p+1)} underflows, or overflows
         # where delta > 1/e; the a priori alpha at 1e-300 is a finite 1e34

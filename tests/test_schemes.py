@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from illposed.errors import DomainError
+from illposed.harness import add_noise
 from illposed.operators import (
     _one_row,
     abel_operator,
@@ -15,6 +16,7 @@ from illposed.operators import (
     integration_operator,
     shifted_solve,
 )
+from illposed.parameter_choice import DiscrepancyConfig
 from illposed.schemes import (
     RegularizerConfig,
     companion_difference,
@@ -115,6 +117,40 @@ def test_lavrentiev_rejects_nonpositive_alpha():
     op = scalar_op(1.0)
     with pytest.raises(DomainError):
         regularize(op, LAV1, 0.0, op.ones())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: regularizer(integration_operator(16), CAUCHY, math.nan),
+        lambda: regularizer(exp_decay_diagonal(5), CAUCHY, math.inf),
+        lambda: companion_difference(integration_operator(16), CAUCHY, 1.0, math.inf),
+        lambda: companion_difference(exp_decay_diagonal(5), CAUCHY, math.nan, 1.0),
+        lambda: qualification_checks(integration_operator(16), CAUCHY, [0.0], [math.inf]),
+        lambda: qualification_checks(integration_operator(16), CAUCHY, [0.0], [math.nan]),
+        lambda: add_noise(exp_decay_diagonal(5).ones(), math.nan, 1),
+        lambda: add_noise(exp_decay_diagonal(5).ones(), math.inf, 1),
+        lambda: DiscrepancyConfig(math.nan, math.nan),
+        lambda: DiscrepancyConfig(1.0, math.inf),
+    ],
+    ids=[
+        "regularizer-nan",
+        "regularizer-inf",
+        "companion-difference-inf",
+        "companion-difference-nan",
+        "qualification-inf",
+        "qualification-nan",
+        "noise-nan",
+        "noise-inf",
+        "band-nan",
+        "band-inf",
+    ],
+)
+def test_nonfinite_parameters_raise_domain_error(call):
+    # alpha, a band edge or a grid entry that is not finite would build NaN
+    # or zero maps, or a sup of 1, instead of failing at the call
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_cauchy_scalar_closed_form_integrator():
