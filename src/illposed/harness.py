@@ -72,7 +72,7 @@ from .schemes import (
 SCHEMA_VERSION = 1
 #: exp(-745) is the last sigma_k = exp(-k) that does not underflow to 0
 MAX_EXP_DECAY_MODES = 746
-#: check-axioms checks the m + 1 qualification orders 0..m, so its cost grows as m^2
+#: check-axioms checks the m + 1 qualification orders 0..m, each a map of O(log m) products
 MAX_LAVRENTIEV_STEPS = 64
 #: the pass verdict's bound on ratio_spread = max/median, which is never below 1
 SPREAD_TOLERANCE = 3.0

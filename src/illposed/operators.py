@@ -20,22 +20,18 @@ below the grid spacing.
 
 Every function f(A) the package uses is a ``SymbolMap`` built here, f at
 the operator's symbol: (A + alpha I)^{-1}, A^p (A itself is p = 1), A log A,
-(lambda I - log A)^{-nu}, e^{-tA} and phi_t(A).  On the diagonal kind it is
-f at each singular value, applied by multiplication.  On the Volterra kinds
-it is a truncated power series of the lag symbol, from this module's series
-algebra (``_mul`` and the ``series_*`` functions), or its closed form on the
-integration kind.
+(lambda I - log A)^{-nu}, e^{-tA}, phi_t(A), and the iterated Lavrentiev
+filter as products of alpha (A + alpha I)^{-1} (``compose``).  On the
+diagonal kind it is f at each singular value, applied by multiplication.  On
+the Volterra kinds it is a truncated power series of the lag symbol, from
+this module's series algebra (``_mul`` and the ``series_*`` functions), or
+its closed form on the integration kind.
 
-Fractional powers have one library route.  ``power_map`` is the exact
-matrix power, with ``fractional_power_exact`` its one-element call: in the
-algebra of lower-triangular Toeplitz matrices on the Volterra kinds, so an
-exact semigroup in p that coincides with the limit of the Balakrishnan
-resolvent integral, and sigma_k^p on the diagonal kind.  The tests check it
-against two oracles in ``tests/oracles.py``: the resolvent integral
-(sin(pi q)/pi) int_0^infty s^{q-1} (A + sI)^{-1} A u ds by a trapezoid rule
-in tau = log s, and the product-integration rule of the continuum
-fractional integral of order p * base_order, which is exact on constants and
-agrees with the matrix power only up to discretization error.
+``power_map`` is the one route to fractional powers: the exact matrix power
+(a semigroup in p) in the lower-triangular Toeplitz algebra, or sigma_k^p.
+The tests check it against the Balakrishnan resolvent integral and the
+product-integration rule of the continuum fractional integral, which agrees
+with it only up to discretization error (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -157,9 +153,7 @@ def series_exp(g: np.ndarray) -> np.ndarray:
     Functions of Matrices, ch. 10).  The scaling bounds every term of the
     recurrence by e, so its cancellation error stays near rounding whatever
     the size of g.  This is the one loop over coefficients left in the series
-    arithmetic.  A Newton or FFT core would move the last bits, which no
-    golden magnifies (``check_axioms`` forms its continuity change as a
-    direct difference); it replaces the loop once a benchmark shows a gain.
+    arithmetic.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -211,6 +205,21 @@ class SymbolMap:
         for row, values in zip(out, block):
             row[1:] = _mul(self.symbol, values[1:], self.symbol.size)
         return out
+
+
+def compose(first: SymbolMap, second: SymbolMap) -> SymbolMap:
+    """f(A) g(A) for two maps of one operator: the products of the symbols and of f(0) g(0)."""
+    if not first.volterra:
+        return SymbolMap(first.symbol * second.symbol, volterra=False)
+    product = _mul(first.symbol, second.symbol, first.symbol.size)
+    return SymbolMap(product, volterra=True, node0=first.node0 * second.node0)
+
+
+def map_power(f: SymbolMap, p: float) -> SymbolMap:
+    """f(A)^p, p >= 0, for a symbol with a positive leading value (``series_power``)."""
+    if not f.volterra:
+        return SymbolMap(f.symbol**p, volterra=False)
+    return SymbolMap(series_power(f.symbol, p), volterra=True, node0=f.node0**p)
 
 
 def _one_row(op: DiscreteOperator, block_map, u: GridFunction) -> GridFunction:
@@ -341,8 +350,8 @@ class DiscreteOperator:
         The positive-type constant is scale invariant (scaling keeps the lags
         log-convex) and the norm scales by a.
         """
-        if a <= 0:
-            raise DomainError("scale factor must be positive")
+        if not 0.0 < a < math.inf:
+            raise DomainError("scale factor must be positive and finite")
         return replace(self, weights=self.weights * a, op_norm=self.op_norm * a)
 
 
@@ -356,8 +365,7 @@ def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
 
     Volterra kinds: the reciprocal series of the shifted lags (the inverse of
     a lower-triangular Toeplitz matrix is again lower Toeplitz); node 0 gets
-    1/alpha.  Diagonal kind: 1/(sigma_k + alpha).  Schemes that solve m times
-    with one alpha build this once.
+    1/alpha.  Diagonal kind: 1/(sigma_k + alpha).
     """
     if not 0.0 < alpha < math.inf:
         raise DomainError("shift alpha must be positive and finite")
@@ -371,6 +379,45 @@ def shifted_solver(op: DiscreteOperator, alpha: float) -> SymbolMap:
 def shifted_solve(op: DiscreteOperator, alpha: float, f: GridFunction) -> GridFunction:
     """Solve (A + alpha I) v = f; see ``shifted_solver``."""
     return _one_row(op, shifted_solver(op, alpha), f)
+
+
+def resolvent_pair(op: DiscreteOperator, alpha: float) -> tuple[SymbolMap, SymbolMap]:
+    """T = alpha (A + alpha I)^{-1} and G = A (A + alpha I)^{-1} = I - T, with no subtraction.
+
+    With b = ``shifted_solver(op, alpha).symbol``, T has the lags alpha b and G
+    has a_0 b_0, then -alpha b_k; node 0 gets 1 and 0.
+    """
+    b, volterra = shifted_solver(op, alpha).symbol, op.is_volterra
+    gap = -alpha * b if volterra else op.weights * b
+    gap[0] = op.weights[0] * b[0]  # a_0 b_0 = 1 - alpha b_0; the same value on the diagonal kind
+    return SymbolMap(alpha * b, volterra=volterra, node0=1.0), SymbolMap(gap, volterra=volterra)
+
+
+def lavrentiev_maps(op: DiscreteOperator, m: int, alpha: float) -> tuple[SymbolMap, SymbolMap]:
+    """(S_alpha, R_alpha) of m-times iterated Lavrentiev: T^m and (1/alpha) sum_{k=1..m} T^k.
+
+    One loop of m - 1 products of ``resolvent_pair``'s T; node 0 gets 1 and
+    m/alpha.  R_alpha is not (I - S_alpha) A^{-1}, which cancels where A is small.
+    """
+    step = power = resolvent_pair(op, alpha)[0]
+    total = step.symbol
+    for _ in range(m - 1):
+        power = compose(power, step)
+        total = total + power.symbol
+    return power, SymbolMap(total / alpha, volterra=step.volterra, node0=m / alpha)
+
+
+def lavrentiev_difference(op: DiscreteOperator, m: int, a0: float, a1: float) -> SymbolMap:
+    """X^m - Y^m = (X - Y) sum_j X^j Y^{m-1-j}, X and Y the T of a1 and a0, with no subtraction.
+
+    X - Y = (a1 - a0) A (A + a1 I)^{-1} (A + a0 I)^{-1} = ((a1 - a0)/a0) G_1 Y; node 0 gets 0.
+    """
+    (x, gap), y = resolvent_pair(op, a1), resolvent_pair(op, a0)[0]
+    power = total = compose(replace(gap, symbol=(a1 - a0) / a0 * gap.symbol), y)
+    for _ in range(m - 1):
+        power, total = compose(power, y), compose(total, x)
+        total = replace(total, symbol=total.symbol + power.symbol)
+    return total
 
 
 def power_map(op: DiscreteOperator, p: float) -> SymbolMap:

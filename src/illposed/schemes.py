@@ -2,9 +2,9 @@
 
 Two schemes are provided:
 
-* iterated Lavrentiev: m repeated shifted solves
-  (A + alpha I) v_k = alpha v_{k-1} + f from v_0 = 0, with companion
-  S_alpha = alpha^m (A + alpha I)^{-m} and saturation p0 = m;
+* iterated Lavrentiev: the m steps (A + alpha I) v_k = alpha v_{k-1} + f from
+  v_0 = 0, R_alpha = (1/alpha) sum_{k=1..m} T^k with T = alpha (A + alpha I)^{-1},
+  companion S_alpha = T^m and saturation p0 = m;
 * the evolution-equation method: u(t) for u' + A u = f, u(0) = 0, at
   t = 1/alpha, exactly as phi_t(A) f = A^{-1} (I - e^{-tA}) f (power series
   of the lag symbol on the Volterra kinds), with companion S_alpha = e^{-tA}
@@ -12,7 +12,7 @@ Two schemes are provided:
 
 The regularized element is u_alpha = R_alpha f_delta: there is no initial
 guess, and the residual is A u_alpha - f_delta = -S_alpha f_delta.
-``regularizer(op, cfg, alpha)`` builds a scheme's filter, the two maps
+``regularizer(op, cfg, alpha)`` builds a scheme's filter, the two symbol maps
 R_alpha and S_alpha, once for one alpha and applies them to blocks of
 elements, one per row; ``regularize`` is the one-element call
 (``operators._one_row``) of R_alpha.
@@ -26,7 +26,6 @@ order 1) does not, and reports carry a flag for that.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +34,20 @@ from .errors import DomainError
 from .grid import _W_FUNCTIONS, GridFunction, check_finite, grid_norms
 from .operators import (
     DiscreteOperator,
+    SymbolMap,
     _one_row,
+    compose,
     decay_maps,
     evolution_maps,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     fractional_power_exact,
+    lavrentiev_difference,
+    lavrentiev_maps,
+    map_power,
     power_map,
+    resolvent_pair,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     shifted_solve,
-    shifted_solver,
 )
 
 
@@ -108,16 +112,15 @@ class RegularizerConfig:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """The two maps of one scheme at one alpha, with the filter built once.
+    """The two maps of one scheme at one alpha, each a ``SymbolMap`` built once.
 
-    Each map takes value blocks of shape (k, dim), one element per row, and
-    returns a new block whose row i depends on row i alone: ``apply(g)`` is
-    R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u.  A block
+    On value blocks of shape (k, dim), one element per row, ``apply(g)`` is
+    R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u; a block
     with a sample that is not finite raises ValueError.
     """
 
-    _apply: Callable[[np.ndarray], np.ndarray]
-    _companion: Callable[[np.ndarray], np.ndarray]
+    _apply: SymbolMap
+    _companion: SymbolMap
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         return check_finite(self._apply(g))
@@ -126,103 +129,52 @@ class Regularizer:
         return check_finite(self._companion(u))
 
 
-def _lavrentiev(op: DiscreteOperator, m: int, alpha: float) -> Regularizer:
-    """R_alpha g: m steps v <- (A + alpha I)^{-1} (g + alpha v) from v = 0.
-
-    S_alpha = (alpha (A + alpha I)^{-1})^m.
-    """
-    solve = shifted_solver(op, alpha)
-
-    def apply(g):
-        v = np.zeros_like(g)
-        for _ in range(m):
-            v = solve(g + alpha * v)
-        return v
-
-    def companion(u):
-        v = u
-        for _ in range(m):
-            v = alpha * solve(v)
-        return v
-
-    return Regularizer(apply, companion)
-
-
-def _evolution(op: DiscreteOperator, t: float) -> Regularizer:
-    """u' + A u = f, u(0) = 0, to time t: R_alpha = phi_t(A), S_alpha = e^{-tA}."""
-    decay, reach = evolution_maps(op, t)
-    return Regularizer(reach, decay)
-
-
 def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> Regularizer:
     """R_alpha and S_alpha of the configured scheme, built once for this alpha.
 
-    Iterated Lavrentiev inverts the shifted symbol once and applies it m
-    times; the evolution method builds e^{-tA} and phi_t(A) at t = 1/alpha.
+    ``lavrentiev_maps``, or e^{-tA} and phi_t(A) at t = 1/alpha (``evolution_maps``).
     """
     if not 0.0 < alpha < math.inf:
         raise DomainError("alpha must be positive and finite")
     if cfg.scheme == "lavrentiev":
-        return _lavrentiev(op, cfg.m, alpha)
-    return _evolution(op, 1.0 / alpha)
+        decay, reach = lavrentiev_maps(op, cfg.m, alpha)
+    else:
+        decay, reach = evolution_maps(op, 1.0 / alpha)
+    return Regularizer(reach, decay)
 
 
 def companion_difference(op: DiscreteOperator, cfg: RegularizerConfig, a0: float, a1: float):
-    """S_{a1} - S_{a0} as one block map that subtracts no two companions.
+    """S_{a1} - S_{a0} as one ``SymbolMap`` that subtracts no two companions.
 
-    Iterated Lavrentiev, X = a1 (A + a1 I)^{-1} and Y = a0 (A + a0 I)^{-1}:
-    X^m - Y^m = (X - Y) sum_j X^j Y^{m-1-j}, X - Y = (a1 - a0) A (A + a1 I)^{-1}
-    (A + a0 I)^{-1}.  Evolution method, at the t = 1/a of ``regularizer``:
-    e^{-t1 A} (I - e^{-(t0 - t1) A}), where t0 - t1 is exact for a1 near a0.
+    Iterated Lavrentiev: ``lavrentiev_difference``.  Evolution method, at the
+    t = 1/a of ``regularizer``: e^{-t1 A} (I - e^{-(t0 - t1) A}), where
+    t0 - t1 is exact for a1 near a0.
     """
     if not (0.0 < a0 < math.inf and 0.0 < a1 < math.inf):
         raise DomainError("alphas must be positive and finite")
     if cfg.scheme == "cauchy":
-        decay, gap = decay_maps(op, 1.0 / a1)[0], decay_maps(op, 1.0 / a0 - 1.0 / a1)[1]
-        return lambda u: check_finite(decay(gap(u)))
-    solve0, solve1 = shifted_solver(op, a0), shifted_solver(op, a1)
-
-    def step(u):
-        power, total = u, u  # total <- X total + Y^k u sums X^j Y^{k-j} u, j = 0..k
-        for _ in range(cfg.m - 1):
-            power = a0 * solve0(power)
-            total = a1 * solve1(total) + power
-        return check_finite((a1 - a0) * power_map(op, 1.0)(solve0(solve1(total))))
-
-    return step
+        return compose(decay_maps(op, 1.0 / a1)[0], decay_maps(op, 1.0 / a0 - 1.0 / a1)[1])
+    return lavrentiev_difference(op, cfg.m, a0, a1)
 
 
 def regularize(
-    op: DiscreteOperator,
-    cfg: RegularizerConfig,
-    alpha: float,
-    f_delta: GridFunction,
+    op: DiscreteOperator, cfg: RegularizerConfig, alpha: float, f_delta: GridFunction
 ) -> GridFunction:
     """The regularized element R_alpha f_delta."""
     return _one_row(op, regularizer(op, cfg, alpha).apply, f_delta)
 
 
-def qualification_checks(
-    op: DiscreteOperator,
-    cfg: RegularizerConfig,
-    ps,
-    alpha_grid,
-) -> list[dict]:
+def qualification_checks(op: DiscreteOperator, cfg: RegularizerConfig, ps, alpha_grid):
     """Sup over alpha and the probes of the decay ratio, at each order in ``ps``.
 
     One dict per order: ``p``, ``sup_ratio`` (the sup of
     ||S_alpha A^p u|| / (alpha^p ||u||)), ``certified_bound`` and ``passed``.
     Raises beyond the saturation of the scheme; ``passed`` is a verdict only
     where a certified constant exists, otherwise the ratio is reported bare.
-    A^p of the probe block is built once per order, and the blocks of every
-    order are stacked into one; S_alpha is built once per alpha and applied
-    to that stacked block in one call.
-
-    A ratio enters the sup only where alpha^p ||u|| exceeds eps ||A^p u||,
-    the rounding of the computed A^p u.  That rounding is not in the range
-    of A^p, so S_alpha does not shrink it by alpha^p: below that floor the
-    ratio measures rounding (3e13 at m = 16 where the exact value is 1), and
-    alpha^p may underflow to 0.
+    Each ratio is read through one map per alpha and order, with no division
+    by alpha^p: S_alpha A^p / alpha^p is T^{m-p} G^p for iterated Lavrentiev
+    (``resolvent_pair``), and t^p A^p e^{-tA} at t = 1/alpha for the evolution
+    method, with e^{-tA} built once per alpha.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -243,14 +195,15 @@ def qualification_checks(
         block = np.stack([f(x) for f in _W_FUNCTIONS.values()])
     norms = grid_norms(block, op.norm_kind)
     block, norms = block[norms != 0.0], norms[norms != 0.0]
-    powered = np.concatenate([power_map(op, p)(block) for p in ps])
-    floors = np.finfo(float).eps * grid_norms(powered, op.norm_kind)
     sups = np.zeros(len(ps))
-    for a in grid:
-        decayed = grid_norms(regularizer(op, cfg, float(a)).companion(powered), op.norm_kind)
-        scales = np.concatenate([float(a) ** p * norms for p in ps])
-        ratios = np.divide(decayed, scales, out=np.zeros_like(decayed), where=scales > floors)
-        sups = np.maximum(sups, ratios.reshape(len(ps), -1).max(axis=1))
+    for a in grid.tolist():
+        if cfg.scheme == "lavrentiev":
+            step, gap = resolvent_pair(op, a)
+            maps = [compose(map_power(step, cfg.m - p), map_power(gap, p)) for p in ps]
+        else:
+            decay = decay_maps(op, 1.0 / a)[0]
+            maps = [compose(decay, power_map(op.scaled(1.0 / a), p)) if p else decay for p in ps]
+        sups = np.maximum(sups, [np.max(grid_norms(f(block), op.norm_kind) / norms) for f in maps])
     reports = []
     for p, sup in zip(ps, sups):
         bound = cfg.qualification_constant(p, op.kappa_star)

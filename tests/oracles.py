@@ -30,6 +30,9 @@ without forming a matrix.  The routes here share none of that code path:
 * ``ChiParams``, ``chi`` and ``chi_inverse``, the rate functions
   chi_{q, +-mu}(t) = t^q (log(1/t))^{+-mu} and a Newton inverse of
   chi_{q,-mu}, against which the closed form of ``apriori_alpha`` is read;
+* ``repeated_shifted_solves``, iterated Lavrentiev as m solves with one
+  (A + alpha I)^{-1} per step, against which the library's products of
+  alpha (A + alpha I)^{-1} are read at a stated rounding bound;
 * ``alpha_sweep_oracle``, the best alpha of a dense grid by the true error;
 * ``unskipped_discrepancy_alphas``, the residual-band walk with a trial at
   every grid alpha from ||A|| down and a filter built per trial, which the
@@ -66,6 +69,7 @@ from illposed.operators import (
     power_map,
     product_integration_weights,
     shifted_solve,
+    shifted_solver,
 )
 from illposed.parameter_choice import ALPHA_MIN, BISECT_TOL, RATIO, DiscrepancyConfig
 from illposed.schemes import RegularizerConfig, regularize, regularizer
@@ -534,6 +538,23 @@ def chi_inverse(q: float, mu: float, s: float) -> float:
     if abs(chi(ChiParams(q, mu, "-"), t) - s) <= 1e-10 * s:
         return t
     raise DomainError("chi inverse iteration failed to converge")
+
+
+def repeated_shifted_solves(
+    op: DiscreteOperator, m: int, alpha: float, block: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R_alpha g, S_alpha g) of iterated Lavrentiev for each row g of a block, by m solves.
+
+    R_alpha: v <- (A + alpha I)^{-1} (g + alpha v) from v = 0; S_alpha:
+    v <- alpha (A + alpha I)^{-1} v from v = g; each m times, with one
+    ``shifted_solver`` map for every step.
+    """
+    solve = shifted_solver(op, alpha)
+    reach, decay = np.zeros_like(block), block
+    for _ in range(m):
+        reach = solve(block + alpha * reach)
+        decay = alpha * solve(decay)
+    return reach, decay
 
 
 def alpha_sweep_oracle(
