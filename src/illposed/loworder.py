@@ -101,32 +101,21 @@ def _log_moments(t1, t2):
 def log_kernel_apply_at(u: GridFunction, x: float) -> float:
     """(S u_h)(x) for the piecewise-linear interpolant u_h, any 0 <= x <= 1.
 
-    Per cell the kernel moments are integrated analytically, so the rule is
-    exact for piecewise-linear integrands; the weak log singularity at the
-    upper endpoint never meets the quadrature.
+    One sum over the cells [x_i, x_{i+1}] with x_i < x, each over t = x - xi
+    from max(x - x_{i+1}, 0) to x - x_i, so the cell that holds x is clipped
+    at t = 0 like the rest.  Per cell the kernel moments are integrated
+    analytically, so the rule is exact for piecewise-linear integrands; the
+    weak log singularity at the upper endpoint never meets the quadrature.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    n = u.n
-    h = 1.0 / n
-    nodes = u.nodes()
-    vals = u.values
-    j_full = min(int(math.floor(x / h + 1e-12)), n)
-    xi_lo = nodes[:j_full]
-    t2 = x - xi_lo
-    t1 = x - nodes[1 : j_full + 1]
-    slopes = (vals[1 : j_full + 1] - vals[:j_full]) / h
-    m0, m1 = _log_moments(t1, t2)
-    total = float(np.sum((vals[:j_full] + slopes * t2) * m0 - slopes * m1))
-    # trailing partial cell [x_j, x)
-    if j_full < n and x > nodes[j_full] + 1e-15:
-        s = (vals[j_full + 1] - vals[j_full]) / h
-        t2p = x - nodes[j_full]
-        m0p, m1p = _log_moments(np.array(0.0), np.array(t2p))
-        total += float((vals[j_full] + s * t2p) * m0p - s * m1p)
-    return total
+    h = 1.0 / u.n
+    nodes, vals = u.nodes(), u.values
+    j = int(np.searchsorted(nodes, x))  # cells 0..j-1 start below x
+    t2 = x - nodes[:j]
+    slopes = (vals[1 : j + 1] - vals[:j]) / h
+    m0, m1 = _log_moments(np.maximum(x - nodes[1 : j + 1], 0.0), t2)
+    return float(np.sum((vals[:j] + slopes * t2) * m0 - slopes * m1))
 
 
 def log_kernel_derivative(params: LogExampleParams, x_points, rel_tol: float = 1e-6) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .grid import GridFunction, NORM_KINDS
+from .grid import GridFunction, NORM_KINDS, check_finite
 
 #: largest grid of a config or of ``loworder-verify``: four times the largest
 #: size-ladder grid (16384); every array is O(n), the series products O(n^2)
@@ -190,7 +190,8 @@ class SymbolMap:
     scaled by ``node0`` = f(0).
 
     Calling the map maps each row of a (k, dim) block; each Volterra row is
-    its own ``_mul``, so a row's bits do not depend on the other rows.
+    its own ``_mul``, so a row's bits do not depend on the other rows.  A
+    result with a sample that is not finite raises ValueError.
     """
 
     symbol: np.ndarray
@@ -199,12 +200,12 @@ class SymbolMap:
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
         if not self.volterra:
-            return self.symbol * block
+            return check_finite(self.symbol * block)
         out = np.empty(block.shape)
         out[:, 0] = self.node0 * block[:, 0]
         for row, values in zip(out, block):
             row[1:] = _mul(self.symbol, values[1:], self.symbol.size)
-        return out
+        return check_finite(out)
 
 
 def compose(first: SymbolMap, second: SymbolMap) -> SymbolMap:

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .grid import _W_FUNCTIONS, GridFunction, check_finite, grid_norms
+from .grid import _W_FUNCTIONS, GridFunction, grid_norms
 from .operators import (
     DiscreteOperator,
     SymbolMap,
@@ -110,23 +112,15 @@ class RegularizerConfig:
         return self.scheme != "cauchy" or op.kind in ("diagonal", "abel")
 
 
-@dataclass(frozen=True)
-class Regularizer:
+class Regularizer(NamedTuple):
     """The two maps of one scheme at one alpha, each a ``SymbolMap`` built once.
 
     On value blocks of shape (k, dim), one element per row, ``apply(g)`` is
-    R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u; a block
-    with a sample that is not finite raises ValueError.
+    R_alpha g and ``companion(u)`` is S_alpha u = u - R_alpha A u.
     """
 
-    _apply: SymbolMap
-    _companion: SymbolMap
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        return check_finite(self._apply(g))
-
-    def companion(self, u: np.ndarray) -> np.ndarray:
-        return check_finite(self._companion(u))
+    apply: SymbolMap
+    companion: SymbolMap
 
 
 def regularizer(op: DiscreteOperator, cfg: RegularizerConfig, alpha: float) -> Regularizer:
@@ -173,8 +167,9 @@ def qualification_checks(op: DiscreteOperator, cfg: RegularizerConfig, ps, alpha
     where a certified constant exists, otherwise the ratio is reported bare.
     Each ratio is read through one map per alpha and order, with no division
     by alpha^p: S_alpha A^p / alpha^p is T^{m-p} G^p for iterated Lavrentiev
-    (``resolvent_pair``), and t^p A^p e^{-tA} at t = 1/alpha for the evolution
-    method, with e^{-tA} built once per alpha.
+    (``resolvent_pair``; a factor of power 0 is left out, so no identity is
+    composed), and t^p A^p e^{-tA}, e^{-tA} built once per alpha at t = 1/alpha,
+    for the evolution method.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -199,7 +194,8 @@ def qualification_checks(op: DiscreteOperator, cfg: RegularizerConfig, ps, alpha
     for a in grid.tolist():
         if cfg.scheme == "lavrentiev":
             step, gap = resolvent_pair(op, a)
-            maps = [compose(map_power(step, cfg.m - p), map_power(gap, p)) for p in ps]
+            factors = [[map_power(f, q) for f, q in ((step, cfg.m - p), (gap, p)) if q] for p in ps]
+            maps = [reduce(compose, fs) for fs in factors]
         else:
             decay = decay_maps(op, 1.0 / a)[0]
             maps = [compose(decay, power_map(op.scaled(1.0 / a), p)) if p else decay for p in ps]

@@ -185,8 +185,8 @@ def _builder_maps(op):
         "power 2": power_map(op, 2.0),
         "product integration 0.5": product_integration_map(op, 0.5),
         "log resolvent nu=2": log_resolvent_power_map(op, op.omega + 1.0, 2),
-        "e^{-tA}": cauchy._companion,
-        "phi_t(A)": cauchy._apply,
+        "e^{-tA}": cauchy.companion,
+        "phi_t(A)": cauchy.apply,
     }
 
 

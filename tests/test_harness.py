@@ -1063,23 +1063,23 @@ def test_check_axioms_one_filter_per_alpha(monkeypatch):
     from illposed.schemes import Regularizer
 
     calls = {"build": 0, "apply": 0, "difference": 0}
-    build, apply_block = harness.regularizer, Regularizer.apply
-    difference = harness.companion_difference
+    build, difference = harness.regularizer, harness.companion_difference
 
     def counting_build(op, cfg, alpha):
         calls["build"] += 1
-        return build(op, cfg, alpha)
+        reg = build(op, cfg, alpha)
 
-    def counting_apply(self, g):
-        calls["apply"] += 1
-        return apply_block(self, g)
+        def counting_apply(g):
+            calls["apply"] += 1
+            return reg.apply(g)
+
+        return Regularizer(counting_apply, reg.companion)
 
     def counting_difference(op, cfg, a0, a1):
         calls["difference"] += 1
         return difference(op, cfg, a0, a1)
 
     monkeypatch.setattr(harness, "regularizer", counting_build)
-    monkeypatch.setattr(Regularizer, "apply", counting_apply)
     monkeypatch.setattr(harness, "companion_difference", counting_difference)
     check_axioms(load_config(CONFIG_DIR / "integration_apriori.json"))
     assert calls == {"build": 21, "apply": 20, "difference": 1}

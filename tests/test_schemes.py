@@ -11,10 +11,14 @@ from illposed.operators import (
     _one_row,
     abel_operator,
     apply,
+    compose,
     diagonal_operator,
     exp_decay_diagonal,
     fractional_power_exact,
     integration_operator,
+    log_resolvent_power_map,
+    map_power,
+    power_map,
     resolvent_pair,
     shifted_solve,
 )
@@ -135,6 +139,23 @@ def test_regularizer_rejects_nonfinite_blocks():
     for result in (lambda: reg.apply(block), lambda: reg.companion(block)):
         with pytest.raises(ValueError, match="finite"):
             result()
+
+
+@pytest.mark.parametrize("op", [abel_operator(0.5, 16), exp_decay_diagonal(16)], ids=["abel", "diagonal"])
+def test_maps_that_are_not_filters_reject_nonfinite_blocks(op):
+    # A^p, the log-resolvent power and the qualification map T G of m = 2 at
+    # p = 1 refuse a non-finite result as the filters do
+    block = np.ones((2, op.dim))
+    block[1, 3] = np.nan
+    step, gap = resolvent_pair(op, 0.1 * op.op_norm)
+    maps = [
+        power_map(op, 0.5),
+        log_resolvent_power_map(op, op.omega + 1.0, 2),
+        compose(map_power(step, 1.0), map_power(gap, 1.0)),
+    ]
+    for f in maps:
+        with pytest.raises(ValueError, match="finite"):
+            f(block)
 
 
 def test_lavrentiev_rejects_nonpositive_alpha():
@@ -313,6 +334,22 @@ def test_qualification_check_non_integer_constant():
     rep = qualification_checks(op, LAV2, [0.5], np.logspace(-4, 0, 9))[0]
     assert rep["certified_bound"] == 2.0 * (op.kappa_star + 1.0) ** 1.5
     assert rep["passed"]
+
+
+def test_qualification_builds_no_map_of_the_identity(monkeypatch):
+    # T^{m-p} G^p is built from its factors of nonzero power only: T^m at
+    # p = 0 and G^m at p = m, with no power 0 and no product by the identity
+    import illposed.schemes as schemes
+
+    exponents, power = [], schemes.map_power
+
+    def recording(f, p):
+        exponents.append(p)
+        return power(f, p)
+
+    monkeypatch.setattr(schemes, "map_power", recording)
+    qualification_checks(integration_operator(64), LAV2, [0.0, 0.5, 1.0, 2.0], [0.01, 0.1])
+    assert sorted(exponents) == sorted([2.0, 1.5, 0.5, 1.0, 1.0, 2.0] * 2)
 
 
 def test_qualification_beyond_saturation_raises():
