@@ -40,11 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import _W_FUNCTIONS, NORM_KINDS, GridFunction, grid_norms
 from .operator_log import make_mixed_smooth_element
 from .operators import (
+    _W_FUNCTIONS,
     MAX_GRID_CELLS,
+    NORM_KINDS,
     DiscreteOperator,
+    GridFunction,
     _one_row,
     abel_operator,
     apply,
@@ -52,6 +54,7 @@ from .operators import (
     diagonal_operator,
     estimate_postype_constant,
     exp_decay_diagonal,
+    grid_norms,
 )
 from .parameter_choice import (
     DiscrepancyConfig,
@@ -177,16 +180,12 @@ def _complaint(kind: str, bounds, value) -> str | None:
     return f"must be {'an integer' if kind == 'int' else 'a finite number'}{span}, got {value!r}"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    raw: dict  # the normalized document: every field that applies, defaults filled
-
-
-def parse_config(doc: dict) -> ExperimentConfig:
+def parse_config(doc: dict) -> dict:
     """Check a config document against ``FIELDS`` and the cross-field rules.
 
     Errors carry the offending field path.  The document is not changed: the
-    config holds a copy with the defaults filled in.
+    result is a normalized copy, every field that applies with the defaults
+    filled in.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
@@ -248,10 +247,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("config.rule: discrepancy needs saturation > 1 (lavrentiev m >= 2)")
         if not src["p"] < p0 - 1:
             raise ConfigError("config.source.p: discrepancy rule needs p < saturation - 1")
-    return ExperimentConfig(raw=doc)
+    return doc
 
 
-def load_config(path, seed: int | None = None, grid_n: int | None = None) -> ExperimentConfig:
+def load_config(path, seed: int | None = None, grid_n: int | None = None) -> dict:
     """The config file at ``path``, with the overrides applied before one validation.
 
     ``grid_n`` sets ``operator.n``, or the mode count of a diagonal operator,
@@ -271,7 +270,6 @@ def load_config(path, seed: int | None = None, grid_n: int | None = None) -> Exp
         if op.get("kind") == "diagonal":
             op.pop("sigma", None)
             op["modes"] = grid_n
-            op.setdefault("sigma_rule", "exp_decay")
         else:
             op["n"] = grid_n
     return parse_config(doc)
@@ -339,7 +337,7 @@ class Problem:
     scheme: RegularizerConfig
 
 
-def build_problem(config: ExperimentConfig) -> Problem:
+def build_problem(config: dict) -> Problem:
     """Assemble operator, ground truth and exact data from a config.
 
     u_star = -A^p (lam - log A)^{-nu} w, lam = omega + lambda_offset, meets the
@@ -348,9 +346,9 @@ def build_problem(config: ExperimentConfig) -> Problem:
     ``ConfigError`` on ``config.source``: each row would measure the noise
     alone.
     """
-    op = build_operator(config.raw["operator"])
-    src = config.raw["source"]
-    scheme = build_scheme(config.raw["scheme"])
+    op = build_operator(config["operator"])
+    src = config["source"]
+    scheme = build_scheme(config["scheme"])
     w = build_source_element(op, src["w"])
     lam = op.omega + float(src["lambda_offset"])
     mixed = make_mixed_smooth_element(op, float(src["p"]), int(src["nu"]), lam, w)
@@ -435,7 +433,7 @@ def fit_rate(
     }
 
 
-def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
+def run_rate_experiment(config: dict, out_dir=None) -> dict:
     """Run the configured (scheme x rule) over the delta ladder.
 
     Returns ``{"rows", "summary"}``: one dict per ladder entry, keyed by
@@ -447,12 +445,12 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """
     problem = build_problem(config)
     op, scheme = problem.op, problem.scheme
-    src = config.raw["source"]
+    src = config["source"]
     p, nu = float(src["p"]), int(src["nu"])
     d_w = max(problem.w.norm(), 1.0)
-    rule = config.raw["rule"]
-    deltas = [float(d) for d in config.raw["delta_ladder"]]
-    seed = config.raw["seed"]
+    rule = config["rule"]
+    deltas = [float(d) for d in config["delta_ladder"]]
+    seed = config["seed"]
     data = [add_noise(problem.f_star, delta, seed + k) for k, delta in enumerate(deltas)]
     if rule["name"] == "apriori":
         c0 = float(rule["c0"])
@@ -473,7 +471,7 @@ def run_rate_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         rows.append(dict(zip(CSV_COLUMNS, (delta, alpha, error, residual, bound, error / bound))))
         if math.isfinite(alpha):
             alpha_lower_ratios.append(alpha / apriori_alpha(delta, p, nu))
-    summary = fit_rate(rows, p, nu, float(config.raw["spread_tolerance"]))
+    summary = fit_rate(rows, p, nu, float(config["spread_tolerance"]))
     summary["rule"] = rule["name"]
     summary["generator"] = GENERATOR_NAME
     if rule["name"] == "discrepancy":
@@ -514,7 +512,7 @@ def write_report(report: dict, out_dir) -> None:
     )
 
 
-def check_axioms(config: ExperimentConfig) -> dict:
+def check_axioms(config: dict) -> dict:
     """Run the scheme-axiom suites for the configured operator and scheme.
 
     Covers the positive-type bound (20 alphas, checked against the certified
@@ -526,10 +524,10 @@ def check_axioms(config: ExperimentConfig) -> dict:
     construction, both being functions of one symbol, so no commutation
     defect is reported.
     """
-    op = build_operator(config.raw["operator"])
-    scheme = build_scheme(config.raw["scheme"])
+    op = build_operator(config["operator"])
+    scheme = build_scheme(config["scheme"])
     alphas = default_kappa_grid(op.op_norm, 20)
-    rng = np.random.Generator(np.random.Philox(key=config.raw["seed"]))
+    rng = np.random.Generator(np.random.Philox(key=config["seed"]))
     probes = rng.standard_normal((3, op.dim))
 
     postype = estimate_postype_constant(op, alphas)

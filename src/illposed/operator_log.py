@@ -9,9 +9,9 @@ the second, and w of the operator's dimension and norm kind in ``_one_row``.
 
 from __future__ import annotations
 
-from .grid import GridFunction
 from .operators import (
     DiscreteOperator,
+    GridFunction,
     _one_row,
     fractional_power_exact,  # bench/tracing.py counts calls through operator_log.<name>
     log_resolvent_power_map,

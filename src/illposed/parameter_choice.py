@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .grid import GridFunction
-from .operators import DiscreteOperator, _one_row
+from .operators import DiscreteOperator, GridFunction, _one_row
 from .schemes import (
     RegularizerConfig,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it

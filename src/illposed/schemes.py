@@ -33,9 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .grid import _W_FUNCTIONS, GridFunction, grid_norms
 from .operators import (
+    _W_FUNCTIONS,
     DiscreteOperator,
+    GridFunction,
     SymbolMap,
     _one_row,
     compose,
@@ -43,6 +44,7 @@ from .operators import (
     evolution_maps,
     # never called here: bench/tracing.py patches this name, and --trace 1 fails without it
     fractional_power_exact,
+    grid_norms,
     lavrentiev_difference,
     lavrentiev_maps,
     map_power,

@@ -23,10 +23,13 @@ without forming a matrix.  The routes here share none of that code path:
   reversed view of the coefficients, which the library's reversed buffer
   must match bit for bit;
 * ``diagonal_log_values``, the closed form log sigma_k;
+* ``integration_resolvent_lags`` and ``integration_postype_ratios``, the
+  closed forms of (A + alpha I)^{-1} and of the sup positive-type ratio on
+  the integration kind, at any n;
 * ``log_apply``, log(A) u as the Richardson-extrapolated limit of the
   difference quotients (A^p u - u)/p along ``P_SCHEDULE``;
 * ``log_kernel_apply``, the log-kernel transform at every node, one
-  ``log_kernel_apply_at`` call per node;
+  ``log_kernel_apply_at`` call on all nodes;
 * ``ChiParams``, ``chi`` and ``chi_inverse``, the rate functions
   chi_{q, +-mu}(t) = t^q (log(1/t))^{+-mu} and a Newton inverse of
   chi_{q,-mu}, against which the closed form of ``apriori_alpha`` is read;
@@ -57,15 +60,16 @@ from scipy.integrate import quad
 from scipy.linalg import expm, toeplitz
 
 from illposed.errors import DomainError, QuadratureError
-from illposed.grid import GridFunction, grid_norms
 from illposed.harness import Problem
 from illposed.loworder import LogExampleParams, log_kernel_apply_at
 from illposed.operators import (
     DiscreteOperator,
+    GridFunction,
     SymbolMap,
     _one_row,
     apply,
     fractional_power_exact,
+    grid_norms,
     power_map,
     product_integration_weights,
     shifted_solve,
@@ -438,6 +442,38 @@ def diagonal_log_values(op: DiscreteOperator) -> np.ndarray:
 
 
 #: the schedule p -> 0 of ``log_apply``'s difference quotients: 2^-3 .. 2^-12
+def _integration_r_powers(n: int, alpha, k) -> np.ndarray:
+    """r^k, r = alpha / (h + alpha), h = 1/n, as exp(-k log1p(h / alpha)).
+
+    The exponent is within about 2 ulp relative for every alpha, so the
+    rounding of r^k grows like k |log r| ulp only where r^k = e^{-k |log r|}
+    has decayed by as much; ``r ** k`` would scale the rounding of r by k.
+    """
+    return np.exp(-k * np.log1p((1.0 / n) / alpha))
+
+
+def integration_resolvent_lags(n: int, alpha: float) -> np.ndarray:
+    """The lags of (A + alpha I)^{-1} on nodes 1..n of the integration kind, in closed form.
+
+    The symbol a(z) = h / (1 - z) gives 1 / (alpha + a(z)) = (1 - z) / (h + alpha - alpha z),
+    whose coefficients are b_0 = 1/(h + alpha) and
+    b_k = -h alpha^{k-1} / (h + alpha)^{k+1} = -h / (h + alpha)^2 * r^{k-1}.
+    """
+    h = 1.0 / n
+    tail = -(h / (h + alpha) ** 2) * _integration_r_powers(n, alpha, np.arange(n - 1.0))
+    return np.concatenate(([1.0 / (h + alpha)], tail))
+
+
+def integration_postype_ratios(n: int, alphas: np.ndarray) -> np.ndarray:
+    """alpha ||(A + alpha I)^{-1}|| in the sup norm on the integration kind: max(1, 2r - r^n).
+
+    The largest row sum is node 0's 1 or alpha sum_{k<n} |b_k| = r (2 - r^{n-1})
+    from ``integration_resolvent_lags``.
+    """
+    r = alphas / (1.0 / n + alphas)
+    return np.maximum(1.0, 2.0 * r - _integration_r_powers(n, alphas, n))
+
+
 P_SCHEDULE = tuple(2.0**-k for k in range(3, 13))
 
 
@@ -469,10 +505,8 @@ def log_kernel_apply(u: GridFunction) -> GridFunction:
     """(S u)(x_j) at every node; (S u)(0) = 0 and u(0) = 0 is required."""
     if abs(u.values[0]) > 1e-12:
         raise DomainError("the log-kernel transform expects u(0) = 0")
-    n = u.n
-    out = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        out[j] = log_kernel_apply_at(u, j / n)
+    out = np.zeros(u.dim)
+    out[1:] = log_kernel_apply_at(u, np.arange(1, u.dim) / u.n)
     return u.with_values(out)
 
 

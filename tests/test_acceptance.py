@@ -221,7 +221,7 @@ def test_criterion_06_apriori_rate():
     sweep_alphas = np.logspace(-9, 0, 90)
     factors = []
     for k, row in enumerate(report["rows"]):
-        f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
+        f_delta = add_noise(problem.f_star, row["delta"], cfg["seed"] + k)
         _, best = alpha_sweep_oracle(problem, f_delta, sweep_alphas)
         factors.append(row["error"] / best)
     sweep_ok = max(factors) <= 2.0
@@ -270,7 +270,7 @@ def test_criterion_08_discrepancy_rate():
     problem = build_problem(cfg)
     band_ok = True
     for k, row in enumerate(report["rows"]):
-        f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
+        f_delta = add_noise(problem.f_star, row["delta"], cfg["seed"] + k)
         degenerate = f_delta.norm() <= 8.0 * row["delta"]
         if math.isinf(row["alpha"]):
             band_ok &= degenerate
@@ -286,8 +286,8 @@ def test_criterion_08_discrepancy_rate():
     tiny = parse_config(
         _rate_doc({"name": "discrepancy", "b0": 6.0, "b1": 8.0}, [0.09, 0.05, 0.02])
     )
-    tiny.raw["source"]["w"] = {"kind": "unit", "index": 45}
-    degen_report = run_rate_experiment(parse_config(tiny.raw))
+    tiny["source"]["w"] = {"kind": "unit", "index": 45}
+    degen_report = run_rate_experiment(parse_config(tiny))
     degen_ok = all(math.isinf(r["alpha"]) for r in degen_report["rows"])
     ok = band_ok and lower_ok and spread_ok and degen_ok
     _line(
@@ -409,7 +409,8 @@ def test_criterion_10b_w_decay_threshold():
 def test_criterion_10c_derivative_finite_difference():
     u = sample_u_log(PARAMS_GOOD, 512)
     h = 1e-4
-    fd = (log_kernel_apply_at(u, 0.5 + h) - log_kernel_apply_at(u, 0.5 - h)) / (2.0 * h)
+    minus, plus = log_kernel_apply_at(u, [0.5 - h, 0.5 + h])
+    fd = (plus - minus) / (2.0 * h)
     w = float(log_kernel_derivative(PARAMS_GOOD, [0.5])[0])
     rel = abs(fd - w) / abs(w)
     ok = rel <= 1e-3

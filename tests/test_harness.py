@@ -53,8 +53,8 @@ def make_doc(**overrides):
 
 def test_config_round_trip():
     cfg = parse_config(make_doc())
-    again = parse_config(json.loads(json.dumps(cfg.raw)))
-    assert again.raw == cfg.raw
+    again = parse_config(json.loads(json.dumps(cfg)))
+    assert again == cfg
 
 
 def test_config_errors_carry_field_paths():
@@ -224,18 +224,18 @@ def test_readme_schema_table_lists_exactly_the_fields():
 
 def test_config_defaults_filled_from_the_table():
     doc = make_doc(rule=dict(DISCREPANCY_RULE))
-    raw = parse_config(doc).raw
+    raw = parse_config(doc)
     assert "spread_tolerance" not in doc  # the caller's document is left as it was
     assert raw["spread_tolerance"] == 3.0 and raw["delta0"] == 0.1 and raw["seed"] == 20260808
     assert raw["operator"]["rescale_to_half_norm"] is False and raw["operator"]["sigma"] is None
     assert raw["rule"] == DISCREPANCY_RULE  # the band is the rule's only setting
-    assert parse_config(raw).raw == raw
+    assert parse_config(raw) == raw
     doc = make_doc(
         operator={"kind": "abel", "order": 0.5, "n": 64},
         scheme={"name": "lavrentiev"},
         rule={"name": "apriori"},
     )
-    raw = parse_config(doc).raw
+    raw = parse_config(doc)
     assert raw["operator"]["norm"] == "sup" and raw["scheme"]["m"] == 1 and raw["rule"]["c0"] == 1.0
 
 
@@ -576,7 +576,8 @@ def test_cli_calls_go_through_module_attributes(tmp_path, monkeypatch):
 
 def test_each_cli_command_loads_only_its_layer(tmp_path):
     # one fresh interpreter per case: the package root loads no submodule,
-    # the CLI module loads no numpy, and a command imports only its own layer
+    # the CLI module loads no numpy, and a command imports only its own layer;
+    # loworder-verify draws no random numbers, so it loads no numpy.random
     src = str(Path(__file__).resolve().parents[1] / "src")
     config = str(CONFIG_DIR / "integration_apriori.json")
     low = ["loworder-verify", "--c", "0.5", "--kappa", "2", "--out", str(tmp_path / "low.json")]
@@ -587,7 +588,7 @@ def test_each_cli_command_loads_only_its_layer(tmp_path):
         ("import illposed\n", "illposed", ("illposed.", "numpy")),
         ("import illposed.cli\n", "illposed.cli", ("numpy",)),
         (command.format(low), "illposed.loworder",
-         ("illposed.harness", "illposed.schemes", "illposed.parameter_choice")),
+         ("illposed.harness", "illposed.schemes", "illposed.parameter_choice", "numpy.random")),
         (command.format(run), "illposed.harness", ("illposed.loworder",)),
         (command.format(axioms), "illposed.harness", ("illposed.loworder",)),
     ]
@@ -626,9 +627,22 @@ def test_unit_index_follows_grid_n(tmp_path):
     doc["source"]["w"] = {"kind": "unit", "index": 45}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_config(cfg_path, grid_n=46).raw["operator"]["modes"] == 46
+    assert load_config(cfg_path, grid_n=46)["operator"]["modes"] == 46
     with pytest.raises(ConfigError, match=r"config\.source\.w\.index: .* \[0, 44\]"):
         load_config(cfg_path, grid_n=45)
+
+
+def test_grid_n_replaces_a_sigma_list_by_exp_decay_modes(tmp_path):
+    # --grid-n drops a diagonal sigma list; FIELDS then fills the exp_decay rule
+    doc = make_doc(operator={"kind": "diagonal", "sigma": [1.0, 0.5, 0.25], "norm": "sup"})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    config = load_config(cfg_path, None, 7)
+    assert config == parse_config(make_doc(operator={"kind": "diagonal", "modes": 7, "norm": "sup"}))
+    assert config["operator"] == {
+        "kind": "diagonal", "modes": 7, "norm": "sup", "sigma": None,
+        "sigma_rule": "exp_decay", "rescale_to_half_norm": False,
+    }
 
 
 def abel_cauchy_doc(**source):
@@ -809,7 +823,7 @@ def test_operator_config_record_round_trip():
     from illposed.harness import build_operator, operator_spec
 
     def normalized(spec):  # build_operator reads the record parse_config fills in
-        return parse_config(make_doc(operator=spec)).raw["operator"]
+        return parse_config(make_doc(operator=spec))["operator"]
 
     for spec in (
         {"kind": "integration", "n": 64, "norm": "sup"},
@@ -852,7 +866,7 @@ def test_build_problem_initial_error_is_mixed_smooth():
     problem = build_problem(config)
     from illposed.operator_log import make_mixed_smooth_element
 
-    src = config.raw["source"]
+    src = config["source"]
     mixed = make_mixed_smooth_element(problem.op, src["p"], src["nu"], problem.lam, problem.w)
     assert ((problem.op.zeros() - problem.u_star) - mixed).norm() <= 1e-14
 
@@ -899,7 +913,7 @@ def test_run_exact_data_errors_shrink():
     from illposed.schemes import regularize
 
     errs = []
-    for d in cfg.raw["delta_ladder"]:
+    for d in cfg["delta_ladder"]:
         alpha = apriori_alpha(d, 0.0, 1, 5.0)
         u = regularize(problem.op, problem.scheme, alpha, problem.f_star)
         errs.append((u - problem.u_star).norm())
@@ -1191,7 +1205,7 @@ def test_discrepancy_residual_matches_diagonal_closed_form():
     report = run_rate_experiment(cfg)
     h = 1.0 / (op.dim - 1)
     for k, row in enumerate(report["rows"]):
-        f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k)
+        f_delta = add_noise(problem.f_star, row["delta"], cfg["seed"] + k)
         factor = (row["alpha"] / (op.weights + row["alpha"])) ** (2 * m)
         closed = math.sqrt(h * float(np.sum(factor * f_delta.values**2)))
         assert math.isclose(row["residual"], closed, rel_tol=1e-14)
@@ -1205,9 +1219,9 @@ def test_apriori_residual_matches_exact_rational_evaluation():
     cfg = load_config(CONFIG_DIR / "integration_apriori.json")
     problem = build_problem(cfg)
     op, m = problem.op, problem.scheme.m
-    k = cfg.raw["delta_ladder"].index(1e-5)
+    k = cfg["delta_ladder"].index(1e-5)
     row = run_rate_experiment(cfg)["rows"][k]
-    f_delta = add_noise(problem.f_star, row["delta"], cfg.raw["seed"] + k).values
+    f_delta = add_noise(problem.f_star, row["delta"], cfg["seed"] + k).values
     # the rectangle rule: every lag is h, so row i of (A + alpha I) x = alpha y
     # on nodes 1..n reads (h + alpha) x_i + h sum_{j < i} x_j = alpha y_i
     h = Fraction(1, op.n)

@@ -11,7 +11,6 @@ import pytest
 import illposed
 import illposed.loworder as loworder
 from illposed.errors import DomainError, QuadratureError
-from illposed.grid import GridFunction
 from illposed.loworder import (
     EULER_GAMMA,
     LogExampleParams,
@@ -21,7 +20,7 @@ from illposed.loworder import (
     sample_u_log,
     verify_membership,
 )
-from illposed.operators import a_log_a_map, integration_operator
+from illposed.operators import GridFunction, a_log_a_map, integration_operator
 from oracles import graded_w, log_kernel_apply, quadpack_w
 
 PARAMS = LogExampleParams(c=0.5, kappa=2.0)
@@ -53,10 +52,21 @@ def test_log_kernel_constant_oracle():
     n = 128
     ones = GridFunction(np.ones(n + 1), "sup")
     # bypass the u(0) = 0 gate by evaluating pointwise
-    for x in (0.25, 0.5, 1.0):
-        got = log_kernel_apply_at(ones, x)
-        assert math.isclose(got, x * (math.log(x) - 1.0), rel_tol=1e-12)
-    assert math.isclose(log_kernel_apply_at(ones, 1.0), -1.0, rel_tol=1e-12)
+    xs = (0.25, 0.5, 1.0)
+    got = log_kernel_apply_at(ones, xs)
+    for x, value in zip(xs, got):
+        assert math.isclose(value, x * (math.log(x) - 1.0), rel_tol=1e-12)
+    assert math.isclose(got[-1], -1.0, rel_tol=1e-12)
+
+
+def test_log_kernel_points_do_not_depend_on_each_other():
+    # each point sums only its own cells, so one call on many points keeps
+    # the bits of a call on each point alone, node, cell interior and 0 alike
+    u = sample_u_log(PARAMS, 512)
+    xs = np.array([0.5001, 0.0, 0.3, 0.4999, 1.0, 0.7, 1.0 / 512, 0.6])
+    together = log_kernel_apply_at(u, xs)
+    assert together.shape == xs.shape and together[1] == 0.0
+    assert np.array_equal(together, [log_kernel_apply_at(u, [x])[0] for x in xs])
 
 
 def test_log_kernel_zero():
@@ -106,7 +116,8 @@ def test_w_no_decay_below_threshold_kappa():
 def test_w_finite_difference_cross_check():
     u = sample_u_log(PARAMS, 512)
     h = 1e-4
-    fd = (log_kernel_apply_at(u, 0.5 + h) - log_kernel_apply_at(u, 0.5 - h)) / (2.0 * h)
+    minus, plus = log_kernel_apply_at(u, [0.5 - h, 0.5 + h])
+    fd = (plus - minus) / (2.0 * h)
     w = float(log_kernel_derivative(PARAMS, [0.5])[0])
     assert abs(fd - w) <= 1e-3 * abs(w)
 
@@ -116,9 +127,8 @@ def test_w_matches_transform_derivative_at_ten_points():
     h = 1e-4
     xs = np.linspace(0.15, 0.9, 10)
     w = log_kernel_derivative(PARAMS, xs)
-    for x, wx in zip(xs, w):
-        fd = (log_kernel_apply_at(u, x + h) - log_kernel_apply_at(u, x - h)) / (2.0 * h)
-        assert abs(fd - wx) <= 1e-3 * abs(wx)
+    fd = (log_kernel_apply_at(u, xs + h) - log_kernel_apply_at(u, xs - h)) / (2.0 * h)
+    assert np.all(np.abs(fd - w) <= 1e-3 * np.abs(w))
 
 
 def test_log_kernel_transform_bounded():
@@ -307,7 +317,7 @@ def test_abel_order_derivative_identity_gap_reads_full_convolution(kappa):
     idx = np.round(np.array(points) * n).astype(int)
     products = [lag[:j] * u.values[j:0:-1] for j in idx]
     deriv = np.array([math.fsum(t) for t in products])
-    target = np.array([log_kernel_apply_at(u, j * h) for j in idx])
+    target = log_kernel_apply_at(u, idx * h)
     target += EULER_GAMMA * h * np.cumsum(u.values[1:])[idx - 1]
     scale = np.maximum(np.abs(target), 1e-12)
     full = float(np.max(np.abs(deriv - target) / scale))

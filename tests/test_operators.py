@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 
 from illposed.errors import DimensionMismatchError, DomainError
-from illposed.grid import NORM_KINDS, GridFunction, grid_norms
 from illposed.operators import (
+    NORM_KINDS,
+    GridFunction,
     _mul,
     _postype_ratios,
     _power_iteration_norm,
@@ -22,6 +23,7 @@ from illposed.operators import (
     diagonal_operator,
     estimate_postype_constant,
     exp_decay_diagonal,
+    grid_norms,
     integration_operator,
     power_map,
     product_integration_weights,
@@ -29,7 +31,7 @@ from illposed.operators import (
     shifted_solve,
     shifted_solver,
 )
-from oracles import dense_matrix
+from oracles import dense_matrix, integration_postype_ratios, integration_resolvent_lags
 
 #: alphas per positive-type measurement in these tests
 GRID_POINTS = 60
@@ -157,18 +159,35 @@ def test_sup_postype_ratio_matches_dense_inverse(kind):
     assert max(dense) < op.kappa_star == 2.0
 
 
-@pytest.mark.parametrize("n", [512, 16384])
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the rounding bound of a k-term dot product
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.1)."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("n", [256, 4096, 16384])
+def test_shifted_solver_integration_closed_form(n):
+    # Newton's doubling corrects the rounding of every step but the last,
+    # whose two products are dot products of at most n terms, so gamma_n of
+    # the l1 norm is the tolerance; the closed form is within a few ulp.
+    # Largest gap seen: 0.031 of the bound (n = 4096, alpha = 1e-4).
+    op = integration_operator(n)
+    for alpha in (1e-8, 1e-4, 1e-2, 1.0):
+        want = integration_resolvent_lags(n, alpha)
+        gap = np.abs(shifted_solver(op, alpha).symbol - want).sum()
+        assert gap <= _gamma(n) * np.abs(want).sum(), alpha
+
+
+@pytest.mark.parametrize("n", [256, 4096, 16384])
 def test_sup_postype_ratio_integration_closed_form(n):
-    # 1 / (alpha + h / (1 - z)) has b_0 = 1/(h + alpha) and
-    # b_m = -(1 - r) r^{m-1} / (h + alpha) with r = alpha / (h + alpha), so
-    # alpha sum_{m<n} |b_m| = alpha (2 - r^{n-1}) / (h + alpha); r^{n-1} goes
-    # through log1p, since r ** (n - 1) would scale the rounding of r by n
+    # alpha sum |b_k| moves by at most alpha ||b^ - b||_1, within gamma_n of
+    # the l1 norm as above, plus the rounding of its n-term sum, so the ratio
+    # is within 2 gamma_n relative.  Largest gap seen: 0.012 of the bound.
     op = integration_operator(n)
     grid = default_kappa_grid(op.op_norm, GRID_POINTS)
-    h = 1.0 / n
-    r_pow = np.exp((n - 1) * np.log1p(-h / (h + grid)))
-    closed = np.maximum(1.0, grid * (2.0 - r_pow) / (h + grid))
-    np.testing.assert_allclose(_postype_ratios(op, grid), closed, rtol=1e-12, atol=0.0)
+    want = integration_postype_ratios(n, grid)
+    np.testing.assert_allclose(_postype_ratios(op, grid), want, rtol=2 * _gamma(n), atol=0.0)
 
 
 @pytest.mark.parametrize("order", [0.25, 0.5, 1.0])
@@ -364,6 +383,11 @@ def test_diagonal_validation():
         diagonal_operator([1.0, -0.5])
     with pytest.raises(DomainError):
         diagonal_operator([0.5, 1.0])  # increasing
+    # one singular value: no grid function has one sample, and l2_scaled's
+    # spacing 1/(dim - 1) would divide by zero
+    for sigma in ([], [0.5]):
+        with pytest.raises(DomainError, match="at least 2 singular values"):
+            diagonal_operator(sigma)
 
 
 def test_grid_function_norms():

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import illposed.parameter_choice as parameter_choice
 from illposed.errors import DomainError
-from illposed.grid import grid_norms
 from illposed.harness import add_noise, build_problem, load_config, run_rate_experiment
 from illposed.operators import (
     _one_row,
@@ -15,6 +14,7 @@ from illposed.operators import (
     apply,
     diagonal_operator,
     exp_decay_diagonal,
+    grid_norms,
     integration_operator,
 )
 from illposed.parameter_choice import (
@@ -342,9 +342,9 @@ def test_discrepancy_config_matches_the_unskipped_walk(path, seed):
     # the rows of run_rate_experiment: row k draws its noise with seed + k
     config = load_config(path, seed=seed)
     problem = build_problem(config)
-    deltas = config.raw["delta_ladder"]
-    data = [add_noise(problem.f_star, d, config.raw["seed"] + k) for k, d in enumerate(deltas)]
-    dcfg = DiscrepancyConfig(b0=config.raw["rule"]["b0"], b1=config.raw["rule"]["b1"])
+    deltas = config["delta_ladder"]
+    data = [add_noise(problem.f_star, d, config["seed"] + k) for k, d in enumerate(deltas)]
+    dcfg = DiscrepancyConfig(b0=config["rule"]["b0"], b1=config["rule"]["b1"])
     args = (problem.op, problem.scheme, dcfg, data, deltas)
     _same_rows(discrepancy_alphas(*args), unskipped_discrepancy_alphas(*args))
 
